@@ -5,10 +5,10 @@ e when e != 0), the remaining pair (A2, A3), and the squared canonical
 parameters (alpha^2, gamma^2, delta^2, alpha*gamma*delta).  Cubics: the
 recentering shift and the parameter pair (p, q).
 
-Float mode computes at unit weighted sup-norm and rescales results back, so
-tolerance checks are scale-free; exact mode stays closed over the rationals
-and demands perfect-square discriminants (generator-produced inputs always
-satisfy this).
+Quartics are worked at the gauge of their prepared form (`recognizer`) and
+scaled back, so float tolerance checks are scale-free; exact mode stays
+closed over the rationals and demands perfect-square discriminants
+(generator-produced inputs always satisfy this).
 """
 from __future__ import annotations
 
@@ -18,11 +18,11 @@ from fractions import Fraction
 from typing import Tuple
 
 from .core import (SIGMA12, SIGMA13, DarbouxCoefficients, EuclideanMotion,
-                   apply_motion, apply_permutation, weighted_rescale)
+                   apply_motion, apply_permutation)
 from .errors import (ComplexRoots, Inconsistent, IrrationalSpectrum,
                      PreconditionError, ZeroCubicPart)
 from .invariants import base_invariants
-from .recognizer import TolerancePolicy, weighted_sup_norm
+from .recognizer import Prepared, TolerancePolicy, prepared
 from .scalar import Scalar, exact_sqrt
 
 
@@ -64,18 +64,8 @@ class CanonicalCubic:
     shift: Tuple[Scalar, Scalar, Scalar]
 
 
-def _gauge(c: DarbouxCoefficients, pol: TolerancePolicy):
-    """(working tuple, scale s): float mode rescales to unit weighted norm."""
-    if pol.exact:
-        return c, Fraction(1)
-    s = weighted_sup_norm(c)
-    if s == 0:
-        return c, 1.0
-    return weighted_rescale(c, 1.0 / s), s
-
-
-def _a1_at_scale(work: DarbouxCoefficients, pol: TolerancePolicy) -> Scalar:
-    inv = base_invariants(work)
+def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
+    work, inv = prep.work, prep.inv
     c1, c2, c3 = work.c
     d1, d2, d3 = work.d
     e1, e2, e3 = work.e
@@ -84,15 +74,15 @@ def _a1_at_scale(work: DarbouxCoefficients, pol: TolerancePolicy) -> Scalar:
     h2_lead = inv.C0 ** 2 + 4 * inv.W1 + 12 * f0
 
     if pol.nonzero(e1):
-        a1 = (c1 * e1 + d3 * e2 + d2 * e3) / e1
+        a1 = pol.div(c1 * e1 + d3 * e2 + d2 * e3, e1)
     elif pol.nonzero(e2):
-        a1 = (d3 * e1 + c2 * e2 + d1 * e3) / e2
+        a1 = pol.div(d3 * e1 + c2 * e2 + d1 * e3, e2)
     elif pol.nonzero(e3):
-        a1 = (d2 * e1 + d1 * e2 + c3 * e3) / e3
+        a1 = pol.div(d2 * e1 + d1 * e2 + c3 * e3, e3)
     elif pol.nonzero(w14):
-        a1 = -(inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0) / (2 * w14)
+        a1 = pol.div(-(inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0), 2 * w14)
     elif pol.nonzero(h2_lead):
-        a1 = (inv.C0 ** 3 - 4 * inv.C0 * f0 + 4 * inv.E0) / h2_lead
+        a1 = pol.div(inv.C0 ** 3 - 4 * inv.C0 * f0 + 4 * inv.E0, h2_lead)
     else:
         # on this stratum H3 = (A1 - C0)^2: double root
         a1 = inv.C0
@@ -115,19 +105,21 @@ def _a1_at_scale(work: DarbouxCoefficients, pol: TolerancePolicy) -> Scalar:
     return a1
 
 
-def _a23_at_scale(work: DarbouxCoefficients, a1: Scalar,
+def _a23_at_scale(prep: Prepared, a1: Scalar,
                   pol: TolerancePolicy) -> Tuple[Scalar, Scalar]:
-    inv = base_invariants(work)
+    inv = prep.inv
     p_lin = a1 - inv.C0
     q_const = inv.W1 - inv.C0 * a1 + a1 * a1
     disc = p_lin * p_lin - 4 * q_const
     if pol.exact:
+        # messages give the discriminant (weight 4) at the caller's scale
         if disc < 0:
-            raise ComplexRoots(f"negative discriminant {disc}: no real spectrum")
+            raise ComplexRoots(
+                f"negative discriminant {disc * prep.scale ** 4}: no real spectrum")
         root = exact_sqrt(Fraction(disc))
         if root is None:
-            raise IrrationalSpectrum(
-                f"discriminant {disc} is not a perfect square; use float mode")
+            raise IrrationalSpectrum(f"discriminant {disc * prep.scale ** 4} "
+                                     "is not a perfect square; use float mode")
         return (-p_lin - root) / 2, (-p_lin + root) / 2
     if disc < 0:
         scale = max(1.0, p_lin * p_lin, abs(q_const))
@@ -144,37 +136,38 @@ def _a23_at_scale(work: DarbouxCoefficients, a1: Scalar,
     return (r1, r2) if r1 <= r2 else (r2, r1)
 
 
-def recover_A1(c: DarbouxCoefficients, pol: TolerancePolicy) -> Scalar:
+def recover_A1(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> Scalar:
     """Distinguished eigenvalue from the linear system {G1,G2,G3,H1,H2,H3}.
 
     Branch order: eigenvector equations G_i when some e_i != 0; else H1 when
     W1 + 4 f0 != 0; else H2 when C0^2 + 4 W1 + 12 f0 != 0; else the double
     root A1 = C0 of H3.  The candidate must satisfy the whole system and the
     characteristic polynomial, else Inconsistent (non-Dupin input or too
-    tight a tolerance).
+    tight a tolerance).  c is a normalized quartic or its prepared form.
     """
-    work, s = _gauge(c, pol)
-    return _a1_at_scale(work, pol) * s * s
+    prep = prepared(c, pol)
+    return _a1_at_scale(prep, pol) * prep.scale * prep.scale
 
 
-def recover_A23(c: DarbouxCoefficients, a1: Scalar,
+def recover_A23(c: DarbouxCoefficients | Prepared, a1: Scalar,
                 pol: TolerancePolicy) -> Tuple[Scalar, Scalar]:
     """The other two eigenvalues: roots of X^2 + (A1-C0) X + W1 - C0 A1 + A1^2,
     ordered A2 <= A3; float roots use the stabilized quadratic formula and a
     slightly-negative discriminant snaps to zero (boundary double roots)."""
-    work, s = _gauge(c, pol)
-    k2 = s * s
-    r1, r2 = _a23_at_scale(work, a1 / k2, pol)
+    prep = prepared(c, pol)
+    k2 = prep.scale * prep.scale
+    r1, r2 = _a23_at_scale(prep, a1 / k2, pol)
     return r1 * k2, r2 * k2
 
 
-def spectral_data(c: DarbouxCoefficients, pol: TolerancePolicy) -> SpectralData:
+def spectral_data(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> SpectralData:
     """Full spectral recovery plus the closure checks: elementary symmetric
-    functions equal C0, W1, W2; Dsq = 4 E0; F = f0."""
-    work, s = _gauge(c, pol)
-    a1 = _a1_at_scale(work, pol)
-    a2, a3 = _a23_at_scale(work, a1, pol)
-    inv = base_invariants(work)
+    functions equal C0, W1, W2; Dsq = 4 E0; F = f0.  c is a normalized
+    quartic or its prepared form."""
+    prep = prepared(c, pol)
+    work, inv = prep.work, prep.inv
+    a1 = _a1_at_scale(prep, pol)
+    a2, a3 = _a23_at_scale(prep, a1, pol)
     dsq = -(a2 + a3) * (a1 - a2) * (a1 - a3)
     f = (a2 * a2 + a3 * a3 + a2 * a3 - a1 * a2 - a1 * a3) / 4
     checks = {"Dsq-4E0": dsq - 4 * inv.E0, "F-f0": f - work.f0,
@@ -185,7 +178,7 @@ def spectral_data(c: DarbouxCoefficients, pol: TolerancePolicy) -> SpectralData:
     bad = {k: v for k, v in checks.items() if loose.nonzero(v)}
     if bad:
         raise Inconsistent(f"spectral closure failed: {bad}")
-    k2 = s * s
+    k2 = prep.scale * prep.scale
     return SpectralData(A1=a1 * k2, A2=a2 * k2, A3=a3 * k2,
                         Dsq=dsq * k2 ** 3, F=f * k2 ** 2)
 

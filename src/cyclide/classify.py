@@ -7,21 +7,21 @@ Every admissible region, edge and vertex of the parameter diagram receives
 exactly one label (three boundary strata that the coefficient-level
 condition list leaves out are included here: the horn-torus edge, the
 one-point edge at s = t < 0 <= u, and sphere-with-point taking precedence
-over the touching-spheres line).
+over the touching-spheres line).  J0 is computed at the gauge of the
+prepared form (`recognizer`).
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .canonical import SpectralData
 from .core import DarbouxCoefficients
 from .errors import FormulaDisagreement, PreconditionError
-from .invariants import base_invariants
-from .recognizer import TolerancePolicy, weighted_sup_norm
+from .invariants import base_invariants  # noqa: F401  (traced by bench/)
+from .recognizer import CUBIC, Prepared, TolerancePolicy, prepared
 from .scalar import Scalar
 
 
@@ -163,10 +163,10 @@ def _fraction_vote(num: Scalar, den: Scalar, pol: TolerancePolicy) -> J0Value:
         return J0Value.undefined()
     if dz:
         return J0Value.minus_infinity()
-    return J0Value.finite(num / den)
+    return J0Value.finite(pol.div(num, den))
 
 
-def j0_quartic(c: DarbouxCoefficients, sd: SpectralData,
+def j0_quartic(c: DarbouxCoefficients | Prepared, sd: SpectralData,
                pol: TolerancePolicy) -> J0Value:
     """All three printed forms; they must agree.
 
@@ -175,37 +175,27 @@ def j0_quartic(c: DarbouxCoefficients, sd: SpectralData,
     Coefficient-level: the C0/W1/W2/E0/f0 rational form.
     Zero denominator with nonzero numerator means minus infinity (touching
     spheres, double sphere); 0/0 is undefined (sphere with a point on it).
+    c is a normalized quartic or its prepared form.
     """
-    a1, a2, a3 = sd.A1, sd.A2, sd.A3
-    if pol.exact:
-        scale_pol = pol
-        work = c
-        k2 = Fraction(1)
-    else:
-        s = weighted_sup_norm(c)
-        s = s if s != 0 else 1.0
-        from .recognizer import _float_gauge
-        work = _float_gauge(c)
-        k2 = s * s
-        scale_pol = pol
-        a1, a2, a3 = a1 / k2, a2 / k2, a3 / k2
+    prep = prepared(c, pol)
+    k2 = prep.scale * prep.scale
+    a1, a2, a3 = sd.A1 / k2, sd.A2 / k2, sd.A3 / k2
 
     votes = [
-        _fraction_vote((a1 - 2 * a2 - a3) * (a2 + 2 * a3 - a1), (a2 - a3) ** 2, scale_pol),
+        _fraction_vote((a1 - 2 * a2 - a3) * (a2 + 2 * a3 - a1), (a2 - a3) ** 2, pol),
     ]
-    inv = base_invariants(work)
-    C0, W1, W2, E0, f0 = inv.C0, inv.W1, inv.W2, inv.E0, work.f0
+    inv = prep.inv
+    C0, W1, W2, E0, f0 = inv.C0, inv.W1, inv.W2, inv.E0, prep.work.f0
     votes.append(_fraction_vote(
         7 * a1 * a1 - 8 * C0 * a1 + 2 * C0 ** 2 + W1,
-        3 * a1 * a1 - 2 * C0 * a1 - C0 ** 2 + 4 * W1, scale_pol))
+        3 * a1 * a1 - 2 * C0 * a1 - C0 ** 2 + 4 * W1, pol))
     votes.append(_fraction_vote(
         (4 * f0 - C0 ** 2) * (28 * f0 + C0 ** 2) + 4 * (8 * f0 + C0 ** 2) * W1
         - 12 * C0 * (W2 - 2 * E0),
         12 * f0 * (4 * f0 - C0 ** 2) + (28 * f0 + C0 ** 2) * W1
-        - 8 * C0 * (W2 - 2 * E0), scale_pol))
+        - 8 * C0 * (W2 - 2 * E0), pol))
     # A2 <-> A3 swap leaves the spectral form unchanged
-    swap = _fraction_vote((a1 - 2 * a3 - a2) * (a3 + 2 * a2 - a1), (a3 - a2) ** 2,
-                          scale_pol)
+    swap = _fraction_vote((a1 - 2 * a3 - a2) * (a3 + 2 * a2 - a1), (a3 - a2) ** 2, pol)
     votes.append(swap)
 
     kinds = {v.kind for v in votes}
@@ -233,20 +223,15 @@ def j0_quartic(c: DarbouxCoefficients, sd: SpectralData,
     return votes[0]
 
 
-def j0_cubic(c: DarbouxCoefficients, pol: TolerancePolicy) -> J0Value:
-    """Weight-8 rational form in the raw cubic coefficients."""
-    work = c
-    if not pol.exact:
-        from .recognizer import _float_gauge
-        gauge = max(abs(float(v)) for v in c.b)
-        if gauge == 0:
-            raise PreconditionError("cubic J0 requires b != 0")
-        work = _float_gauge(DarbouxCoefficients(*[float(v) / gauge for v in c.astuple()]))
+def j0_cubic(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> J0Value:
+    """Weight-8 rational form in the cubic coefficients; c is a cubic or its
+    prepared form."""
+    prep = prepared(c, pol, CUBIC)
+    work, inv = prep.work, prep.inv
     b1, b2, b3 = work.b
     c1, c2, c3 = work.c
     d1, d2, d3 = work.d
     e1, e2, e3 = work.e
-    inv = base_invariants(work)
     B0, C0 = inv.B0, inv.C0
     y5 = d1 * d1 + d2 * d2 + d3 * d3 - 4 * (b1 * e1 + b2 * e2 + b3 * e3)
     y6 = (5 * (b1 * b1 * d1 * d1 + b2 * b2 * d2 * d2 + b3 * b3 * d3 * d3)

@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 One verb per invocation; every processed input line yields one JSON object
-on stdout (JSON-lines for batch files).  Exit codes: 0 processed, 2 input or
-parse error, 3 internal self-check failure.
+on stdout (JSON-lines for batch files), printed as soon as it is made.  Exit
+codes: 0 processed, 1 stdout closed before the output was written, 2 input
+or parse error, 3 internal self-check failure.
 """
 from __future__ import annotations
 
@@ -11,10 +12,8 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .core import DarbouxCoefficients
 from .errors import CyclideError, InternalCheckError, ParseError, ZeroInput
 from .genkit import generate_cubic_dupin, generate_quartic_dupin, random_motion, random_quartic_seed
 from .pipeline import analyze
@@ -43,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="relative tolerance for float mode "
                             "(default 1e-9; env CYCLIDE_TOL overrides)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for batch input")
         p.set_defaults(mode=EXACT)
 
     for verb in ("recognize", "classify", "canonicalize", "j0", "to-torus"):
@@ -98,12 +95,6 @@ def _iter_inputs(raw: str, mode: str):
         yield from read_csv_coefficients(text, mode)
 
 
-def _verb_map(verb: str) -> str:
-    return {"recognize": "recognize", "classify": "classify",
-            "canonicalize": "canonicalize", "j0": "classify",
-            "to-torus": "to-torus"}[verb]
-
-
 def _run_analysis(args) -> int:
     pol = _tolerance(args)
     try:
@@ -112,43 +103,35 @@ def _run_analysis(args) -> int:
         print(f"cyclide: input error: {exc}", file=sys.stderr)
         return 2
 
-    want = _verb_map(args.verb)
+    if not inputs:
+        print("cyclide: input error: no coefficient rows found", file=sys.stderr)
+        return 2
 
-    def work(item):
-        idx, c = item
-        bad_input = False
-        try:
-            report = analyze(c, pol, want=want)
-        except ZeroInput:
-            report = {"error": "zero polynomial"}
-            bad_input = True
-        except InternalCheckError:
-            raise
-        except CyclideError as exc:
-            report = {"error": f"{type(exc).__name__}: {exc}"}
-        if args.verb == "j0":
-            report = {k: report[k] for k in ("J0", "willmore", "kind", "error")
-                      if k in report}
-        return idx, report, bad_input
-
-    items = list(enumerate(inputs))
+    want = "classify" if args.verb == "j0" else args.verb
+    had_bad_input = False
     try:
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(work, items))
-        else:
-            results = [work(it) for it in items]
+        for c in inputs:
+            try:
+                report = analyze(c, pol, want=want)
+            except ZeroInput:
+                report = {"error": "zero polynomial"}
+                had_bad_input = True
+            except InternalCheckError:
+                raise
+            except CyclideError as exc:
+                report = {"error": f"{type(exc).__name__}: {exc}"}
+            if args.verb == "j0":
+                report = {k: report[k] for k in ("J0", "willmore", "kind", "error")
+                          if k in report}
+            print(json.dumps(report))
+        sys.stdout.flush()
     except InternalCheckError as exc:
         print(f"cyclide: internal assertion: {exc}", file=sys.stderr)
         return 3
-    results.sort(key=lambda triple: triple[0])
-    had_bad_input = False
-    for _, report, bad in results:
-        had_bad_input |= bad
-        print(json.dumps(report))
-    if not results:
-        print("cyclide: input error: no coefficient rows found", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # the reader left (`| head`): the exit-time flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if had_bad_input:
         print("cyclide: input error: zero polynomial", file=sys.stderr)
         return 2

@@ -363,7 +363,11 @@ def normalize_quartic(c: DarbouxCoefficients) -> DarbouxCoefficients:
     """
     if c.a0 == 0:
         raise NotQuartic("a0 = 0: not a quartic")
-    scaled = DarbouxCoefficients(*[v / c.a0 for v in c.astuple()])
+    scaled = c
+    if c.a0 != 1:
+        # an int a0 divides as a Fraction, so exact input stays exact
+        a0 = Fraction(c.a0) if isinstance(c.a0, int) else c.a0
+        scaled = DarbouxCoefficients(*[v / a0 for v in c.astuple()])
     if all(v == 0 for v in scaled.b):
         return scaled
     shift = tuple(-v / 2 for v in scaled.b)

@@ -15,8 +15,7 @@ from typing import List, Optional, Tuple
 from .canonical import spectral_data
 from .classify import SurfaceClass, classify_quartic
 from .core import (DarbouxCoefficients, EuclideanMotion, apply_motion,
-                   normalize_quartic, polynomial_from_coefficients,
-                   weighted_rescale)
+                   polynomial_from_coefficients, weighted_rescale)
 from .errors import (IrrationalSpectrum, NoRealPoints, PreconditionError,
                      SeedInvariantViolation)
 from .recognizer import TolerancePolicy, recognize
@@ -380,8 +379,8 @@ def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):
     if verdict.kind != "DupinQuartic":
         raise PreconditionError(
             f"sampling is implemented for quartic Dupin surfaces, got {verdict.kind}")
-    cn = normalize_quartic(c)
-    sd = spectral_data(cn, pol)
+    cn = verdict.prepared.normalized
+    sd = spectral_data(verdict.prepared, pol)
     label = classify_quartic(sd, pol)
     squares = ((sd.A3 - sd.A1) / 4, (sd.A2 - sd.A1) / 4, -(sd.A2 + sd.A3) / 4)
 

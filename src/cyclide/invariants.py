@@ -117,6 +117,7 @@ def quartic_generators(c: DarbouxCoefficients) -> GeneratorValues:
     inv = base_invariants(c)
     s12 = apply_permutation(c, SIGMA12)
     s13 = apply_permutation(c, SIGMA13)
+    i12, i13 = base_invariants(s12), base_invariants(s13)
     w14 = inv.W1 + 4 * c.f0
     n1 = ((4 * inv.W1 + 12 * c.f0 - 3 * inv.C0 ** 2) * w14
           - 2 * inv.C0 * (inv.W2 - inv.C0 * inv.W1 - 6 * inv.E0) - 4 * inv.W4)
@@ -125,16 +126,19 @@ def quartic_generators(c: DarbouxCoefficients) -> GeneratorValues:
     n3 = big * big - 4 * w14 ** 3
     return GeneratorValues(
         K1=k_form(c), K2=k_form(s12), K3=k_form(s13),
-        L1=l_form(c, inv), L2=l_form(s12), L3=l_form(s13),
-        M1=m_form(c, inv), M2=m_form(s12), M3=m_form(s13),
+        L1=l_form(c, inv), L2=l_form(s12, i12), L3=l_form(s13, i13),
+        M1=m_form(c, inv), M2=m_form(s12, i12), M3=m_form(s13, i13),
         N1=n1, N2=n2, N3=n3)
 
 
-def reduced_generators_e0(c: DarbouxCoefficients) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
-    """(Y0, Y1, Y2, Y3) of the e = 0 reduction; precondition e1 = e2 = e3 = 0."""
+def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle | None = None
+                          ) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
+    """(Y0, Y1, Y2, Y3) of the e = 0 reduction; precondition e1 = e2 = e3 = 0.
+    Only C0, W1 and W2 of inv are read, so the bundle of c with any e serves."""
     if any(v != 0 for v in c.e):
         raise PreconditionError("Y reduction requires e1 = e2 = e3 = 0")
-    inv = base_invariants(c)
+    if inv is None:
+        inv = base_invariants(c)
     C0, W1, W2, f0 = inv.C0, inv.W1, inv.W2, c.f0
     w14 = W1 + 4 * f0
     y0 = (4 * W1 + 12 * f0 - C0 ** 2) ** 2 - 16 * f0 * C0 ** 2
@@ -179,12 +183,13 @@ def _e_numerator(b, c, d, B0) -> Scalar:
             + 2 * d1 * B0 * B0 * (b2 * d2 + b3 * d3))
 
 
-def cubic_forms(c: DarbouxCoefficients) -> CubicTargets:
+def cubic_forms(c: DarbouxCoefficients, inv: InvariantBundle | None = None) -> CubicTargets:
     """E1, sigma12 E1, sigma13 E1 and the f0 target, with denominators that
-    are powers of B0 (exact over the rationals)."""
+    are powers of B0 (exact over the rationals); inv = base_invariants(c)."""
     if c.a0 != 0:
         raise PreconditionError("cubic forms require a0 = 0")
-    inv = base_invariants(c)
+    if inv is None:
+        inv = base_invariants(c)
     if inv.B0 == 0:
         raise ZeroCubicPart("B0 = 0: no cubic part")
     B0 = inv.B0

@@ -1,4 +1,5 @@
-"""End-to-end analysis used by the CLI verbs and the batch front end."""
+"""End-to-end analysis used by the CLI verbs and the batch front end; every
+stage after `recognize` reads the prepared form its verdict carries."""
 from __future__ import annotations
 
 from . import moebius
@@ -6,7 +7,7 @@ from .canonical import (canonical_cubic_params, canonical_quartic_params,
                         spectral_data)
 from .classify import (classify_cubic, classify_quartic_report, j0_cubic,
                        j0_quartic, willmore_energy)
-from .core import DarbouxCoefficients, normalize_quartic
+from .core import DarbouxCoefficients, normalize_quartic  # noqa: F401  (traced by bench/)
 from .errors import CyclideError
 from .recognizer import (DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC,
                          TolerancePolicy, recognize)
@@ -23,9 +24,9 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
     if want == "recognize" or not verdict.is_dupin:
         return report
 
+    prep = verdict.prepared
     if verdict.kind == DUPIN_QUARTIC:
-        cn = normalize_quartic(c)
-        sd = spectral_data(cn, pol)
+        sd = spectral_data(prep, pol)
         report["spectral"] = {"A1": scalar_json(sd.A1), "A2": scalar_json(sd.A2),
                               "A3": scalar_json(sd.A3), "Dsq": scalar_json(sd.Dsq),
                               "F": scalar_json(sd.F)}
@@ -33,7 +34,7 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
         report["class"] = label.code
         if ambiguous:
             report["class_ambiguous"] = True
-        j0 = j0_quartic(cn, sd, pol)
+        j0 = j0_quartic(prep, sd, pol)
         report["J0"] = scalar_json(j0.value) if j0.kind == "finite" else j0.kind
         report["willmore"] = willmore_energy(j0)
         if want in ("canonicalize", "to-torus"):
@@ -63,7 +64,7 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
         report["class"] = label.code
         report["canonical"] = {"p": scalar_json(params.p), "q": scalar_json(params.q),
                                "shift": [scalar_json(v) for v in params.shift]}
-        j0 = j0_cubic(c, pol)
+        j0 = j0_cubic(prep, pol)
         report["J0"] = scalar_json(j0.value) if j0.kind == "finite" else j0.kind
         report["willmore"] = willmore_energy(j0)
         return report

@@ -2,12 +2,16 @@
 
 Dispatch by degree, then the complete-intersection case logic for quartics,
 the rational-target equalities for cubics, and the rotational-quadric test.
-A 12-generator oracle cross-checks every quartic case decision.
+A 12-generator oracle cross-checks every exact quartic case decision.
 
-Exact quartic decisions run on the integer lattice: every residual is
-weighted-homogeneous, so a weighted rescale by the lcm of the coefficient
-denominators multiplies it by a nonzero power of that scale and leaves each
-zero test unchanged, while the arithmetic runs on Python ints.
+Each input is prepared once (`prepare`), and the recognizer, the canonical
+stage and J0 all run on its one gauged copy (`gauge`).  Exact quartics go onto
+the integer lattice: every quantity is weighted-homogeneous, so a weighted
+rescale by the lcm lam of the coefficient denominators multiplies it by a
+nonzero power of lam and leaves each zero test unchanged, while the
+arithmetic runs on Python ints.  Float quartics go to unit weighted sup-norm,
+so one tau_rel is scale-free; float cubics and quadrics are first divided by
+max |b| or max |c, d|.  Exact cubics and quadrics are used as given.
 """
 from __future__ import annotations
 
@@ -18,11 +22,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import (SIGMA12, SIGMA13, DarbouxCoefficients, apply_permutation,
                    normalize_quartic, weighted_rescale)
-from .errors import (InternalCheckError, NotNormalized, PreconditionError,
-                     ZeroCubicPart, ZeroInput)
-from .invariants import (GENERATOR_WEIGHTS, InvariantBundle, base_invariants,
-                         cubic_forms, k_form, l_form, m_form, quadric_forms,
-                         quartic_generators, reduced_generators_e0)
+from .errors import (InternalCheckError, PreconditionError, ZeroCubicPart,
+                     ZeroInput)
+from .invariants import (GENERATOR_WEIGHTS, InvariantBundle, _require_normalized,
+                         base_invariants, cubic_forms, k_form, l_form, m_form,
+                         quadric_forms, quartic_generators, reduced_generators_e0)
 from .scalar import EXACT, Scalar
 
 DUPIN_QUARTIC = "DupinQuartic"
@@ -30,6 +34,9 @@ DUPIN_CUBIC = "DupinCubic"
 DUPIN_QUADRIC = "DupinQuadric"
 NOT_DUPIN = "NotDupin"
 DEGENERATE = "DegenerateInput"
+
+# degree branches of a prepared input
+QUARTIC, CUBIC, QUADRIC, LINEAR = "quartic", "cubic", "quadric", "linear"
 
 # weighted degree of every residual a quartic verdict can report, under
 # wd(b)=1, wd(c)=wd(d)=2, wd(e)=3, wd(f0)=4: the K, L, M forms of cases (a)-(c)
@@ -64,8 +71,24 @@ class TolerancePolicy:
     def nonzero(self, value: Scalar) -> bool:
         return not self.is_zero(value)
 
-    def eq(self, a: Scalar, b: Scalar) -> bool:
-        return self.is_zero(a - b)
+    def div(self, num: Scalar, den: Scalar) -> Scalar:
+        """num / den, as rationals in exact mode (int operands stay exact)."""
+        return Fraction(num, den) if self.exact else num / den
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """One input, prepared once for every stage: `normalized` is
+    normalize_quartic(raw) for a quartic, `work` the gauged copy every zero
+    test runs on and `inv` its invariant bundle.  A quartic quantity of
+    weighted degree w is its value on work times scale**w on `normalized`."""
+
+    raw: DarbouxCoefficients
+    branch: str
+    normalized: Optional[DarbouxCoefficients] = None
+    work: Optional[DarbouxCoefficients] = None
+    scale: Scalar = 1
+    inv: Optional[InvariantBundle] = None
 
 
 @dataclass
@@ -75,6 +98,8 @@ class Verdict:
     witness: Optional[Tuple[str, Scalar]] = None
     residuals: Dict[str, Scalar] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
+    # the form recognize decided on, for the later stages
+    prepared: Optional[Prepared] = field(default=None, repr=False, compare=False)
 
     @property
     def is_dupin(self) -> bool:
@@ -90,42 +115,94 @@ def weighted_sup_norm(c: DarbouxCoefficients) -> float:
     return max(mags)
 
 
-def _float_gauge(c: DarbouxCoefficients) -> DarbouxCoefficients:
+def gauge(c: DarbouxCoefficients, pol: TolerancePolicy,
+          branch: str = QUARTIC) -> Tuple[DarbouxCoefficients, Scalar]:
+    """(working copy, scale) of c; see the module docstring.  A quartic must
+    be normalized, a cubic needs a0 = 0 under the policy and an exact quadric
+    a0 = 0 and b = 0.  A cubic or quadric scale omits the first division."""
+    cubic, zeroed = branch == CUBIC, {}
+    if branch == QUARTIC:
+        _require_normalized(c)
+        if pol.exact:
+            if not c.is_exact():
+                raise PreconditionError("exact mode requires int or Fraction coefficients")
+            lam = math.lcm(*(v.denominator for v in c.astuple()))
+            lattice = weighted_rescale(c, lam).astuple()
+            return DarbouxCoefficients(*[int(v) for v in lattice]), Fraction(1, lam)
+    else:
+        if cubic and not pol.is_zero(c.a0):
+            raise PreconditionError("cubic recognition requires a0 = 0")
+        if not cubic and pol.exact and any(v != 0 for v in (c.a0, *c.b)):
+            raise PreconditionError("quadric recognition requires a0 = 0 and b = 0")
+        if pol.exact:
+            return c, 1
+        top = max(abs(float(v)) for v in (c.b if cubic else (*c.c, *c.d)))
+        if top == 0:
+            raise (ZeroCubicPart("B0 = 0: no cubic part") if cubic
+                   else PreconditionError("no quadratic part"))
+        c = DarbouxCoefficients(*[float(v) / top for v in c.astuple()])
+        # the slots above the input's degree are zero within tolerance
+        zeroed = dict.fromkeys(("a0",) if cubic else ("a0", "b1", "b2", "b3"), 0.0)
     s = weighted_sup_norm(c)
     if s == 0:
+        return c, 1.0
+    work = weighted_rescale(c, 1.0 / s)
+    return (work.replace(**zeroed) if zeroed else work), s
+
+
+def prepared(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy, branch: str = QUARTIC,
+             raw: Optional[DarbouxCoefficients] = None) -> Prepared:
+    """c itself if it is already prepared (the form `recognize` built), else
+    c gauged now as the given branch; a quartic c must be normalized."""
+    if isinstance(c, Prepared):
         return c
-    return weighted_rescale(c, 1.0 / s)
+    work, scale = gauge(c, pol, branch)
+    inv = None if branch == QUADRIC else base_invariants(work)
+    return Prepared(c if raw is None else raw, branch,
+                    c if branch == QUARTIC else None, work, scale, inv)
 
 
-def _plain_zero(pol: TolerancePolicy, value, scale) -> bool:
-    if pol.exact:
-        return value == 0
-    return abs(value) <= pol.tau_rel * scale
-
-
-def recognize(c: DarbouxCoefficients, pol: TolerancePolicy,
-              cross_check: bool = True) -> Verdict:
-    """Dispatch: quartic / cubic / quadric / degenerate, then decide."""
+def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
+    """Degree branch, normalization, gauge and invariant bundle of one input."""
     vals = c.astuple()
     if all(v == 0 for v in vals):
         raise ZeroInput("all fourteen coefficients vanish")
-    sup = max(abs(float(v)) for v in vals)
-    if not _plain_zero(pol, c.a0, sup):
-        cn = normalize_quartic(c)
-        if not pol.exact and _is_zero_point(cn, c, pol):
-            # everything cancelled to rounding noise at the input's own
-            # scale: the surface is the double point rho^4 = 0 within
-            # tolerance, and gauging the leftovers up would amplify noise
-            return Verdict(kind=DUPIN_QUARTIC, case_label="d",
-                           residuals={"W1+4f0": 0.0, "W2-C0W1": 0.0},
-                           notes=["zero point within tolerance"])
-        return recognize_quartic_cases(cn, pol, cross_check=cross_check)
-    if not all(_plain_zero(pol, v, sup) for v in c.b):
-        return recognize_cubic(c, pol)
-    if not all(_plain_zero(pol, v, sup) for v in (*c.c, *c.d)):
-        return recognize_quadric(c, pol)
-    return Verdict(kind=DEGENERATE, case_label="none",
-                   notes=["degree <= 1: plane, point or empty; out of scope"])
+    if pol.exact:
+        zero = lambda v: v == 0
+    else:
+        sup = max(abs(float(v)) for v in vals)
+        zero = lambda v: abs(v) <= pol.tau_rel * sup
+    if not zero(c.a0):
+        return prepared(normalize_quartic(c), pol, QUARTIC, raw=c)
+    if not all(map(zero, c.b)):
+        return prepared(c, pol, CUBIC)
+    if not all(map(zero, (*c.c, *c.d))):
+        return prepared(c, pol, QUADRIC)
+    return Prepared(c, LINEAR)
+
+
+def recognize(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
+    """Dispatch: quartic / cubic / quadric / degenerate, then decide.  The
+    verdict carries the prepared input for the later stages."""
+    p = prepare(c, pol)
+    if p.branch == QUARTIC and not pol.exact and _is_zero_point(p.normalized, c, pol):
+        # everything cancelled to rounding noise at the input's own
+        # scale: the surface is the double point rho^4 = 0 within
+        # tolerance, and the gauged leftovers would only amplify noise
+        verdict = Verdict(kind=DUPIN_QUARTIC, case_label="d",
+                          residuals={"W1+4f0": 0.0, "W2-C0W1": 0.0},
+                          notes=["zero point within tolerance"])
+    elif p.branch == QUARTIC:
+        verdict = recognize_quartic_cases(p, pol)
+    elif p.branch == CUBIC:
+        verdict = recognize_cubic(p, pol)
+    elif p.branch == QUADRIC:
+        verdict = recognize_quadric(p, pol)
+    else:
+        verdict = Verdict(kind=DEGENERATE, case_label="none",
+                          notes=["degree <= 1: plane, point or empty; out of scope"])
+    verdict.prepared = p
+    return verdict
 
 
 def _is_zero_point(cn: DarbouxCoefficients, original: DarbouxCoefficients,
@@ -148,56 +225,36 @@ def _first_witness(residuals: Dict[str, Scalar], pol: TolerancePolicy):
     return None
 
 
-def _require_normalized(c: DarbouxCoefficients):
-    if c.a0 != 1 or any(v != 0 for v in c.b):
-        raise NotNormalized("requires the form a0 = 1, b = 0 (run normalize_quartic)")
-
-
-def _gauge(c: DarbouxCoefficients,
-           pol: TolerancePolicy) -> Tuple[DarbouxCoefficients, Optional[int]]:
-    """The working copy every quartic zero test runs on.
-
-    Exact mode: the weighted rescale onto the integer lattice, with lam the
-    lcm of the coefficient denominators.  Float mode: unit weighted sup-norm,
-    lam None (float residuals are reported at that gauge)."""
-    _require_normalized(c)
+def _ungauge(verdict: Verdict, scale: Scalar, pol: TolerancePolicy) -> Verdict:
+    """Exact residuals and witness back at the normalized scale: a residual
+    of weight w is divided by lam^w (scale = 1/lam).  Float residuals are
+    reported at the gauge."""
     if not pol.exact:
-        return _float_gauge(c), None
-    if not c.is_exact():
-        raise PreconditionError("exact mode requires int or Fraction coefficients")
-    lam = math.lcm(*(v.denominator for v in c.astuple()))
-    lattice = weighted_rescale(c, lam)
-    return DarbouxCoefficients(*[int(v) for v in lattice.astuple()]), lam
-
-
-def _ungauge(verdict: Verdict, lam: Optional[int]) -> Verdict:
-    """Residuals and witness back at the caller's scale: a residual of
-    weight w was multiplied by lam^w."""
-    if lam is None:
         return verdict
-    back = lambda name, v: Fraction(v, lam ** RESIDUAL_WEIGHTS[name])
+    back = lambda name, v: Fraction(v, scale.denominator ** RESIDUAL_WEIGHTS[name])
     residuals = {name: back(name, v) for name, v in verdict.residuals.items()}
     witness = None if verdict.witness is None else (verdict.witness[0],
                                                      back(*verdict.witness))
     return replace(verdict, residuals=residuals, witness=witness)
 
 
-def recognize_quartic_cases(c: DarbouxCoefficients, pol: TolerancePolicy,
+def recognize_quartic_cases(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy,
                             cross_check: bool = True) -> Verdict:
     """First applicable case of the complete-intersection stratification.
 
     (a) e1 != 0: K2, K3, L1, M1.   (b) e2 != 0: K1, K3, L2, M2.
     (c) e3 != 0: K1, K2, L3, M3.   (d)-(f): the e = 0 strata.
     Float-mode axis guards that barely fire fall through to (d)-(f) as well,
-    so there is no cliff at the e = 0 boundary.
+    so there is no cliff at the e = 0 boundary.  c is a normalized quartic
+    or its prepared form.
     """
-    work, lam = _gauge(c, pol)
-    verdict = _ungauge(_quartic_case_verdict(work, pol), lam)
+    p = prepared(c, pol)
+    verdict = _ungauge(_quartic_case_verdict(p.work, pol, p.inv), p.scale, pol)
     # dispatch == oracle is a theorem of the exact ideal; float noise shifts
     # the two test families differently near the variety, so the automatic
     # self-check runs in exact mode only
     if cross_check and pol.exact:
-        oracle = _oracle_verdict(work, pol)
+        oracle = _oracle_verdict(p.work, pol)
         if oracle.is_dupin != verdict.is_dupin:
             raise InternalCheckError(
                 f"case dispatch says {verdict.kind} but 12-generator oracle says "
@@ -205,35 +262,46 @@ def recognize_quartic_cases(c: DarbouxCoefficients, pol: TolerancePolicy,
     return verdict
 
 
-def _axis_case_residuals(c: DarbouxCoefficients, label: str) -> Dict[str, Scalar]:
+def _axis_case_residuals(c: DarbouxCoefficients, label: str,
+                         inv: Optional[InvariantBundle] = None) -> Dict[str, Scalar]:
+    """Residuals of the axis case; inv = base_invariants(c) when given."""
     s12 = apply_permutation(c, SIGMA12)
     s13 = apply_permutation(c, SIGMA13)
     if label == "a":
-        return {"K2": k_form(s12), "K3": k_form(s13), "L1": l_form(c), "M1": m_form(c)}
+        return {"K2": k_form(s12), "K3": k_form(s13), "L1": l_form(c, inv),
+                "M1": m_form(c, inv)}
     if label == "b":
-        return {"K1": k_form(c), "K3": k_form(s13), "L2": l_form(s12), "M2": m_form(s12)}
-    return {"K1": k_form(c), "K2": k_form(s12), "L3": l_form(s13), "M3": m_form(s13)}
+        i12 = base_invariants(s12)
+        return {"K1": k_form(c), "K3": k_form(s13), "L2": l_form(s12, i12),
+                "M2": m_form(s12, i12)}
+    i13 = base_invariants(s13)
+    return {"K1": k_form(c), "K2": k_form(s12), "L3": l_form(s13, i13),
+            "M3": m_form(s13, i13)}
 
 
 def _e0_case_residuals(c: DarbouxCoefficients, label: str,
                        inv: InvariantBundle) -> Dict[str, Scalar]:
     """Residuals of the e = 0 strata (d), (e), (f); precondition e = 0 and
-    inv = base_invariants(c)."""
+    inv = base_invariants of c, or of c with any e (only C0, W1, W2 are read)."""
     if label == "d":
         return {"W1+4f0": inv.W1 + 4 * c.f0, "W2-C0W1": inv.W2 - inv.C0 * inv.W1}
     if label == "e":
-        y0, y1, _, _ = reduced_generators_e0(c)
+        y0, y1, _, _ = reduced_generators_e0(c, inv)
         return {"Y0": y0, "Y1": y1}
     return {"W1+3f0": inv.W1 + 3 * c.f0,
             "(W2-C0W1)^2-4f0^3": (inv.W2 - inv.C0 * inv.W1) ** 2 - 4 * c.f0 ** 3}
 
 
-def _quartic_case_verdict(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
+def _quartic_case_verdict(c: DarbouxCoefficients, pol: TolerancePolicy,
+                          inv: Optional[InvariantBundle] = None) -> Verdict:
+    """The case decision on c as given; inv = base_invariants(c)."""
+    if inv is None:
+        inv = base_invariants(c)
     guards = (("a", c.e1), ("b", c.e2), ("c", c.e3))
     for label, guard in guards:
         if not pol.nonzero(guard):
             continue
-        res = _axis_case_residuals(c, label)
+        res = _axis_case_residuals(c, label, inv)
         witness = _first_witness(res, pol)
         if witness is None:
             return Verdict(kind=DUPIN_QUARTIC, case_label=label, residuals=res)
@@ -243,7 +311,6 @@ def _quartic_case_verdict(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdi
         break  # borderline float guard: give the e = 0 strata a chance too
 
     ce = c if pol.exact else c.replace(e1=0.0, e2=0.0, e3=0.0)
-    inv = base_invariants(ce)
     d_res = _e0_case_residuals(ce, "d", inv)
     if all(pol.is_zero(v) for v in d_res.values()):
         return Verdict(kind=DUPIN_QUARTIC, case_label="d", residuals=d_res)
@@ -262,8 +329,8 @@ def _near_e_zero(c: DarbouxCoefficients, pol: TolerancePolicy) -> bool:
 
 def recognize_quartic_oracle(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
     """Dupin iff all 12 ideal generators vanish under the policy."""
-    work, lam = _gauge(c, pol)
-    return _ungauge(_oracle_verdict(work, pol), lam)
+    work, scale = gauge(c, pol)
+    return _ungauge(_oracle_verdict(work, pol), scale, pol)
 
 
 def _oracle_verdict(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
@@ -273,21 +340,13 @@ def _oracle_verdict(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
                    case_label="none", witness=witness, residuals=gens)
 
 
-def recognize_cubic(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
+def recognize_cubic(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> Verdict:
     """Dupin iff 4e_i = E_i for i = 1..3 and f0 equals its rational target;
-    compared after clearing the B0 powers."""
-    if not pol.is_zero(c.a0):
-        raise PreconditionError("cubic recognition requires a0 = 0")
-    work = c.replace(a0=0 * c.a0)
-    if not pol.exact:
-        gauge = max(abs(float(v)) for v in c.b)
-        if gauge == 0:
-            raise ZeroCubicPart("B0 = 0: no cubic part")
-        work = _float_gauge(DarbouxCoefficients(*[float(v) / gauge for v in work.astuple()]))
-    b0 = base_invariants(work).B0
-    if b0 == 0:
-        raise ZeroCubicPart("B0 = 0: no cubic part")
-    targets = cubic_forms(work)
+    compared after clearing the B0 powers.  c is a cubic or its prepared
+    form."""
+    p = prepared(c, pol, CUBIC)
+    targets = cubic_forms(p.work, p.inv)  # raises ZeroCubicPart when B0 = 0
+    b0 = p.inv.B0
     names = ("4e1*B0^3-P1", "4e2*B0^3-P2", "4e3*B0^3-P3", "4f0*B0^4-Q")
     res = dict(zip(names, targets.residuals))
     # cleared equalities, compared at the scale of their own clearing factor:
@@ -305,23 +364,15 @@ def recognize_cubic(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
     return Verdict(kind=NOT_DUPIN, case_label="none", witness=witness, residuals=res)
 
 
-def recognize_quadric(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
+def recognize_quadric(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> Verdict:
     """Dupin-as-quadric iff the quadratic part is rotational (seven forms
     vanish) and the extended matrix is singular (det Phat = 0).
 
     The two bits are reported separately in the notes: a smooth rotational
-    quadric fails only the singularity condition.
+    quadric fails only the singularity condition.  c is a quadric or its
+    prepared form.
     """
-    if any(v != 0 for v in (c.a0, *c.b)) and pol.exact:
-        raise PreconditionError("quadric recognition requires a0 = 0 and b = 0")
-    work = c
-    if not pol.exact:
-        gauge = max(abs(float(v)) for v in (*c.c, *c.d))
-        if gauge == 0:
-            raise PreconditionError("no quadratic part")
-        scaled = [float(v) / gauge for v in c.astuple()]
-        work = _float_gauge(DarbouxCoefficients(*scaled))
-        work = work.replace(a0=0.0, b1=0.0, b2=0.0, b3=0.0)
+    work = prepared(c, pol, QUADRIC).work
     if all(v == 0 for v in (*work.c, *work.d)):
         raise PreconditionError("no quadratic part")
     forms = quadric_forms(work)

@@ -52,10 +52,6 @@ def format_scalar(v: Scalar):
     return float(v)
 
 
-def scalar_is_exact(v: Scalar) -> bool:
-    return isinstance(v, (Fraction, int))
-
-
 def exact_sqrt(v: Fraction):
     """Square root of a nonnegative rational if it is rational, else None."""
     if v < 0:
@@ -65,17 +61,3 @@ def exact_sqrt(v: Fraction):
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
-
-
-def sqrt_scalar(v: Scalar) -> Scalar:
-    """Exact square root for perfect rational squares, float otherwise.
-
-    Callers that must stay closed over the rationals should use exact_sqrt
-    and handle the None case themselves.
-    """
-    if isinstance(v, Fraction):
-        r = exact_sqrt(v)
-        if r is not None:
-            return r
-        return math.sqrt(float(v))
-    return math.sqrt(v)

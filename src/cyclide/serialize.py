@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Iterable, Optional
 
 from .core import COEFF_FIELDS, DarbouxCoefficients
@@ -39,14 +38,6 @@ def parse_coefficients(obj, mode: str = EXACT) -> DarbouxCoefficients:
         else:
             values[key] = parse_scalar(0, mode)
     return DarbouxCoefficients(**values)
-
-
-def parse_coefficients_json(text: str, mode: str = EXACT) -> DarbouxCoefficients:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return parse_coefficients(obj, mode)
 
 
 def coefficients_to_json(c: DarbouxCoefficients) -> dict:

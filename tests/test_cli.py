@@ -67,15 +67,6 @@ class TestBatch:
         assert code == 0
         assert [r["kind"] for r in rows] == ["DupinQuartic", "DupinCubic"]
 
-    def test_workers_preserve_order(self, tmp_path, capsys):
-        path = tmp_path / "batch.jsonl"
-        lines = [TORUS_JSON, '{"b1":1,"c2":-2,"c3":2,"e1":-1}', TORUS_JSON]
-        path.write_text("\n".join(lines) + "\n")
-        code, rows = run_cli(["recognize", "--workers", "4", str(path)], capsys)
-        assert code == 0
-        assert [r["kind"] for r in rows] == ["DupinQuartic", "DupinCubic",
-                                             "DupinQuartic"]
-
     def test_csv(self, tmp_path, capsys):
         path = tmp_path / "batch.csv"
         header = "a0,b1,b2,b3,c1,c2,c3,d1,d2,d3,e1,e2,e3,f0"
@@ -115,6 +106,22 @@ class TestSubprocessEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kind"] == "DupinQuartic"
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the reader stops after one line, as `cyclide ... | head -1` does;
+        # the output is far larger than a pipe buffer, so later writes fail
+        path = tmp_path / "many.jsonl"
+        path.write_text((TORUS_JSON + "\n") * 2000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclide.cli", "recognize", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert json.loads(first)["kind"] == "DupinQuartic"
+        assert b"Traceback" not in err
 
     def test_stdin_pipe(self):
         proc = subprocess.run(

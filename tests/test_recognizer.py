@@ -42,6 +42,16 @@ class TestDispatch:
         with pytest.raises(ZeroInput):
             recognize(DarbouxCoefficients.make(), pol)
 
+    def test_int_coefficients_stay_exact(self, pol):
+        # built from Python ints, not Fractions: normalization must not turn
+        # them into floats, which exact mode refuses
+        c = DarbouxCoefficients(1, 0, 0, 0, -10, -10, 6, 0, 0, 0, 0, 0, 0, 9)
+        v = recognize(c, pol)
+        assert v.kind == DUPIN_QUARTIC and v.case_label == "e"
+        scaled = DarbouxCoefficients(*[2 * x for x in c.astuple()])
+        assert normalize_quartic(scaled).is_exact()
+        assert recognize(scaled, pol).case_label == "e"
+
 
 class TestQuarticCases:
     def test_zero_point_case_d(self, pol):
