@@ -3,7 +3,7 @@ cyclides given by the fourteen coefficients of the implicit Darboux form."""
 
 from .canonical import (CanonicalCubic, CanonicalQuartic, SpectralData,
                         canonical_cubic_params, canonical_quartic_params,
-                        recover_A1, recover_A23, spectral_data)
+                        spectral_data)
 from .classify import (J0Value, SurfaceClass, classify_cubic, classify_quartic,
                        j0_cubic, j0_quartic, willmore_energy)
 from .core import (SIGMA12, SIGMA13, SIGMA23, DarbouxCoefficients,
@@ -15,23 +15,23 @@ from .invariants import (GeneratorValues, InvariantBundle, base_invariants,
                          reduced_generators_e0)
 from .moebius import (MoebiusMap, TorusSpec, apply_map, build_map,
                       calibrate_convention, torus_radii, torus_radii_inversive)
-from .recognizer import (TolerancePolicy, Verdict, recognize, recognize_cubic,
-                         recognize_quadric, recognize_quartic_cases,
-                         recognize_quartic_oracle)
+from .recognizer import (Prepared, TolerancePolicy, Verdict, prepare, recognize,
+                         recognize_cubic, recognize_quadric,
+                         recognize_quartic_cases, recognize_quartic_oracle)
 from . import errors, genkit
 
 __all__ = [
     "CanonicalCubic", "CanonicalQuartic", "SpectralData", "DarbouxCoefficients",
     "EuclideanMotion", "TriPoly", "GeneratorValues", "InvariantBundle",
-    "J0Value", "SurfaceClass", "MoebiusMap", "TorusSpec", "TolerancePolicy",
-    "Verdict", "SIGMA12", "SIGMA13", "SIGMA23",
+    "J0Value", "SurfaceClass", "MoebiusMap", "TorusSpec", "Prepared",
+    "TolerancePolicy", "Verdict", "SIGMA12", "SIGMA13", "SIGMA23",
     "apply_map", "apply_motion", "apply_permutation", "base_invariants",
     "build_map", "calibrate_convention", "canonical_cubic_params",
     "canonical_quartic_params", "classify_cubic", "classify_quartic",
     "coefficients_from_polynomial", "cubic_forms", "errors", "genkit",
     "j0_cubic", "j0_quartic", "normalize_quartic", "polynomial_from_coefficients",
-    "quadric_forms", "quartic_generators", "recognize", "recognize_cubic",
+    "prepare", "quadric_forms", "quartic_generators", "recognize", "recognize_cubic",
     "recognize_quadric", "recognize_quartic_cases", "recognize_quartic_oracle",
-    "recover_A1", "recover_A23", "reduced_generators_e0", "spectral_data",
+    "reduced_generators_e0", "spectral_data",
     "torus_radii", "torus_radii_inversive", "weighted_rescale", "willmore_energy",
 ]

@@ -16,15 +16,15 @@ from typing import Callable, List, Tuple
 from .canonical import (canonical_cubic_params, canonical_quartic_params,
                         spectral_data)
 from .classify import SurfaceClass, classify_quartic, j0_cubic, j0_quartic, willmore_energy
-from .core import DarbouxCoefficients, normalize_quartic, weighted_rescale
+from .core import DarbouxCoefficients, weighted_rescale
 from .genkit import (generate_cubic_dupin, generate_quartic_dupin,
                      perturb_off_variety, random_motion, random_quartic_seed,
                      sample_surface_points)
 from .invariants import GENERATOR_WEIGHTS, base_invariants, quartic_generators, reduced_generators_e0
 from .moebius import (MOBT, MOBT2, CanonicalQuartic, TorusSpec,
                       calibrate_convention, torus_radii, torus_radii_inversive)
-from .recognizer import (TolerancePolicy, recognize, recognize_quartic_cases,
-                         recognize_quartic_oracle)
+from .recognizer import (TolerancePolicy, prepare, recognize,
+                         recognize_quartic_cases, recognize_quartic_oracle)
 from .scalar import EXACT, FLOAT
 
 TORUS21 = DarbouxCoefficients.make(a0=1, c=(-10, -10, 6), f0=9)
@@ -79,12 +79,12 @@ def criterion_2_dispatch_vs_oracle() -> Tuple[bool, str]:
     n = 500
     for i in range(n):
         c = generate_quartic_dupin(random_quartic_seed(rng))
-        cn = normalize_quartic(c)
-        a = recognize_quartic_cases(cn, EXACT_POL, cross_check=False)
-        b = recognize_quartic_oracle(cn, EXACT_POL)
+        prep = prepare(c, EXACT_POL)
+        a = recognize_quartic_cases(prep, EXACT_POL, cross_check=False)
+        b = recognize_quartic_oracle(prep, EXACT_POL)
         agree += a.is_dupin == b.is_dupin
         pos_ok += a.is_dupin and b.is_dupin
-        bad = normalize_quartic(perturb_off_variety(c, rng))
+        bad = prepare(perturb_off_variety(c, rng), EXACT_POL)
         a2 = recognize_quartic_cases(bad, EXACT_POL, cross_check=False)
         b2 = recognize_quartic_oracle(bad, EXACT_POL)
         agree += a2.is_dupin == b2.is_dupin
@@ -103,9 +103,10 @@ def criterion_3_cubic_round_trip() -> Tuple[bool, str]:
         p = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         c = generate_cubic_dupin(p, q, random_motion(rng))
-        if not recognize(c, EXACT_POL).is_dupin:
+        verdict = recognize(c, EXACT_POL)
+        if not verdict.is_dupin:
             continue
-        out = canonical_cubic_params(c, EXACT_POL)
+        out = canonical_cubic_params(verdict.prepared, EXACT_POL)
         good += (out.p, out.q) == tuple(sorted((p, q)))
     return good == n, f"{good}/{n} exact pair recoveries"
 
@@ -119,7 +120,7 @@ def criterion_4_canonical_recovery() -> Tuple[bool, str]:
     for _ in range(n):
         seed = random_quartic_seed(rng, rescale=False)
         c = generate_quartic_dupin(seed)
-        qp = canonical_quartic_params(spectral_data(normalize_quartic(c), EXACT_POL))
+        qp = canonical_quartic_params(spectral_data(prepare(c, EXACT_POL), EXACT_POL))
         ok = (sorted((qp.alpha_sq, qp.gamma_sq)) == sorted((seed.s, seed.t))
               and qp.delta_sq == seed.u
               and qp.agd * qp.agd == seed.s * seed.t * seed.u
@@ -134,18 +135,19 @@ def criterion_5_j0_agreement_and_anchors() -> Tuple[bool, str]:
     n = 200
     agree = 0
     for _ in range(n):
-        c = normalize_quartic(generate_quartic_dupin(
-            random_quartic_seed(rng, smooth=True)))
-        sd = spectral_data(c, EXACT_POL)
-        j = j0_quartic(c, sd, EXACT_POL)  # raises FormulaDisagreement on split
+        prep = prepare(generate_quartic_dupin(
+            random_quartic_seed(rng, smooth=True)), EXACT_POL)
+        sd = spectral_data(prep, EXACT_POL)
+        j = j0_quartic(prep, sd, EXACT_POL)  # raises FormulaDisagreement on split
         agree += j.kind == "finite"
-    sd = spectral_data(TORUS21, EXACT_POL)
-    torus_ok = j0_quartic(TORUS21, sd, EXACT_POL).value == Fraction(3, 16)
-    cubic_ok = j0_cubic(CUBIC22, EXACT_POL).value == Fraction(1, 4)
-    dbl = DarbouxCoefficients.make(a0=1, c=(-2, -2, -2), f0=1)
+    torus = prepare(TORUS21, EXACT_POL)
+    sd = spectral_data(torus, EXACT_POL)
+    torus_ok = j0_quartic(torus, sd, EXACT_POL).value == Fraction(3, 16)
+    cubic_ok = j0_cubic(prepare(CUBIC22, EXACT_POL), EXACT_POL).value == Fraction(1, 4)
+    dbl = prepare(DarbouxCoefficients.make(a0=1, c=(-2, -2, -2), f0=1), EXACT_POL)
     dbl_ok = j0_quartic(dbl, spectral_data(dbl, EXACT_POL), EXACT_POL).kind \
         == "minus_infinity"
-    w = willmore_energy(j0_quartic(TORUS21, sd, EXACT_POL))
+    w = willmore_energy(j0_quartic(torus, sd, EXACT_POL))
     want = 4 * math.pi ** 2 / math.sqrt(3)
     willmore_ok = abs(w - want) <= 1e-12 * want
     ok = agree == n and torus_ok and cubic_ok and dbl_ok and willmore_ok
@@ -189,7 +191,7 @@ def criterion_6_classification_grid() -> Tuple[bool, str]:
             c = spec.coefficients(exact=True)
             if c.is_zero():
                 continue  # r2 = R2 = 0 gives the zero polynomial... not here
-            sd = spectral_data(c, EXACT_POL)
+            sd = spectral_data(prepare(c, EXACT_POL), EXACT_POL)
             got = classify_quartic(sd, EXACT_POL)
             if got != want:
                 bad.append(((r2, R2), want.code, got.code))
@@ -231,7 +233,7 @@ def criterion_7_identity_suites() -> Tuple[bool, str]:
         c = rand_c(with_e=False)
         inv = base_invariants(c)
         C0, W1, W2, f0 = inv.C0, inv.W1, inv.W2, c.f0
-        y0, y1, y2, y3 = reduced_generators_e0(c)
+        y0, y1, y2, y3 = reduced_generators_e0(c, inv)
         assert -2 * C0 * y2 == 3 * y0 * (W1 + 4 * f0) \
             + (C0 ** 2 - 12 * W1 - 36 * f0) * y1
         assert -2 * C0 * y3 == (W2 - C0 * W1 + 8 * W2) * (y0 - 3 * y1) \
@@ -275,7 +277,7 @@ def criterion_8_moebius_calibration() -> Tuple[bool, str]:
         Fraction(4), Fraction(1), Fraction(2), Fraction(0))).j0()
     fpol = TolerancePolicy(FLOAT, 1e-9)
     from .moebius import _cyclide_coefficients
-    cyc = _cyclide_coefficients(q_cyc)
+    cyc = prepare(_cyclide_coefficients(q_cyc), fpol)
     j = j0_quartic(cyc, spectral_data(cyc, fpol), fpol)
     j0_ok = (ratio_j0 == Fraction(2, 9)
              and abs(float(j.value) - 2.0 / 9.0) <= 1e-9)

@@ -5,8 +5,9 @@ e when e != 0), the remaining pair (A2, A3), and the squared canonical
 parameters (alpha^2, gamma^2, delta^2, alpha*gamma*delta).  Cubics: the
 recentering shift and the parameter pair (p, q).
 
-Quartics are worked at the gauge of their prepared form (`recognizer`) and
-scaled back, so float tolerance checks are scale-free; exact mode stays
+Every stage takes the `Prepared` form of its input (`recognizer.prepare`).
+Quartics are worked at its gauge and scaled back, so float tolerance checks
+are scale-free; cubics are read from its raw coefficients.  Exact mode stays
 closed over the rationals and demands perfect-square discriminants
 (generator-produced inputs always satisfy this).
 """
@@ -19,10 +20,9 @@ from typing import Tuple
 
 from .core import (SIGMA12, SIGMA13, DarbouxCoefficients, EuclideanMotion,
                    apply_motion, apply_permutation)
-from .errors import (ComplexRoots, Inconsistent, IrrationalSpectrum,
-                     PreconditionError, ZeroCubicPart)
+from .errors import ComplexRoots, Inconsistent, IrrationalSpectrum, ZeroCubicPart
 from .invariants import base_invariants
-from .recognizer import Prepared, TolerancePolicy, prepared
+from .recognizer import Prepared, TolerancePolicy
 from .scalar import Scalar, exact_sqrt
 
 
@@ -65,6 +65,14 @@ class CanonicalCubic:
 
 
 def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
+    """Distinguished eigenvalue from the linear system {G1,G2,G3,H1,H2,H3}.
+
+    Branch order: eigenvector equations G_i when some e_i != 0; else H1 when
+    W1 + 4 f0 != 0; else H2 when C0^2 + 4 W1 + 12 f0 != 0; else the double
+    root A1 = C0 of H3.  The candidate must satisfy the whole system and the
+    characteristic polynomial, else Inconsistent (non-Dupin input or too
+    tight a tolerance).
+    """
     work, inv = prep.work, prep.inv
     c1, c2, c3 = work.c
     d1, d2, d3 = work.d
@@ -107,6 +115,9 @@ def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
 
 def _a23_at_scale(prep: Prepared, a1: Scalar,
                   pol: TolerancePolicy) -> Tuple[Scalar, Scalar]:
+    """The other two eigenvalues: roots of X^2 + (A1-C0) X + W1 - C0 A1 + A1^2,
+    ordered A2 <= A3; float roots use the stabilized quadratic formula and a
+    slightly-negative discriminant snaps to zero (boundary double roots)."""
     inv = prep.inv
     p_lin = a1 - inv.C0
     q_const = inv.W1 - inv.C0 * a1 + a1 * a1
@@ -136,35 +147,10 @@ def _a23_at_scale(prep: Prepared, a1: Scalar,
     return (r1, r2) if r1 <= r2 else (r2, r1)
 
 
-def recover_A1(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> Scalar:
-    """Distinguished eigenvalue from the linear system {G1,G2,G3,H1,H2,H3}.
-
-    Branch order: eigenvector equations G_i when some e_i != 0; else H1 when
-    W1 + 4 f0 != 0; else H2 when C0^2 + 4 W1 + 12 f0 != 0; else the double
-    root A1 = C0 of H3.  The candidate must satisfy the whole system and the
-    characteristic polynomial, else Inconsistent (non-Dupin input or too
-    tight a tolerance).  c is a normalized quartic or its prepared form.
-    """
-    prep = prepared(c, pol)
-    return _a1_at_scale(prep, pol) * prep.scale * prep.scale
-
-
-def recover_A23(c: DarbouxCoefficients | Prepared, a1: Scalar,
-                pol: TolerancePolicy) -> Tuple[Scalar, Scalar]:
-    """The other two eigenvalues: roots of X^2 + (A1-C0) X + W1 - C0 A1 + A1^2,
-    ordered A2 <= A3; float roots use the stabilized quadratic formula and a
-    slightly-negative discriminant snaps to zero (boundary double roots)."""
-    prep = prepared(c, pol)
-    k2 = prep.scale * prep.scale
-    r1, r2 = _a23_at_scale(prep, a1 / k2, pol)
-    return r1 * k2, r2 * k2
-
-
-def spectral_data(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> SpectralData:
+def spectral_data(prep: Prepared, pol: TolerancePolicy) -> SpectralData:
     """Full spectral recovery plus the closure checks: elementary symmetric
-    functions equal C0, W1, W2; Dsq = 4 E0; F = f0.  c is a normalized
-    quartic or its prepared form."""
-    prep = prepared(c, pol)
+    functions equal C0, W1, W2; Dsq = 4 E0; F = f0.  prep is a prepared
+    quartic."""
     work, inv = prep.work, prep.inv
     a1 = _a1_at_scale(prep, pol)
     a2, a3 = _a23_at_scale(prep, a1, pol)
@@ -220,12 +206,12 @@ def cubic_shift(c: DarbouxCoefficients) -> Tuple[Scalar, Scalar, Scalar]:
     return (-t1, -t2, -t3)
 
 
-def canonical_cubic_params(c: DarbouxCoefficients,
+def canonical_cubic_params(prep: Prepared,
                            pol: TolerancePolicy) -> CanonicalCubic:
     """Recenter, then read the pair from p+q = -C0_hat/(2 sqrt(B0)) and
-    p q = -V/(4 B0) with V = C0_hat^2 - 4 W1_hat; ordered p <= q."""
-    if not pol.is_zero(c.a0):
-        raise PreconditionError("cubic parameters require a0 = 0")
+    p q = -V/(4 B0) with V = C0_hat^2 - 4 W1_hat; ordered p <= q.  prep is a
+    prepared cubic; the pair is read from its raw coefficients."""
+    c = prep.raw
     shift = cubic_shift(c)
     recentered = apply_motion(c.replace(a0=0 * c.a0),
                               EuclideanMotion.translation_by(shift))

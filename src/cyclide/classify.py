@@ -7,8 +7,8 @@ Every admissible region, edge and vertex of the parameter diagram receives
 exactly one label (three boundary strata that the coefficient-level
 condition list leaves out are included here: the horn-torus edge, the
 one-point edge at s = t < 0 <= u, and sphere-with-point taking precedence
-over the touching-spheres line).  J0 is computed at the gauge of the
-prepared form (`recognizer`).
+over the touching-spheres line).  J0 takes the `Prepared` form of its
+input (`recognizer.prepare`) and is computed at its gauge.
 """
 from __future__ import annotations
 
@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .canonical import SpectralData
-from .core import DarbouxCoefficients
 from .errors import FormulaDisagreement, PreconditionError
 from .invariants import base_invariants  # noqa: F401  (traced by bench/)
-from .recognizer import CUBIC, Prepared, TolerancePolicy, prepared
+from .recognizer import Prepared, TolerancePolicy
 from .scalar import Scalar
 
 
@@ -166,7 +165,7 @@ def _fraction_vote(num: Scalar, den: Scalar, pol: TolerancePolicy) -> J0Value:
     return J0Value.finite(pol.div(num, den))
 
 
-def j0_quartic(c: DarbouxCoefficients | Prepared, sd: SpectralData,
+def j0_quartic(prep: Prepared, sd: SpectralData,
                pol: TolerancePolicy) -> J0Value:
     """All three printed forms; they must agree.
 
@@ -175,9 +174,8 @@ def j0_quartic(c: DarbouxCoefficients | Prepared, sd: SpectralData,
     Coefficient-level: the C0/W1/W2/E0/f0 rational form.
     Zero denominator with nonzero numerator means minus infinity (touching
     spheres, double sphere); 0/0 is undefined (sphere with a point on it).
-    c is a normalized quartic or its prepared form.
+    prep is the prepared quartic sd was recovered from.
     """
-    prep = prepared(c, pol)
     k2 = prep.scale * prep.scale
     a1, a2, a3 = sd.A1 / k2, sd.A2 / k2, sd.A3 / k2
 
@@ -223,10 +221,9 @@ def j0_quartic(c: DarbouxCoefficients | Prepared, sd: SpectralData,
     return votes[0]
 
 
-def j0_cubic(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> J0Value:
-    """Weight-8 rational form in the cubic coefficients; c is a cubic or its
-    prepared form."""
-    prep = prepared(c, pol, CUBIC)
+def j0_cubic(prep: Prepared, pol: TolerancePolicy) -> J0Value:
+    """Weight-8 rational form in the cubic coefficients; prep is a prepared
+    cubic."""
     work, inv = prep.work, prep.inv
     b1, b2, b3 = work.b
     c1, c2, c3 = work.c

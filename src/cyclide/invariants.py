@@ -50,10 +50,9 @@ def k_form(c: DarbouxCoefficients) -> Scalar:
     return (c3 - c2) * e2 * e3 + d1 * (e2 * e2 - e3 * e3) + (d2 * e2 - d3 * e3) * e1
 
 
-def l_form(c: DarbouxCoefficients, inv: InvariantBundle | None = None) -> Scalar:
-    """L1; the leading bracket uses the symmetric W1 + 4 f0."""
-    if inv is None:
-        inv = base_invariants(c)
+def l_form(c: DarbouxCoefficients, inv: InvariantBundle) -> Scalar:
+    """L1; the leading bracket uses the symmetric W1 + 4 f0;
+    inv = base_invariants(c)."""
     c1, c2, c3 = c.c
     d1, d2, d3 = c.d
     e1, e2, e3 = c.e
@@ -63,10 +62,9 @@ def l_form(c: DarbouxCoefficients, inv: InvariantBundle | None = None) -> Scalar
             + (inv.C0 * d2 + c2 * d2 - d1 * d3) * e3)
 
 
-def m_form(c: DarbouxCoefficients, inv: InvariantBundle | None = None) -> Scalar:
-    """M1 = 2(c1e1+d3e2+d2e3)(W1+4f0) + e1(W2 - C0 W1 - 4 E0)."""
-    if inv is None:
-        inv = base_invariants(c)
+def m_form(c: DarbouxCoefficients, inv: InvariantBundle) -> Scalar:
+    """M1 = 2(c1e1+d3e2+d2e3)(W1+4f0) + e1(W2 - C0 W1 - 4 E0);
+    inv = base_invariants(c)."""
     c1 = c.c1
     d2, d3 = c.d2, c.d3
     e1, e2, e3 = c.e
@@ -131,14 +129,12 @@ def quartic_generators(c: DarbouxCoefficients) -> GeneratorValues:
         N1=n1, N2=n2, N3=n3)
 
 
-def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle | None = None
+def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle
                           ) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
     """(Y0, Y1, Y2, Y3) of the e = 0 reduction; precondition e1 = e2 = e3 = 0.
     Only C0, W1 and W2 of inv are read, so the bundle of c with any e serves."""
     if any(v != 0 for v in c.e):
         raise PreconditionError("Y reduction requires e1 = e2 = e3 = 0")
-    if inv is None:
-        inv = base_invariants(c)
     C0, W1, W2, f0 = inv.C0, inv.W1, inv.W2, c.f0
     w14 = W1 + 4 * f0
     y0 = (4 * W1 + 12 * f0 - C0 ** 2) ** 2 - 16 * f0 * C0 ** 2
@@ -183,13 +179,11 @@ def _e_numerator(b, c, d, B0) -> Scalar:
             + 2 * d1 * B0 * B0 * (b2 * d2 + b3 * d3))
 
 
-def cubic_forms(c: DarbouxCoefficients, inv: InvariantBundle | None = None) -> CubicTargets:
+def cubic_forms(c: DarbouxCoefficients, inv: InvariantBundle) -> CubicTargets:
     """E1, sigma12 E1, sigma13 E1 and the f0 target, with denominators that
     are powers of B0 (exact over the rationals); inv = base_invariants(c)."""
     if c.a0 != 0:
         raise PreconditionError("cubic forms require a0 = 0")
-    if inv is None:
-        inv = base_invariants(c)
     if inv.B0 == 0:
         raise ZeroCubicPart("B0 = 0: no cubic part")
     B0 = inv.B0

@@ -59,7 +59,7 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
         return report
 
     if verdict.kind == DUPIN_CUBIC:
-        params = canonical_cubic_params(c, pol)
+        params = canonical_cubic_params(prep, pol)
         label = classify_cubic(params.p, params.q, pol)
         report["class"] = label.code
         report["canonical"] = {"p": scalar_json(params.p), "q": scalar_json(params.q),

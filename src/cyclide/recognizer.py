@@ -4,14 +4,19 @@ Dispatch by degree, then the complete-intersection case logic for quartics,
 the rational-target equalities for cubics, and the rotational-quadric test.
 A 12-generator oracle cross-checks every exact quartic case decision.
 
-Each input is prepared once (`prepare`), and the recognizer, the canonical
-stage and J0 all run on its one gauged copy (`gauge`).  Exact quartics go onto
-the integer lattice: every quantity is weighted-homogeneous, so a weighted
-rescale by the lcm lam of the coefficient denominators multiplies it by a
-nonzero power of lam and leaves each zero test unchanged, while the
-arithmetic runs on Python ints.  Float quartics go to unit weighted sup-norm,
-so one tau_rel is scale-free; float cubics and quadrics are first divided by
-max |b| or max |c, d|.  Exact cubics and quadrics are used as given.
+`prepare` is the one place that decides an input's degree branch and gauges
+it; every stage after it, here and in `canonical` and `classify`, takes the
+`Prepared` form it builds and runs on its one gauged copy.  The branch is
+the highest degree with a nonzero slot, where a slot is zero when it is
+exactly zero (exact mode) or within tau_rel of the largest coefficient
+(float mode), so it does not depend on the scale of the equation.  Exact
+mode refuses float coefficients.  Exact quartics go onto the integer lattice:
+every quantity is weighted-homogeneous, so a weighted rescale by the lcm lam
+of the coefficient denominators multiplies it by a nonzero power of lam and
+leaves each zero test unchanged, while the arithmetic runs on Python ints.
+Float quartics go to unit weighted sup-norm, so one tau_rel is scale-free;
+float cubics and quadrics are first divided by max |b| or max |c, d|.  Exact
+cubics and quadrics are used as given.
 """
 from __future__ import annotations
 
@@ -22,11 +27,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import (SIGMA12, SIGMA13, DarbouxCoefficients, apply_permutation,
                    normalize_quartic, weighted_rescale)
-from .errors import (InternalCheckError, PreconditionError, ZeroCubicPart,
-                     ZeroInput)
-from .invariants import (GENERATOR_WEIGHTS, InvariantBundle, _require_normalized,
-                         base_invariants, cubic_forms, k_form, l_form, m_form,
-                         quadric_forms, quartic_generators, reduced_generators_e0)
+from .errors import InternalCheckError, PreconditionError, ZeroInput
+from .invariants import (GENERATOR_WEIGHTS, InvariantBundle, base_invariants,
+                         cubic_forms, k_form, l_form, m_form, quadric_forms,
+                         quartic_generators, reduced_generators_e0)
 from .scalar import EXACT, Scalar
 
 DUPIN_QUARTIC = "DupinQuartic"
@@ -78,10 +82,11 @@ class TolerancePolicy:
 
 @dataclass(frozen=True)
 class Prepared:
-    """One input, prepared once for every stage: `normalized` is
-    normalize_quartic(raw) for a quartic, `work` the gauged copy every zero
-    test runs on and `inv` its invariant bundle.  A quartic quantity of
-    weighted degree w is its value on work times scale**w on `normalized`."""
+    """One input, prepared once by `prepare` for every stage: `raw` is the
+    input (as Fractions in exact mode), `normalized` is normalize_quartic(raw)
+    for a quartic, `work` the gauged copy every zero test runs on and `inv`
+    its invariant bundle.  A quartic quantity of weighted degree w is its
+    value on work times scale**w on `normalized`."""
 
     raw: DarbouxCoefficients
     branch: str
@@ -115,31 +120,21 @@ def weighted_sup_norm(c: DarbouxCoefficients) -> float:
     return max(mags)
 
 
-def gauge(c: DarbouxCoefficients, pol: TolerancePolicy,
-          branch: str = QUARTIC) -> Tuple[DarbouxCoefficients, Scalar]:
-    """(working copy, scale) of c; see the module docstring.  A quartic must
-    be normalized, a cubic needs a0 = 0 under the policy and an exact quadric
-    a0 = 0 and b = 0.  A cubic or quadric scale omits the first division."""
-    cubic, zeroed = branch == CUBIC, {}
-    if branch == QUARTIC:
-        _require_normalized(c)
-        if pol.exact:
-            if not c.is_exact():
-                raise PreconditionError("exact mode requires int or Fraction coefficients")
-            lam = math.lcm(*(v.denominator for v in c.astuple()))
-            lattice = weighted_rescale(c, lam).astuple()
-            return DarbouxCoefficients(*[int(v) for v in lattice]), Fraction(1, lam)
-    else:
-        if cubic and not pol.is_zero(c.a0):
-            raise PreconditionError("cubic recognition requires a0 = 0")
-        if not cubic and pol.exact and any(v != 0 for v in (c.a0, *c.b)):
-            raise PreconditionError("quadric recognition requires a0 = 0 and b = 0")
-        if pol.exact:
+def _gauge(c: DarbouxCoefficients, pol: TolerancePolicy,
+           branch: str) -> Tuple[DarbouxCoefficients, Scalar]:
+    """(working copy, scale) of a normalized quartic, or of a cubic or
+    quadric whose higher slots are zero under the policy; see the module
+    docstring.  A cubic or quadric scale omits the first division."""
+    if pol.exact:
+        if branch != QUARTIC:
             return c, 1
+        lam = math.lcm(*(v.denominator for v in c.astuple()))
+        lattice = weighted_rescale(c, lam).astuple()
+        return DarbouxCoefficients(*[int(v) for v in lattice]), Fraction(1, lam)
+    zeroed = {}
+    if branch != QUARTIC:
+        cubic = branch == CUBIC
         top = max(abs(float(v)) for v in (c.b if cubic else (*c.c, *c.d)))
-        if top == 0:
-            raise (ZeroCubicPart("B0 = 0: no cubic part") if cubic
-                   else PreconditionError("no quadratic part"))
         c = DarbouxCoefficients(*[float(v) / top for v in c.astuple()])
         # the slots above the input's degree are zero within tolerance
         zeroed = dict.fromkeys(("a0",) if cubic else ("a0", "b1", "b2", "b3"), 0.0)
@@ -150,34 +145,30 @@ def gauge(c: DarbouxCoefficients, pol: TolerancePolicy,
     return (work.replace(**zeroed) if zeroed else work), s
 
 
-def prepared(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy, branch: str = QUARTIC,
-             raw: Optional[DarbouxCoefficients] = None) -> Prepared:
-    """c itself if it is already prepared (the form `recognize` built), else
-    c gauged now as the given branch; a quartic c must be normalized."""
-    if isinstance(c, Prepared):
-        return c
-    work, scale = gauge(c, pol, branch)
-    inv = None if branch == QUADRIC else base_invariants(work)
-    return Prepared(c if raw is None else raw, branch,
-                    c if branch == QUARTIC else None, work, scale, inv)
-
-
 def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
-    """Degree branch, normalization, gauge and invariant bundle of one input."""
+    """Degree branch, normalization, gauge and invariant bundle of one input.
+    Exact mode takes int or Fraction coefficients and works on Fractions."""
     vals = c.astuple()
     if all(v == 0 for v in vals):
         raise ZeroInput("all fourteen coefficients vanish")
     if pol.exact:
+        if not all(type(v) is Fraction for v in vals):
+            if not c.is_exact():
+                raise PreconditionError("exact mode requires int or Fraction coefficients")
+            c = DarbouxCoefficients(*map(Fraction, vals))
         zero = lambda v: v == 0
     else:
         sup = max(abs(float(v)) for v in vals)
         zero = lambda v: abs(v) <= pol.tau_rel * sup
     if not zero(c.a0):
-        return prepared(normalize_quartic(c), pol, QUARTIC, raw=c)
+        cn = normalize_quartic(c)
+        work, scale = _gauge(cn, pol, QUARTIC)
+        return Prepared(c, QUARTIC, cn, work, scale, base_invariants(work))
     if not all(map(zero, c.b)):
-        return prepared(c, pol, CUBIC)
+        work, scale = _gauge(c, pol, CUBIC)
+        return Prepared(c, CUBIC, None, work, scale, base_invariants(work))
     if not all(map(zero, (*c.c, *c.d))):
-        return prepared(c, pol, QUADRIC)
+        return Prepared(c, QUADRIC, None, *_gauge(c, pol, QUADRIC))
     return Prepared(c, LINEAR)
 
 
@@ -185,7 +176,7 @@ def recognize(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
     """Dispatch: quartic / cubic / quadric / degenerate, then decide.  The
     verdict carries the prepared input for the later stages."""
     p = prepare(c, pol)
-    if p.branch == QUARTIC and not pol.exact and _is_zero_point(p.normalized, c, pol):
+    if p.branch == QUARTIC and not pol.exact and _is_zero_point(p.normalized, p.raw, pol):
         # everything cancelled to rounding noise at the input's own
         # scale: the surface is the double point rho^4 = 0 within
         # tolerance, and the gauged leftovers would only amplify noise
@@ -238,17 +229,15 @@ def _ungauge(verdict: Verdict, scale: Scalar, pol: TolerancePolicy) -> Verdict:
     return replace(verdict, residuals=residuals, witness=witness)
 
 
-def recognize_quartic_cases(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy,
+def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy,
                             cross_check: bool = True) -> Verdict:
     """First applicable case of the complete-intersection stratification.
 
     (a) e1 != 0: K2, K3, L1, M1.   (b) e2 != 0: K1, K3, L2, M2.
     (c) e3 != 0: K1, K2, L3, M3.   (d)-(f): the e = 0 strata.
     Float-mode axis guards that barely fire fall through to (d)-(f) as well,
-    so there is no cliff at the e = 0 boundary.  c is a normalized quartic
-    or its prepared form.
+    so there is no cliff at the e = 0 boundary.  p is a prepared quartic.
     """
-    p = prepared(c, pol)
     verdict = _ungauge(_quartic_case_verdict(p.work, pol, p.inv), p.scale, pol)
     # dispatch == oracle is a theorem of the exact ideal; float noise shifts
     # the two test families differently near the variety, so the automatic
@@ -263,8 +252,8 @@ def recognize_quartic_cases(c: DarbouxCoefficients | Prepared, pol: TolerancePol
 
 
 def _axis_case_residuals(c: DarbouxCoefficients, label: str,
-                         inv: Optional[InvariantBundle] = None) -> Dict[str, Scalar]:
-    """Residuals of the axis case; inv = base_invariants(c) when given."""
+                         inv: InvariantBundle) -> Dict[str, Scalar]:
+    """Residuals of the axis case; inv = base_invariants(c)."""
     s12 = apply_permutation(c, SIGMA12)
     s13 = apply_permutation(c, SIGMA13)
     if label == "a":
@@ -293,10 +282,8 @@ def _e0_case_residuals(c: DarbouxCoefficients, label: str,
 
 
 def _quartic_case_verdict(c: DarbouxCoefficients, pol: TolerancePolicy,
-                          inv: Optional[InvariantBundle] = None) -> Verdict:
+                          inv: InvariantBundle) -> Verdict:
     """The case decision on c as given; inv = base_invariants(c)."""
-    if inv is None:
-        inv = base_invariants(c)
     guards = (("a", c.e1), ("b", c.e2), ("c", c.e3))
     for label, guard in guards:
         if not pol.nonzero(guard):
@@ -327,10 +314,10 @@ def _near_e_zero(c: DarbouxCoefficients, pol: TolerancePolicy) -> bool:
     return all(abs(float(v)) <= 1e3 * pol.tau_rel for v in c.e)
 
 
-def recognize_quartic_oracle(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
-    """Dupin iff all 12 ideal generators vanish under the policy."""
-    work, scale = gauge(c, pol)
-    return _ungauge(_oracle_verdict(work, pol), scale, pol)
+def recognize_quartic_oracle(p: Prepared, pol: TolerancePolicy) -> Verdict:
+    """Dupin iff all 12 ideal generators vanish under the policy; p is a
+    prepared quartic."""
+    return _ungauge(_oracle_verdict(p.work, pol), p.scale, pol)
 
 
 def _oracle_verdict(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
@@ -340,12 +327,10 @@ def _oracle_verdict(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
                    case_label="none", witness=witness, residuals=gens)
 
 
-def recognize_cubic(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> Verdict:
+def recognize_cubic(p: Prepared, pol: TolerancePolicy) -> Verdict:
     """Dupin iff 4e_i = E_i for i = 1..3 and f0 equals its rational target;
-    compared after clearing the B0 powers.  c is a cubic or its prepared
-    form."""
-    p = prepared(c, pol, CUBIC)
-    targets = cubic_forms(p.work, p.inv)  # raises ZeroCubicPart when B0 = 0
+    compared after clearing the B0 powers.  p is a prepared cubic."""
+    targets = cubic_forms(p.work, p.inv)
     b0 = p.inv.B0
     names = ("4e1*B0^3-P1", "4e2*B0^3-P2", "4e3*B0^3-P3", "4f0*B0^4-Q")
     res = dict(zip(names, targets.residuals))
@@ -364,18 +349,14 @@ def recognize_cubic(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> 
     return Verdict(kind=NOT_DUPIN, case_label="none", witness=witness, residuals=res)
 
 
-def recognize_quadric(c: DarbouxCoefficients | Prepared, pol: TolerancePolicy) -> Verdict:
+def recognize_quadric(p: Prepared, pol: TolerancePolicy) -> Verdict:
     """Dupin-as-quadric iff the quadratic part is rotational (seven forms
     vanish) and the extended matrix is singular (det Phat = 0).
 
     The two bits are reported separately in the notes: a smooth rotational
-    quadric fails only the singularity condition.  c is a quadric or its
-    prepared form.
+    quadric fails only the singularity condition.  p is a prepared quadric.
     """
-    work = prepared(c, pol, QUADRIC).work
-    if all(v == 0 for v in (*work.c, *work.d)):
-        raise PreconditionError("no quadratic part")
-    forms = quadric_forms(work)
+    forms = quadric_forms(p.work)
     res = {"S0": forms.S0, "S1": forms.S1, "S12": forms.S12, "S13": forms.S13,
            "T1": forms.T1, "T12": forms.T12, "T13": forms.T13,
            "detPhat": forms.det_phat}

@@ -7,70 +7,73 @@ import pytest
 from conftest import CUBIC22, TORUS21, rand_fraction
 from cyclide import (DarbouxCoefficients, EuclideanMotion, apply_motion,
                      canonical_cubic_params, canonical_quartic_params,
-                     normalize_quartic, recover_A1, recover_A23, spectral_data)
+                     normalize_quartic, prepare, spectral_data)
 from cyclide.errors import Inconsistent, IrrationalSpectrum
 from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed, random_rotation)
 
 
+def spectral(c, pol):
+    return spectral_data(prepare(c, pol), pol)
+
+
 class TestRecoverA1:
     def test_torus(self, pol):
         # H1 route: A1 = -(W2 - C0 W1)/(2 (W1+4f0)) = -320/32 = -10
-        assert recover_A1(TORUS21, pol) == -10
+        assert spectral(TORUS21, pol).A1 == -10
 
     def test_zeros(self, pol):
-        assert recover_A1(DarbouxCoefficients.make(a0=1), pol) == 0
+        assert spectral(DarbouxCoefficients.make(a0=1), pol).A1 == 0
 
     def test_double_sphere(self, pol):
         c = DarbouxCoefficients.make(a0=1, c=(-2, -2, -2), f0=1)
-        assert recover_A1(c, pol) == -2
+        assert spectral(c, pol).A1 == -2
 
     def test_eigenvector_route(self, pol, rng):
         for _ in range(10):
             seed = random_quartic_seed(rng, motion=random_rotation(rng),
                                        rescale=False)
             c = generate_quartic_dupin(seed)
-            a1 = recover_A1(c, pol)
-            assert a1 == -2 * (seed.s + seed.t + seed.u)
+            assert spectral(c, pol).A1 == -2 * (seed.s + seed.t + seed.u)
 
     def test_inconsistent_on_non_dupin(self, pol):
         c = DarbouxCoefficients.make(a0=1, c=(1, 0, 0), e=(1, 0, 0))
-        with pytest.raises(Inconsistent):
-            recover_A1(c, pol)
+        with pytest.raises(Inconsistent, match="A1 system"):
+            spectral(c, pol)
 
     def test_h3_double_root_stratum(self, pol):
         # e = 0, W1+4f0 = 0, C0^2+4W1+12f0 = 0: A1 = C0 double root
         c = DarbouxCoefficients.make(a0=1, c=(2, 2, -2), f0=1)
-        assert recover_A1(c, pol) == 2
+        assert spectral(c, pol).A1 == 2
 
 
 class TestRecoverA23:
     def test_torus(self, pol):
-        assert recover_A23(TORUS21, Fraction(-10), pol) == (-10, 6)
+        sd = spectral(TORUS21, pol)
+        assert (sd.A2, sd.A3) == (-10, 6)
 
     def test_zeros(self, pol):
-        c = DarbouxCoefficients.make(a0=1)
-        assert recover_A23(c, Fraction(0), pol) == (0, 0)
+        sd = spectral(DarbouxCoefficients.make(a0=1), pol)
+        assert (sd.A2, sd.A3) == (0, 0)
 
     def test_double_sphere(self, pol):
-        c = DarbouxCoefficients.make(a0=1, c=(-2, -2, -2), f0=1)
-        assert recover_A23(c, Fraction(-2), pol) == (-2, -2)
+        sd = spectral(DarbouxCoefficients.make(a0=1, c=(-2, -2, -2), f0=1), pol)
+        assert (sd.A2, sd.A3) == (-2, -2)
 
     def test_irrational_spectrum_exact(self, pol):
-        # Dupin (case d) with A2, A3 = +-sqrt(2)
+        # Dupin (case d) with A1 = 0 and A2, A3 = +-sqrt(2)
         c = DarbouxCoefficients.make(a0=1, c=(0, 1, -1), d=(1, 0, 0),
                                      f0=Fraction(1, 2))
-        a1 = recover_A1(c, pol)
-        assert a1 == 0
         with pytest.raises(IrrationalSpectrum):
-            recover_A23(c, a1, pol)
+            spectral(c, pol)
 
     def test_float_mode_handles_irrational(self, fpol):
         c = DarbouxCoefficients.make(a0=1, c=(0, 1, -1), d=(1, 0, 0),
                                      f0=Fraction(1, 2)).to_float()
-        a2, a3 = recover_A23(c, recover_A1(c, fpol), fpol)
-        assert a2 == pytest.approx(-2 ** 0.5, abs=1e-12)
-        assert a3 == pytest.approx(2 ** 0.5, abs=1e-12)
+        sd = spectral(c, fpol)
+        assert sd.A1 == pytest.approx(0.0, abs=1e-12)
+        assert sd.A2 == pytest.approx(-2 ** 0.5, abs=1e-12)
+        assert sd.A3 == pytest.approx(2 ** 0.5, abs=1e-12)
 
 
 class TestSpectralData:
@@ -78,7 +81,7 @@ class TestSpectralData:
         from cyclide.invariants import base_invariants
         for _ in range(20):
             c = normalize_quartic(generate_quartic_dupin(random_quartic_seed(rng)))
-            sd = spectral_data(c, pol)
+            sd = spectral(c, pol)
             inv = base_invariants(c)
             a1, a2, a3 = sd.A1, sd.A2, sd.A3
             assert a1 ** 3 - inv.C0 * a1 ** 2 + inv.W1 * a1 - inv.W2 == 0
@@ -93,17 +96,16 @@ class TestSpectralData:
 
 class TestCanonicalQuartic:
     def test_torus(self, pol):
-        q = canonical_quartic_params(spectral_data(TORUS21, pol))
+        q = canonical_quartic_params(spectral(TORUS21, pol))
         assert (q.alpha_sq, q.gamma_sq, q.delta_sq, q.agd) == (4, 0, 1, 0)
 
     def test_zeros(self, pol):
-        q = canonical_quartic_params(spectral_data(
-            DarbouxCoefficients.make(a0=1), pol))
+        q = canonical_quartic_params(spectral(DarbouxCoefficients.make(a0=1), pol))
         assert (q.alpha_sq, q.gamma_sq, q.delta_sq, q.agd) == (0, 0, 0, 0)
 
     def test_double_sphere(self, pol):
         c = DarbouxCoefficients.make(a0=1, c=(-2, -2, -2), f0=1)
-        q = canonical_quartic_params(spectral_data(c, pol))
+        q = canonical_quartic_params(spectral(c, pol))
         assert (q.alpha_sq, q.gamma_sq, q.delta_sq) == (0, 0, 1)
 
     def test_generator_round_trip(self, pol, rng):
@@ -112,7 +114,7 @@ class TestCanonicalQuartic:
         for _ in range(40):
             seed = random_quartic_seed(rng)
             c = generate_quartic_dupin(seed)
-            q = canonical_quartic_params(spectral_data(normalize_quartic(c), pol))
+            q = canonical_quartic_params(spectral(c, pol))
             k = seed.lam ** 2
             assert sorted((q.alpha_sq, q.gamma_sq)) == sorted((k * seed.s, k * seed.t))
             assert q.delta_sq == k * seed.u
@@ -122,18 +124,18 @@ class TestCanonicalQuartic:
 
 class TestCanonicalCubic:
     def test_cubic22(self, pol):
-        p = canonical_cubic_params(CUBIC22, pol)
+        p = canonical_cubic_params(prepare(CUBIC22, pol), pol)
         assert (p.p, p.q) == (-2, 2) and p.shift == (0, 0, 0)
 
     def test_plane_point(self, pol):
         c = DarbouxCoefficients.make(a0=0, b=(1, 0, 0))
-        p = canonical_cubic_params(c, pol)
+        p = canonical_cubic_params(prepare(c, pol), pol)
         assert (p.p, p.q) == (0, 0) and p.shift == (0, 0, 0)
 
     def test_translated(self, pol):
         moved = apply_motion(CUBIC22, EuclideanMotion.translation_by(
             (Fraction(1), Fraction(2), Fraction(3))))
-        p = canonical_cubic_params(moved, pol)
+        p = canonical_cubic_params(prepare(moved, pol), pol)
         assert p.shift == (-1, -2, -3)
         assert (p.p, p.q) == (-2, 2)
 
@@ -142,10 +144,10 @@ class TestCanonicalCubic:
             pv = rand_fraction(rng, -4, 4, 3)
             qv = rand_fraction(rng, -4, 4, 3)
             c = generate_cubic_dupin(pv, qv, random_motion(rng))
-            out = canonical_cubic_params(c, pol)
+            out = canonical_cubic_params(prepare(c, pol), pol)
             assert (out.p, out.q) == tuple(sorted((pv, qv)))
 
     def test_projective_scale_invariance(self, pol):
         scaled = CUBIC22.scale(Fraction(2))
-        out = canonical_cubic_params(scaled, pol)
+        out = canonical_cubic_params(prepare(scaled, pol), pol)
         assert (out.p, out.q) == (-2, 2)

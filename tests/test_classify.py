@@ -7,13 +7,19 @@ import pytest
 from conftest import CUBIC22, TORUS21, rand_fraction
 from cyclide import (DarbouxCoefficients, EuclideanMotion, SurfaceClass,
                      apply_motion, classify_cubic, classify_quartic, j0_cubic,
-                     j0_quartic, normalize_quartic, spectral_data,
+                     j0_quartic, prepare, spectral_data,
                      weighted_rescale, willmore_energy)
 from cyclide.canonical import SpectralData
 from cyclide.classify import J0Value
 from cyclide.genkit import (canonical_quartic_coefficients,
                             generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed)
+
+
+def j0_of(c, pol):
+    """J0 of a quartic through its prepared form and spectral data."""
+    prep = prepare(c, pol)
+    return j0_quartic(prep, spectral_data(prep, pol), pol)
 
 
 def spectral_from_triple(a1, a2, a3):
@@ -40,7 +46,7 @@ class TestClassifyQuartic:
     def test_swap_invariance(self, pol, rng):
         for _ in range(40):
             c = generate_quartic_dupin(random_quartic_seed(rng))
-            sd = spectral_data(normalize_quartic(c), pol)
+            sd = spectral_data(prepare(c, pol), pol)
             swapped = SpectralData(sd.A1, sd.A3, sd.A2, sd.Dsq, sd.F)
             assert classify_quartic(sd, pol) == classify_quartic(swapped, pol)
 
@@ -72,7 +78,7 @@ class TestClassifyQuartic:
         # the ledgered one-point gap: c = (-4,-8,-8), e1 = -8, f0 = 32 has the
         # single real point (2,0,0)
         c = DarbouxCoefficients.make(a0=1, c=(-4, -8, -8), e=(-8, 0, 0), f0=32)
-        sd = spectral_data(c, pol)
+        sd = spectral_data(prepare(c, pol), pol)
         assert classify_quartic(sd, pol) == SurfaceClass.ONE_POINT
         # direct check that (2,0,0) and nothing near it solves the equation
         from cyclide import polynomial_from_coefficients
@@ -99,54 +105,46 @@ class TestClassifyCubic:
 
 class TestJ0Quartic:
     def test_torus_3_16(self, pol):
-        sd = spectral_data(TORUS21, pol)
-        j = j0_quartic(TORUS21, sd, pol)
+        j = j0_of(TORUS21, pol)
         assert j.kind == "finite" and j.value == Fraction(3, 16)
         # oracle: (r^2/R^2)(1 - r^2/R^2) at r=1, R=2
         assert Fraction(1, 4) * Fraction(3, 4) == Fraction(3, 16)
 
     def test_double_sphere_minus_inf(self, pol):
-        c = DarbouxCoefficients.make(a0=1, c=(-2, -2, -2), f0=1)
-        j = j0_quartic(c, spectral_data(c, pol), pol)
+        j = j0_of(DarbouxCoefficients.make(a0=1, c=(-2, -2, -2), f0=1), pol)
         assert j.kind == "minus_infinity"
 
     def test_horn_torus_zero(self, pol):
-        c = DarbouxCoefficients.make(a0=1, c=(-4, -4, 0), f0=0)
-        j = j0_quartic(c, spectral_data(c, pol), pol)
+        j = j0_of(DarbouxCoefficients.make(a0=1, c=(-4, -4, 0), f0=0), pol)
         assert j.kind == "finite" and j.value == 0
 
     def test_sphere_and_point_undefined(self, pol):
-        c = canonical_quartic_coefficients(1, 1, 1, 1)
-        j = j0_quartic(c, spectral_data(c, pol), pol)
+        j = j0_of(canonical_quartic_coefficients(1, 1, 1, 1), pol)
         assert j.kind == "undefined"
 
     def test_three_formulas_agree_smooth(self, pol, rng):
         for _ in range(60):
             seed = random_quartic_seed(rng, smooth=True)
-            c = normalize_quartic(generate_quartic_dupin(seed))
-            sd = spectral_data(c, pol)
-            j = j0_quartic(c, sd, pol)  # raises FormulaDisagreement on mismatch
+            # raises FormulaDisagreement on mismatch
+            j = j0_of(generate_quartic_dupin(seed), pol)
             assert j.kind == "finite" and 0 < j.value <= Fraction(1, 4)
 
     def test_moebius_invariance(self, pol, rng):
         for _ in range(15):
             seed = random_quartic_seed(rng, smooth=True)
             c = generate_quartic_dupin(seed)
-            base = j0_quartic(normalize_quartic(c),
-                              spectral_data(normalize_quartic(c), pol), pol)
-            moved = normalize_quartic(apply_motion(c, random_motion(rng)))
-            j_m = j0_quartic(moved, spectral_data(moved, pol), pol)
-            scaled = normalize_quartic(weighted_rescale(c, rand_fraction(rng, 1, 4, 2)))
-            j_s = j0_quartic(scaled, spectral_data(scaled, pol), pol)
+            base = j0_of(c, pol)
+            j_m = j0_of(apply_motion(c, random_motion(rng)), pol)
+            j_s = j0_of(weighted_rescale(c, rand_fraction(rng, 1, 4, 2)), pol)
             assert base.value == j_m.value == j_s.value
 
     def test_class_j0_annotations(self, pol, rng):
         for _ in range(60):
             seed = random_quartic_seed(rng)
-            cn = normalize_quartic(generate_quartic_dupin(seed))
-            sd = spectral_data(cn, pol)
+            prep = prepare(generate_quartic_dupin(seed), pol)
+            sd = spectral_data(prep, pol)
             label = classify_quartic(sd, pol)
-            j = j0_quartic(cn, sd, pol)
+            j = j0_quartic(prep, sd, pol)
             if label == SurfaceClass.SMOOTH_RING:
                 assert j.kind == "finite" and 0 < j.value <= Fraction(1, 4)
             elif label == SurfaceClass.SPINDLE:
@@ -160,16 +158,16 @@ class TestJ0Quartic:
 
 class TestJ0Cubic:
     def test_cubic22(self, pol):
-        j = j0_cubic(CUBIC22, pol)
+        j = j0_cubic(prepare(CUBIC22, pol), pol)
         assert j.kind == "finite" and j.value == Fraction(1, 4)
 
     def test_horn_cubic(self, pol):
         c = generate_cubic_dupin(0, 3, EuclideanMotion.identity())
-        j = j0_cubic(c, pol)
+        j = j0_cubic(prepare(c, pol), pol)
         assert j.kind == "finite" and j.value == 0
 
     def test_projective_scale(self, pol):
-        j = j0_cubic(CUBIC22.scale(Fraction(5)), pol)
+        j = j0_cubic(prepare(CUBIC22.scale(Fraction(5)), pol), pol)
         assert j.value == Fraction(1, 4)
 
     def test_pq_formula_oracle(self, pol, rng):
@@ -178,7 +176,7 @@ class TestJ0Cubic:
             p = rand_fraction(rng, -4, 4, 3)
             q = rand_fraction(rng, -4, 4, 3)
             c = generate_cubic_dupin(p, q, random_motion(rng))
-            j = j0_cubic(c, pol)
+            j = j0_cubic(prepare(c, pol), pol)
             if p == q:
                 if p == 0:
                     assert j.kind == "undefined"

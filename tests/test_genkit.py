@@ -7,7 +7,7 @@ import pytest
 from conftest import TORUS21
 from cyclide import (DarbouxCoefficients, EuclideanMotion, SurfaceClass,
                      classify_quartic, polynomial_from_coefficients,
-                     recognize, spectral_data)
+                     prepare, recognize, spectral_data)
 from cyclide.errors import NoRealPoints, SeedInvariantViolation
 from cyclide.genkit import (QuarticSeed, canonical_quartic_coefficients,
                             generate_cubic_dupin, generate_quartic_dupin,
@@ -71,7 +71,7 @@ class TestGenerate:
         for (s, t, u, m), want in targets.items():
             seed = QuarticSeed(Fraction(s), Fraction(t), Fraction(u), Fraction(m), ident)
             c = generate_quartic_dupin(seed)
-            sd = spectral_data(c, pol)
+            sd = spectral_data(prepare(c, pol), pol)
             assert classify_quartic(sd, pol) == want, (s, t, u, m)
             seen.add(want)
         quartic_labels = {

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cyclide import (TolerancePolicy, build_map, calibrate_convention,
-                     j0_quartic, spectral_data, torus_radii,
+                     j0_quartic, prepare, spectral_data, torus_radii,
                      torus_radii_inversive)
 from cyclide.canonical import CanonicalQuartic
 from cyclide.classify import SurfaceClass
@@ -146,9 +146,8 @@ class TestDualityProperties:
         # spectral route on the exact cyclide with agd^2 = 8 is irrational;
         # use the float pipeline for the surface itself
         fpol = TolerancePolicy("float", 1e-9)
-        c = _cyclide_coefficients(cq(4.0, 1.0, 2.0, math.sqrt(8.0)))
-        sd = spectral_data(c, fpol)
-        j = j0_quartic(c, sd, fpol)
+        prep = prepare(_cyclide_coefficients(cq(4.0, 1.0, 2.0, math.sqrt(8.0))), fpol)
+        j = j0_quartic(prep, spectral_data(prep, fpol), fpol)
         assert float(j.value) == pytest.approx(2.0 / 9.0, rel=1e-9)
 
     def test_composition_connects_dual_tori(self, rng):

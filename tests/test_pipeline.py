@@ -1,12 +1,18 @@
 """End-to-end analysis prepares each input once: one normalization per
-quartic, and one invariant bundle of the gauged copy shared by every stage."""
+quartic, one invariant bundle of the gauged copy shared by every stage, and
+one degree decision that depends neither on the scale of the equation nor,
+in exact mode, on whether the coefficients are ints or Fractions."""
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from cyclide import canonical, classify, core, invariants, pipeline, recognizer
+from cyclide import (DarbouxCoefficients, canonical, classify, core, invariants,
+                     pipeline, recognizer)
+from cyclide.errors import PreconditionError
 from cyclide.genkit import generate_quartic_dupin, random_quartic_seed
-from cyclide.recognizer import TolerancePolicy
+from cyclide.recognizer import CUBIC, LINEAR, QUADRIC, QUARTIC, TolerancePolicy, prepare
 from cyclide.scalar import EXACT, FLOAT
 
 
@@ -53,3 +59,59 @@ def test_to_torus_prepares_each_quartic_once(mode, monkeypatch):
         # exact mode: the 12-generator cross-check is an independent oracle
         # and computes its own bundle of the same copy
         assert sum(b is work for b in bundles) == (2 if mode == EXACT else 1)
+
+
+# one input per degree branch, each with a slot above its degree that is
+# zero only relative to the largest coefficient (a float residue); the cubic
+# is the (p, q) = (-2, 2) ring cyclide
+BY_BRANCH = {
+    QUARTIC: DarbouxCoefficients.make(a0=1, c=(-10, -10, 6), f0=9, exact=False),
+    CUBIC: DarbouxCoefficients.make(a0=1e-11, b=(1, 0, 0), c=(0, -2, 2),
+                                    e=(-1, 0, 0), exact=False),
+    QUADRIC: DarbouxCoefficients.make(a0=1e-12, b=(1e-12, 0, 0), c=(1, 1, 2),
+                                      exact=False),
+    LINEAR: DarbouxCoefficients.make(c=(1e-12, 0, 0), e=(0, 0, 1), f0=1,
+                                     exact=False),
+}
+SCALES = (1, 1000, 2 ** 30)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_float_cubic_is_recognized_at_every_scale(k):
+    report = pipeline.analyze(BY_BRANCH[CUBIC].scale(k), TolerancePolicy(FLOAT),
+                              "to-torus")
+    assert report["kind"] == "DupinCubic" and report["class"] == "SM"
+
+
+@pytest.mark.parametrize("branch", sorted(BY_BRANCH))
+def test_degree_branch_is_scale_free(branch):
+    pol = TolerancePolicy(FLOAT)
+    assert [prepare(BY_BRANCH[branch].scale(k), pol).branch for k in SCALES] \
+        == [branch] * len(SCALES)
+
+
+EXACT_BY_BRANCH = {
+    QUARTIC: DarbouxCoefficients.make(a0=1, c=(-10, -10, 6), f0=9),
+    CUBIC: DarbouxCoefficients.make(b=(1, 0, 0), c=(0, -2, 2), e=(-1, 0, 0)),
+    QUADRIC: DarbouxCoefficients.make(c=(1, 1, 2)),
+    LINEAR: DarbouxCoefficients.make(e=(0, 0, 1), f0=1),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(EXACT_BY_BRANCH))
+def test_exact_mode_refuses_float_coefficients(branch):
+    pol = TolerancePolicy(EXACT)
+    c = EXACT_BY_BRANCH[branch]
+    assert prepare(c, pol).branch == branch
+    with pytest.raises(PreconditionError, match="int or Fraction"):
+        pipeline.analyze(c.to_float(), pol, "to-torus")
+
+
+def test_int_cubic_reports_exact_values():
+    ints = DarbouxCoefficients(0, 1, 0, 0, 0, -2, 2, 0, 0, 0, -1, 0, 0, 0)
+    fractions = DarbouxCoefficients(*map(Fraction, ints.astuple()))
+    pol = TolerancePolicy(EXACT)
+    report = pipeline.analyze(ints, pol, "to-torus")
+    assert json.dumps(report) == json.dumps(pipeline.analyze(fractions, pol, "to-torus"))
+    assert json.dumps(report["canonical"]["shift"]) == "[0, 0, 0]"
+    assert all(json.dumps(v) == "0" for v in report["residuals"].values())

@@ -8,12 +8,12 @@ import pytest
 
 from conftest import CUBIC22, TORUS21, rand_fraction, random_coefficients
 from cyclide import (DarbouxCoefficients, EuclideanMotion, TolerancePolicy,
-                     apply_motion, normalize_quartic, recognize,
+                     apply_motion, normalize_quartic, prepare, recognize,
                      recognize_cubic, recognize_quadric,
                      recognize_quartic_cases, recognize_quartic_oracle,
                      weighted_rescale)
 from cyclide import recognizer
-from cyclide.errors import InternalCheckError, NotNormalized, PreconditionError, ZeroInput
+from cyclide.errors import InternalCheckError, PreconditionError, ZeroInput
 from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             perturb_off_variety, random_motion,
                             random_quartic_seed)
@@ -55,18 +55,14 @@ class TestDispatch:
 
 class TestQuarticCases:
     def test_zero_point_case_d(self, pol):
-        v = recognize_quartic_cases(DarbouxCoefficients.make(a0=1), pol)
+        v = recognize_quartic_cases(prepare(DarbouxCoefficients.make(a0=1), pol), pol)
         assert v.kind == DUPIN_QUARTIC and v.case_label == "d"
 
     def test_case_a_witness(self, pol):
         c = DarbouxCoefficients.make(a0=1, c=(1, 0, 0), e=(1, 0, 0))
-        v = recognize_quartic_cases(c, pol)
+        v = recognize_quartic_cases(prepare(c, pol), pol)
         assert v.kind == NOT_DUPIN and v.case_label == "a"
         assert v.witness == ("M1", -4)
-
-    def test_requires_normalized(self, pol):
-        with pytest.raises(NotNormalized):
-            recognize_quartic_cases(TORUS21.scale(Fraction(2)), pol)
 
     def test_axis_cases_b_c(self, pol):
         # rotate a generated e1-active Dupin so e sits on the y then z axis
@@ -77,13 +73,13 @@ class TestQuarticCases:
             ((Fraction(0), Fraction(-1), Fraction(0)),
              (Fraction(1), Fraction(0), Fraction(0)),
              (Fraction(0), Fraction(0), Fraction(1))))
-        v = recognize_quartic_cases(apply_motion(base, rot_xy), pol)
+        v = recognize_quartic_cases(prepare(apply_motion(base, rot_xy), pol), pol)
         assert v.kind == DUPIN_QUARTIC and v.case_label == "b"
         rot_xz = EuclideanMotion.rotation_by(
             ((Fraction(0), Fraction(0), Fraction(-1)),
              (Fraction(0), Fraction(1), Fraction(0)),
              (Fraction(1), Fraction(0), Fraction(0))))
-        v = recognize_quartic_cases(apply_motion(base, rot_xz), pol)
+        v = recognize_quartic_cases(prepare(apply_motion(base, rot_xz), pol), pol)
         assert v.kind == DUPIN_QUARTIC and v.case_label == "c"
 
     def test_case_f(self, pol):
@@ -91,26 +87,26 @@ class TestQuarticCases:
         # case (f) needs W1 + 3 f0 = 0 and (W2 - C0 W1)^2 = 4 f0^3
         c = DarbouxCoefficients.make(a0=1, c=(0, 1, -1), d=(1, 0, 0),
                                      f0=Fraction(2, 3))
-        v = recognize_quartic_cases(c, pol)
+        v = recognize_quartic_cases(prepare(c, pol), pol)
         assert v.case_label == "f" and v.kind == NOT_DUPIN
         ok = c.replace(f0=Fraction(1, 2))  # W1+4f0 = 0 lands in case (d)
-        v = recognize_quartic_cases(ok, pol)
+        v = recognize_quartic_cases(prepare(ok, pol), pol)
         assert v.kind == DUPIN_QUARTIC and v.case_label == "d"
 
 
 class TestOracle:
     def test_torus(self, pol):
-        assert recognize_quartic_oracle(TORUS21, pol).kind == DUPIN_QUARTIC
+        assert recognize_quartic_oracle(prepare(TORUS21, pol), pol).kind == DUPIN_QUARTIC
 
     def test_witnesses(self, pol):
         c = DarbouxCoefficients.make(a0=1, c=(1, 0, 0), e=(1, 0, 0))
-        v = recognize_quartic_oracle(c, pol)
+        v = recognize_quartic_oracle(prepare(c, pol), pol)
         assert v.kind == NOT_DUPIN
         assert v.residuals["M1"] == -4 and v.residuals["N1"] == 8
 
     def test_zero(self, pol):
         assert recognize_quartic_oracle(
-            DarbouxCoefficients.make(a0=1), pol).kind == DUPIN_QUARTIC
+            prepare(DarbouxCoefficients.make(a0=1), pol), pol).kind == DUPIN_QUARTIC
 
     def test_agreement_with_cases(self, pol, rng):
         agree = 0
@@ -119,9 +115,9 @@ class TestOracle:
                 c = generate_quartic_dupin(random_quartic_seed(rng))
             else:
                 c = random_coefficients(rng, with_b=True)
-            cn = normalize_quartic(c)
-            a = recognize_quartic_cases(cn, pol, cross_check=False).is_dupin
-            b = recognize_quartic_oracle(cn, pol).is_dupin
+            prep = prepare(c, pol)
+            a = recognize_quartic_cases(prep, pol, cross_check=False).is_dupin
+            b = recognize_quartic_oracle(prep, pol).is_dupin
             assert a == b
             agree += 1
         assert agree == 60
@@ -146,8 +142,10 @@ class TestIntegerGauge:
     def test_verdict_matches_fraction_arithmetic(self, pol, rng):
         kinds = set()
         for cn in self._fractional_quartics(rng):
-            for got, direct in ((recognize(cn, pol), _quartic_case_verdict(cn, pol)),
-                                (recognize_quartic_oracle(cn, pol), _oracle_verdict(cn, pol))):
+            inv = base_invariants(cn)
+            for got, direct in ((recognize(cn, pol), _quartic_case_verdict(cn, pol, inv)),
+                                (recognize_quartic_oracle(prepare(cn, pol), pol),
+                                 _oracle_verdict(cn, pol))):
                 assert (got.kind, got.case_label, got.witness, got.residuals) == \
                     (direct.kind, direct.case_label, direct.witness, direct.residuals)
                 assert all(type(v) is Fraction for v in got.residuals.values())
@@ -160,7 +158,7 @@ class TestIntegerGauge:
             ce = c.replace(e1=Fraction(0), e2=Fraction(0), e3=Fraction(0))
             vals = quartic_generators(c).as_dict()
             for label in "abc":
-                vals.update(_axis_case_residuals(c, label))
+                vals.update(_axis_case_residuals(c, label, base_invariants(c)))
             for label in "def":
                 vals.update(_e0_case_residuals(ce, label, base_invariants(ce)))
             return vals
@@ -198,32 +196,32 @@ class TestIntegerGauge:
 
 class TestCubicRecognition:
     def test_cubic22(self, pol):
-        assert recognize_cubic(CUBIC22, pol).kind == DUPIN_CUBIC
+        assert recognize_cubic(prepare(CUBIC22, pol), pol).kind == DUPIN_CUBIC
 
     def test_cubic22_wrong_f0(self, pol):
-        v = recognize_cubic(CUBIC22.replace(f0=Fraction(1)), pol)
+        v = recognize_cubic(prepare(CUBIC22.replace(f0=Fraction(1)), pol), pol)
         assert v.kind == NOT_DUPIN and v.witness[0] == "4f0*B0^4-Q"
 
     def test_plane_and_point(self, pol):
         c = DarbouxCoefficients.make(a0=0, b=(1, 0, 0))
-        assert recognize_cubic(c, pol).kind == DUPIN_CUBIC
+        assert recognize_cubic(prepare(c, pol), pol).kind == DUPIN_CUBIC
 
 
 class TestQuadricRecognition:
     def test_rotational_cone(self, pol):
         c = DarbouxCoefficients.make(a0=0, c=(1, 1, 2))
-        v = recognize_quadric(c, pol)
+        v = recognize_quadric(prepare(c, pol), pol)
         assert v.kind == DUPIN_QUADRIC
         assert "rotational" in v.notes and "singular" in v.notes
 
     def test_triaxial_rejected(self, pol):
         c = DarbouxCoefficients.make(a0=0, c=(1, 2, 3))
-        v = recognize_quadric(c, pol)
+        v = recognize_quadric(prepare(c, pol), pol)
         assert v.kind == NOT_DUPIN and v.witness == ("S0", -2)
 
     def test_smooth_sphere(self, pol):
         c = DarbouxCoefficients.make(a0=0, c=(1, 1, 1), f0=-1)
-        v = recognize_quadric(c, pol)
+        v = recognize_quadric(prepare(c, pol), pol)
         assert v.kind == NOT_DUPIN
         assert v.witness == ("detPhat", -1)
         assert "smooth rotational quadric" in v.notes
