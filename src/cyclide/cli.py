@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -62,10 +63,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance(args) -> TolerancePolicy:
+    """Policy from --tol, else CYCLIDE_TOL, else 1e-9; ParseError unless the
+    tolerance is a finite float >= 0."""
     tau = args.tol
     if tau is None:
         env = os.environ.get("CYCLIDE_TOL")
-        tau = float(env) if env else 1e-9
+        try:
+            tau = float(env) if env else 1e-9
+        except ValueError:
+            raise ParseError(f"CYCLIDE_TOL={env!r} is not a number") from None
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ParseError(f"tolerance {tau!r} must be finite and >= 0")
     return TolerancePolicy(args.mode, tau)
 
 
@@ -96,8 +104,8 @@ def _iter_inputs(raw: str, mode: str):
 
 
 def _run_analysis(args) -> int:
-    pol = _tolerance(args)
     try:
+        pol = _tolerance(args)
         inputs = list(_iter_inputs(args.input, args.mode))
     except (ParseError, OSError, json.JSONDecodeError) as exc:
         print(f"cyclide: input error: {exc}", file=sys.stderr)

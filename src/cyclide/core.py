@@ -7,9 +7,12 @@ name the implicit surface
       + c1*x^2 + c2*y^2 + c3*z^2 + 2*d1*y*z + 2*d2*x*z + 2*d3*x*y
       + 2*e1*x + 2*e2*y + 2*e3*z + f0  =  0.
 
-Motions act on coefficients through full polynomial substitution (the sparse
-TriPoly is the single source of truth); closed-form per-coefficient updates
-exist only as cross-checks in the test suite.
+With M the symmetric matrix [[c1,d3,d2],[d3,c2,d1],[d2,d1,c3]], an orthogonal
+motion acts on the coefficients in closed form (`apply_motion`): a rotation
+turns b, M, e into R^T b, R^T M R, R^T e, and a translation updates them by
+polynomials in a0, b and the shift.  The sparse TriPoly expansion and its
+affine substitution are the reference those formulas are tested against, and
+the point evaluator of the generators and the Moebius map.
 """
 from __future__ import annotations
 
@@ -98,9 +101,9 @@ Monomial = Tuple[int, int, int]
 class TriPoly:
     """Sparse trivariate polynomial of total degree <= 4.
 
-    Zero coefficients are never stored.  Supports exactly the arithmetic the
-    motion machinery needs: add, multiply, scale, affine substitution, point
-    evaluation.
+    Zero coefficients are never stored.  Supports exactly the arithmetic its
+    users need: add, multiply, scale, point evaluation, and the affine
+    substitution the tests take as the reference for `apply_motion`.
     """
 
     __slots__ = ("terms",)
@@ -158,9 +161,6 @@ class TriPoly:
 
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
-
-    def coeff(self, i: int, j: int, k: int) -> Scalar:
-        return self.terms.get((i, j, k), 0)
 
     def evaluate(self, point) -> Scalar:
         x, y, z = point
@@ -316,18 +316,46 @@ def coefficients_from_polynomial(p: TriPoly) -> DarbouxCoefficients:
     return DarbouxCoefficients(**values)
 
 
-def apply_motion(c: DarbouxCoefficients, m: EuclideanMotion) -> DarbouxCoefficients:
-    """Coefficients of the surface polynomial precomposed with the motion.
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    Requires an orthogonal rotation part; the Darboux shape is then preserved
-    and re-extraction cannot fail.
+
+def _dot(x, y) -> Scalar:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def apply_motion(c: DarbouxCoefficients, m: EuclideanMotion) -> DarbouxCoefficients:
+    """Coefficients of p(R y + t) as a polynomial in y, for the motion
+    x -> R y + t.
+
+    R must be orthogonal, exactly so for rational R (ShapeError otherwise).
+    Then p(R y + t) is p rotated by R, a step skipped when R is the identity,
+    and translated by u = R^T t, each in closed form and exact for rationals.
     """
-    p = polynomial_from_coefficients(c)
-    q = p.substitute_affine(m.rotation, m.translation)
-    try:
-        return coefficients_from_polynomial(q)
-    except ShapeError as exc:  # only reachable with a non-orthogonal matrix
-        raise ShapeError(f"motion did not preserve Darboux shape: {exc}") from exc
+    a0, b, e, u = c.a0, c.b, c.e, m.translation
+    M = ((c.c1, c.d3, c.d2), (c.d3, c.c2, c.d1), (c.d2, c.d1, c.c3))
+    if m.rotation != _IDENTITY:
+        if m.orthogonality_defect() != 0:
+            raise ShapeError("rotation part of the motion is not orthogonal")
+        Rt = tuple(zip(*m.rotation))
+        b, e, u = (tuple(_dot(r, v) for r in Rt) for v in (b, e, u))
+        RtM = tuple(tuple(_dot(r, row) for row in M) for r in Rt)  # M symmetric
+        M = tuple(tuple(_dot(row, r) for r in Rt) for row in RtM)
+    # p(y + u), with rho^2 -> rho^2 + 2 u.y + T; this operation order fixes
+    # the float rounding
+    T = _dot(u, u)
+    bu = _dot(b, u)
+    Mu = tuple(_dot(row, u) for row in M)
+    k = 2 * a0 * T + 2 * bu
+    f0 = a0 * T * T + 2 * T * bu + _dot(u, Mu) + 2 * _dot(e, u) + c.f0
+    e = tuple(e[i] + k * u[i] + T * b[i] + Mu[i] for i in range(3))
+
+    def quad(i, j):
+        diag = M[i][j] + k if i == j else M[i][j]
+        return diag + 4 * a0 * u[i] * u[j] + 2 * (b[i] * u[j] + u[i] * b[j])
+
+    cd = (quad(0, 0), quad(1, 1), quad(2, 2), quad(1, 2), quad(0, 2), quad(0, 1))
+    b = tuple(b[i] + 2 * a0 * u[i] for i in range(3))
+    return DarbouxCoefficients(a0, *b, *cd, *e, f0)
 
 
 def apply_permutation(c: DarbouxCoefficients, which: str) -> DarbouxCoefficients:
@@ -358,8 +386,9 @@ def weighted_rescale(c: DarbouxCoefficients, lam: Scalar) -> DarbouxCoefficients
 def normalize_quartic(c: DarbouxCoefficients) -> DarbouxCoefficients:
     """Divide by a0, then shift (x,y,z) -> (x - b1/2, y - b2/2, z - b3/2).
 
-    Result has a0 = 1 and b = 0 exactly (tiny float cancellation residue in
-    the b slots is zeroed after an internal sanity bound).
+    Result has a0 = 1 and b = 0 exactly, in float mode too: the shifted b is
+    b + 2*(-b/2), which rounds to zero unless b is subnormal; then b/2 may
+    round, and that slot keeps +-5e-324.
     """
     if c.a0 == 0:
         raise NotQuartic("a0 = 0: not a quartic")
@@ -371,10 +400,4 @@ def normalize_quartic(c: DarbouxCoefficients) -> DarbouxCoefficients:
     if all(v == 0 for v in scaled.b):
         return scaled
     shift = tuple(-v / 2 for v in scaled.b)
-    moved = apply_motion(scaled, EuclideanMotion.translation_by(shift))
-    if moved.is_exact():
-        assert all(v == 0 for v in moved.b)
-        return moved
-    scale = max(abs(v) for v in c.astuple())
-    assert all(abs(v) <= 1e-9 * max(scale, 1.0) for v in moved.b)
-    return moved.replace(b1=0.0, b2=0.0, b3=0.0)
+    return apply_motion(scaled, EuclideanMotion.translation_by(shift))

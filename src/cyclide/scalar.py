@@ -22,25 +22,39 @@ def parse_scalar(value, mode: str) -> Scalar:
     """Parse one JSON/CSV cell: int, "p/q" string, decimal string, or float.
 
     Floats (JSON numbers with a fractional part) are rejected in exact mode;
-    a decimal *string* like "0.25" is exact and allowed in either mode.
+    a decimal *string* like "0.25" is exact and allowed in either mode.  Float
+    mode returns only finite floats: NaN, an infinity, or a value beyond the
+    float range raises ParseError.
     """
     if isinstance(value, bool):
         raise ParseError(f"boolean is not a coefficient: {value!r}")
     if isinstance(value, int):
-        return Fraction(value) if mode == EXACT else float(value)
+        return Fraction(value) if mode == EXACT else _finite(value)
     if isinstance(value, float):
         if mode == EXACT:
             raise ParseError(
                 f"float literal {value!r} in exact mode; pass a string like \"1/3\" or \"0.25\"")
-        return value
+        return _finite(value)
     if isinstance(value, str):
         text = value.strip()
         try:
             frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot parse coefficient {value!r}: {exc}") from exc
-        return frac if mode == EXACT else float(frac)
+        return frac if mode == EXACT else _finite(frac, value)
     raise ParseError(f"unsupported coefficient type {type(value).__name__}: {value!r}")
+
+
+def _finite(value, raw=None) -> float:
+    """value as a finite float, or ParseError naming the cell raw."""
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        shown = f"{value if raw is None else raw!r:.40}"
+        raise ParseError(f"coefficient {shown} is not a finite float")
+    return v
 
 
 def format_scalar(v: Scalar):

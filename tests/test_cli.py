@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cyclide.cli import main
 
 TORUS_JSON = '{"a0":1,"c1":"-10","c2":"-10","c3":"6","f0":"9"}'
@@ -57,6 +59,28 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["recognize", "/nonexistent/path.jsonl"]) == 2
+
+    # a NaN, an infinity, and values beyond the float range (a decimal
+    # string and a JSON int) are input errors in float mode
+    @pytest.mark.parametrize("c1", ["NaN", "Infinity", '"1e400"', "1" + "0" * 400],
+                             ids=["nan", "infinity", "1e400-string", "huge-int"])
+    def test_non_finite_float_coefficient(self, c1, capsys):
+        code = main(["to-torus", "--float",
+                     '{"a0":1,"c1":%s,"c2":-10,"c3":6,"f0":9}' % c1])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("cyclide: input error:")
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_invalid_tol_flag(self, tol, capsys):
+        assert main(["recognize", "--float", "--tol", tol, TORUS_JSON]) == 2
+        assert capsys.readouterr().err.startswith("cyclide: input error:")
+
+    def test_invalid_tol_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("CYCLIDE_TOL", "abc")
+        assert main(["recognize", "--float", TORUS_JSON]) == 2
+        assert capsys.readouterr().err.startswith("cyclide: input error:")
 
 
 class TestBatch:

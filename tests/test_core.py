@@ -118,6 +118,72 @@ class TestMotions:
         assert rot.rotation == ((1, 0, 0), (0, 0, -1), (0, 1, 0))
 
 
+def _oracle(c, m):
+    """apply_motion by expanding the polynomial and substituting."""
+    p = polynomial_from_coefficients(c).substitute_affine(m.rotation, m.translation)
+    return coefficients_from_polynomial(p)
+
+
+@pytest.fixture(scope="module")
+def motion_cases():
+    """300 (coefficients, motion, oracle result): a0 not in {0, 1}, b != 0,
+    proper and improper rotations, the identity, and t = 0 among them."""
+    rng = random.Random(7)
+    cases = []
+    for i in range(300):
+        a0 = rand_fraction(rng)
+        while a0 in (0, 1):
+            a0 = rand_fraction(rng)
+        c = random_coefficients(rng, a0=a0, with_b=True)
+        while c.b == (0, 0, 0):
+            c = random_coefficients(rng, a0=a0, with_b=True)
+        rot = EuclideanMotion.identity() if i % 10 == 0 else \
+            random_rotation(rng, reflect=i % 2 == 1)
+        t = (frac(0),) * 3 if i % 7 == 0 else tuple(rand_fraction(rng) for _ in range(3))
+        m = EuclideanMotion(rot.rotation, t)
+        cases.append((c, m, _oracle(c, m)))
+    return cases
+
+
+class TestClosedFormMotion:
+    def test_exact_matches_substitution(self, motion_cases):
+        for c, m, want in motion_cases:
+            assert apply_motion(c, m) == want
+
+    def test_float_matches_substitution(self, motion_cases):
+        for c, m, want in motion_cases:
+            moved = EuclideanMotion(m.rotation, tuple(float(v) for v in m.translation))
+            got = apply_motion(c.to_float(), moved).astuple()
+            scale = max(abs(float(v)) for v in want.astuple())
+            assert all(isinstance(v, float) for v in got)
+            assert all(abs(g - float(w)) <= 1e-12 * scale
+                       for g, w in zip(got, want.astuple()))
+
+    def test_float_normalize_leaves_b_exactly_zero(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            c = DarbouxCoefficients.make(
+                a0=rng.uniform(0.1, 10) * rng.choice((-1, 1)),
+                b=[rng.uniform(-50, 50) for _ in range(3)],
+                c=[rng.uniform(-50, 50) for _ in range(3)],
+                d=[rng.uniform(-50, 50) for _ in range(3)],
+                e=[rng.uniform(-50, 50) for _ in range(3)],
+                f0=rng.uniform(-50, 50), exact=False)
+            n = normalize_quartic(c)
+            assert n.a0 == 1.0 and n.b == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("rows", [
+        ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+        ((Fraction(3, 5), Fraction(4, 5), 0), (Fraction(4, 5), Fraction(3, 5), 0),
+         (0, 0, 1)),
+    ])
+    def test_non_orthogonal_rotation_raises(self, rows):
+        m = EuclideanMotion.rotation_by([[frac(v) for v in r] for r in rows])
+        with pytest.raises(ShapeError):
+            apply_motion(TORUS21, m)
+
+
 class TestPermutations:
     def test_swap_12(self):
         c = DarbouxCoefficients.make(a0=0, c=(1, 2, 3), d=(4, 5, 6))

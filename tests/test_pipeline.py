@@ -1,8 +1,11 @@
 """End-to-end analysis prepares each input once: one normalization per
-quartic, one invariant bundle of the gauged copy shared by every stage, and
-one degree decision that depends neither on the scale of the equation nor,
-in exact mode, on whether the coefficients are ints or Fractions."""
+quartic, at most one Euclidean motion per input, one invariant bundle of the
+gauged copy shared by every stage, and one degree decision that depends
+neither on the scale of the equation nor, in exact mode, on whether the
+coefficients are ints or Fractions."""
+import importlib.util
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -11,7 +14,8 @@ import pytest
 from cyclide import (DarbouxCoefficients, canonical, classify, core, invariants,
                      pipeline, recognizer)
 from cyclide.errors import PreconditionError
-from cyclide.genkit import generate_quartic_dupin, random_quartic_seed
+from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin, random_motion,
+                            random_quartic_seed)
 from cyclide.recognizer import CUBIC, LINEAR, QUADRIC, QUARTIC, TolerancePolicy, prepare
 from cyclide.scalar import EXACT, FLOAT
 
@@ -59,6 +63,34 @@ def test_to_torus_prepares_each_quartic_once(mode, monkeypatch):
         # exact mode: the 12-generator cross-check is an independent oracle
         # and computes its own bundle of the same copy
         assert sum(b is work for b in bundles) == (2 if mode == EXACT else 1)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_to_torus_moves_each_input_at_most_once(mode, monkeypatch):
+    # the benchmark's core.apply_motion.calls span counts these calls
+    rng = random.Random(9)
+    moved = generate_quartic_dupin(random_quartic_seed(rng, smooth=True))
+    rotation = random_motion(rng, translate=False)
+    centred = generate_quartic_dupin(random_quartic_seed(rng, rotation, smooth=True))
+    cubic = generate_cubic_dupin(-2, 2, random_motion(rng))
+    assert moved.b != (0, 0, 0) and centred.b == (0, 0, 0)
+    calls = []
+    _record(monkeypatch, (core, canonical), "apply_motion", calls)
+    for c, want in ((moved, 1), (centred, 0), (cubic, 1)):
+        calls.clear()
+        report = pipeline.analyze(c if mode == EXACT else c.to_float(),
+                                  TolerancePolicy(mode), "to-torus")
+        assert report["kind"].startswith("Dupin") and "canonical" in report
+        assert len(calls) == want
+
+
+def test_every_tracer_target_resolves():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
 
 
 # one input per degree branch, each with a slot above its degree that is
