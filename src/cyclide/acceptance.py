@@ -80,12 +80,12 @@ def criterion_2_dispatch_vs_oracle() -> Tuple[bool, str]:
     for i in range(n):
         c = generate_quartic_dupin(random_quartic_seed(rng))
         prep = prepare(c, EXACT_POL)
-        a = recognize_quartic_cases(prep, EXACT_POL, cross_check=False)
+        a = recognize_quartic_cases(prep, EXACT_POL)
         b = recognize_quartic_oracle(prep, EXACT_POL)
         agree += a.is_dupin == b.is_dupin
         pos_ok += a.is_dupin and b.is_dupin
         bad = prepare(perturb_off_variety(c, rng), EXACT_POL)
-        a2 = recognize_quartic_cases(bad, EXACT_POL, cross_check=False)
+        a2 = recognize_quartic_cases(bad, EXACT_POL)
         b2 = recognize_quartic_oracle(bad, EXACT_POL)
         agree += a2.is_dupin == b2.is_dupin
         neg_ok += (not a2.is_dupin) and (not b2.is_dupin)
@@ -147,7 +147,7 @@ def criterion_5_j0_agreement_and_anchors() -> Tuple[bool, str]:
     dbl = prepare(DarbouxCoefficients.make(a0=1, c=(-2, -2, -2), f0=1), EXACT_POL)
     dbl_ok = j0_quartic(dbl, spectral_data(dbl, EXACT_POL), EXACT_POL).kind \
         == "minus_infinity"
-    w = willmore_energy(j0_quartic(torus, sd, EXACT_POL))
+    w = willmore_energy(j0_quartic(torus, sd, EXACT_POL), EXACT_POL)
     want = 4 * math.pi ** 2 / math.sqrt(3)
     willmore_ok = abs(w - want) <= 1e-12 * want
     ok = agree == n and torus_ok and cubic_ok and dbl_ok and willmore_ok
@@ -189,8 +189,6 @@ def criterion_6_classification_grid() -> Tuple[bool, str]:
             want = _figure_torus_label(spec.r_sq, spec.R_sq)
             assert spec.label() == want, (r2, R2)  # figure-logic source
             c = spec.coefficients(exact=True)
-            if c.is_zero():
-                continue  # r2 = R2 = 0 gives the zero polynomial... not here
             sd = spectral_data(prepare(c, EXACT_POL), EXACT_POL)
             got = classify_quartic(sd, EXACT_POL)
             if got != want:

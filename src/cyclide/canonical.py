@@ -20,7 +20,8 @@ from typing import Tuple
 
 from .core import (SIGMA12, SIGMA13, DarbouxCoefficients, EuclideanMotion,
                    apply_motion, apply_permutation)
-from .errors import ComplexRoots, Inconsistent, IrrationalSpectrum, ZeroCubicPart
+from .errors import (ComplexRoots, Inconsistent, IrrationalSpectrum, PreconditionError,
+                     ZeroCubicPart)
 from .invariants import base_invariants
 from .recognizer import Prepared, TolerancePolicy
 from .scalar import Scalar, exact_sqrt
@@ -106,8 +107,7 @@ def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
     }
     # a1 has weighted degree 2; at unit gauge a loose constant absorbs the
     # division noise of the guard branches
-    loose = TolerancePolicy(pol.mode, pol.tau_rel * 100) if not pol.exact else pol
-    bad = {k: v for k, v in residuals.items() if loose.nonzero(v)}
+    bad = {k: v for k, v in residuals.items() if pol.nonzero(v, 100)}
     if bad:
         raise Inconsistent(f"A1 system has no common solution: {bad}")
     return a1
@@ -122,21 +122,18 @@ def _a23_at_scale(prep: Prepared, a1: Scalar,
     p_lin = a1 - inv.C0
     q_const = inv.W1 - inv.C0 * a1 + a1 * a1
     disc = p_lin * p_lin - 4 * q_const
-    if pol.exact:
-        # messages give the discriminant (weight 4) at the caller's scale
-        if disc < 0:
+    if disc < 0:
+        if pol.nonzero(disc, 100 * max(1.0, p_lin * p_lin, abs(q_const))):
+            # messages give the discriminant (weight 4) at the caller's scale
             raise ComplexRoots(
                 f"negative discriminant {disc * prep.scale ** 4}: no real spectrum")
+        disc = 0.0  # float noise about a double root
+    if pol.exact:
         root = exact_sqrt(Fraction(disc))
         if root is None:
             raise IrrationalSpectrum(f"discriminant {disc * prep.scale ** 4} "
                                      "is not a perfect square; use float mode")
         return (-p_lin - root) / 2, (-p_lin + root) / 2
-    if disc < 0:
-        scale = max(1.0, p_lin * p_lin, abs(q_const))
-        if disc < -100 * pol.tau_rel * scale:
-            raise ComplexRoots(f"negative discriminant {disc}")
-        disc = 0.0
     root = math.sqrt(disc)
     if p_lin >= 0:
         r1 = (-p_lin - root) / 2
@@ -160,8 +157,7 @@ def spectral_data(prep: Prepared, pol: TolerancePolicy) -> SpectralData:
               "sym1": a1 + a2 + a3 - inv.C0,
               "sym2": a1 * a2 + a1 * a3 + a2 * a3 - inv.W1,
               "sym3": a1 * a2 * a3 - inv.W2}
-    loose = pol if pol.exact else TolerancePolicy(pol.mode, pol.tau_rel * 100)
-    bad = {k: v for k, v in checks.items() if loose.nonzero(v)}
+    bad = {k: v for k, v in checks.items() if pol.nonzero(v, 100)}
     if bad:
         raise Inconsistent(f"spectral closure failed: {bad}")
     k2 = prep.scale * prep.scale
@@ -210,8 +206,21 @@ def canonical_cubic_params(prep: Prepared,
                            pol: TolerancePolicy) -> CanonicalCubic:
     """Recenter, then read the pair from p+q = -C0_hat/(2 sqrt(B0)) and
     p q = -V/(4 B0) with V = C0_hat^2 - 4 W1_hat; ordered p <= q.  prep is a
-    prepared cubic; the pair is read from its raw coefficients."""
-    c = prep.raw
+    prepared cubic; the pair is read from its raw coefficients.  In float
+    mode a recentering that overflows, or leaves p, q or the shift
+    non-finite, raises PreconditionError."""
+    try:
+        params = _cubic_params(prep.raw, pol)
+        finite = pol.exact or all(map(math.isfinite, (params.p, params.q, *params.shift)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise PreconditionError(
+            "recentering the cubic leaves the float range; use exact mode")
+    return params
+
+
+def _cubic_params(c: DarbouxCoefficients, pol: TolerancePolicy) -> CanonicalCubic:
     shift = cubic_shift(c)
     recentered = apply_motion(c.replace(a0=0 * c.a0),
                               EuclideanMotion.translation_by(shift))
@@ -229,19 +238,16 @@ def canonical_cubic_params(prep: Prepared,
     v = inv.C0 ** 2 - 4 * inv.W1
     pprod = -v / (4 * inv.B0)
     disc = psum * psum - 4 * pprod
-    if pol.exact:
-        if disc < 0:
+    if disc < 0:
+        if pol.nonzero(disc, 100 * max(1.0, abs(pprod))):
             raise ComplexRoots(f"negative (p,q) discriminant {disc}")
+        disc = 0.0  # float noise about p = q
+    if pol.exact:
         root = exact_sqrt(Fraction(disc))
         if root is None:
             raise IrrationalSpectrum(
                 f"(p-q)^2 = {disc} is not a perfect square; use float mode")
     else:
-        if disc < 0:
-            scale = max(1.0, abs(float(pprod)))
-            if disc < -100 * pol.tau_rel * scale:
-                raise ComplexRoots(f"negative (p,q) discriminant {disc}")
-            disc = 0.0
         root = math.sqrt(disc)
     p = (psum - root) / 2
     q = (psum + root) / 2

@@ -81,21 +81,14 @@ def classify_quartic_report(sd: SpectralData,
     """(label, ambiguous): ambiguous flags a float equality decided within
     tolerance, i.e. the input sits on (or hugs) a stratification boundary."""
     s, t, u = _squares(sd)
-    if pol.exact:
-        def sgn(v):
-            return (v > 0) - (v < 0)
-        scale = 1
-    else:
-        scale = max(1.0, abs(float(s)), abs(float(t)), abs(float(u)))
+    scale = max(1.0, abs(s), abs(t), abs(u))
 
-        def sgn(v):
-            if abs(v) <= pol.tau_rel * scale:
-                return 0
-            return (v > 0) - (v < 0)
+    def sgn(v):
+        return 0 if pol.is_zero(v, scale) else (v > 0) - (v < 0)
 
-    ambiguous = (not pol.exact) and any(
-        0 < abs(float(v)) <= pol.tau_rel * scale
-        for v in (s - t, u - s, u - t, s, t, u))
+    # exact is_zero is literal, so only float mode can be ambiguous
+    ambiguous = any(v != 0 and pol.is_zero(v, scale)
+                    for v in (s - t, u - s, u - t, s, t, u))
 
     m1, m2 = (s, t) if sgn(s - t) <= 0 else (t, s)  # m1 = min, m2 = max
     if sgn(s) * sgn(t) * sgn(u) < 0:
@@ -199,13 +192,9 @@ def j0_quartic(prep: Prepared, sd: SpectralData,
     kinds = {v.kind for v in votes}
     if kinds == {J0_FINITE}:
         vals = [v.value for v in votes]
-        if pol.exact:
-            if len(set(vals)) != 1:
-                raise FormulaDisagreement(f"J0 formulas disagree: {vals}")
-            return J0Value.finite(vals[0])
         ref = vals[0]
-        tol = 1e4 * pol.tau_rel * max(1.0, abs(ref))
-        if any(abs(v - ref) > tol for v in vals[1:]):
+        # an int constant: no float conversion of an exact J0
+        if any(pol.nonzero(v - ref, 10_000 * max(1.0, abs(ref))) for v in vals[1:]):
             raise FormulaDisagreement(f"J0 formulas disagree: {vals}")
         return J0Value.finite(ref)
     if len(kinds) != 1:
@@ -245,13 +234,12 @@ def j0_cubic(prep: Prepared, pol: TolerancePolicy) -> J0Value:
     return _fraction_vote(num, den, pol)
 
 
-TWO_PI_SQ = 2 * math.pi ** 2
-
-
-def willmore_energy(j: J0Value):
+def willmore_energy(j: J0Value, pol: TolerancePolicy):
     """pi^2 / sqrt(J0) for finite positive J0 (2*pi^2 at the maximum 1/4);
     None marks the bending energy as not applicable (J0 <= 0 or no smooth
-    torus-type real surface)."""
-    if j.kind != J0_FINITE or j.value is None or j.value <= 0:
+    torus-type real surface).  J0 is scale-free, so a float J0 within the
+    policy's tolerance of 0 counts as 0."""
+    if (j.kind != J0_FINITE or j.value is None or j.value <= 0
+            or pol.is_zero(j.value)):
         return None
     return math.pi ** 2 / math.sqrt(float(j.value))

@@ -76,9 +76,6 @@ class DarbouxCoefficients:
     def e(self):
         return (self.e1, self.e2, self.e3)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.astuple())
-
     def is_exact(self) -> bool:
         return all(isinstance(v, (Fraction, int)) for v in self.astuple())
 

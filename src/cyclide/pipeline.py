@@ -36,7 +36,7 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
             report["class_ambiguous"] = True
         j0 = j0_quartic(prep, sd, pol)
         report["J0"] = scalar_json(j0.value) if j0.kind == "finite" else j0.kind
-        report["willmore"] = willmore_energy(j0)
+        report["willmore"] = willmore_energy(j0, pol)
         if want in ("canonicalize", "to-torus"):
             params = canonical_quartic_params(sd)
             report["canonical"] = {
@@ -66,7 +66,7 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
                                "shift": [scalar_json(v) for v in params.shift]}
         j0 = j0_cubic(prep, pol)
         report["J0"] = scalar_json(j0.value) if j0.kind == "finite" else j0.kind
-        report["willmore"] = willmore_energy(j0)
+        report["willmore"] = willmore_energy(j0, pol)
         return report
 
     if verdict.kind == DUPIN_QUADRIC:

@@ -6,15 +6,16 @@ A 12-generator oracle cross-checks every exact quartic case decision.
 
 `prepare` is the one place that decides an input's degree branch and gauges
 it; every stage after it, here and in `canonical` and `classify`, takes the
-`Prepared` form it builds and runs on its one gauged copy.  The branch is
-the highest degree with a nonzero slot, where a slot is zero when it is
-exactly zero (exact mode) or within tau_rel of the largest coefficient
-(float mode), so it does not depend on the scale of the equation.  Exact
-mode refuses float coefficients.  Exact quartics go onto the integer lattice:
+`Prepared` form it builds and runs on its one gauged copy.  Every zero
+test, here and in those stages, is a `TolerancePolicy.is_zero` call with
+the size its value is measured against.  The branch is the highest
+degree with a nonzero slot, measured against the largest coefficient, so it
+does not depend on the scale of the equation.  Exact mode refuses float
+coefficients.  Exact quartics go onto the integer lattice:
 every quantity is weighted-homogeneous, so a weighted rescale by the lcm lam
 of the coefficient denominators multiplies it by a nonzero power of lam and
 leaves each zero test unchanged, while the arithmetic runs on Python ints.
-Float quartics go to unit weighted sup-norm, so one tau_rel is scale-free;
+Float quartics go to unit weighted sup-norm, so one tolerance is scale-free;
 float cubics and quadrics are first divided by max |b| or max |c, d|.  Exact
 cubics and quadrics are used as given.
 """
@@ -52,12 +53,14 @@ RESIDUAL_WEIGHTS = {**GENERATOR_WEIGHTS,
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Zero-test authority.
+    """Zero-test authority: the only place tau_rel is compared.
 
-    Exact mode: zero means literal zero.  Float mode: a quantity of weighted
-    degree w is zero iff |value| <= tau_rel after the input has been
-    weighted-rescaled to unit weighted sup-norm; the recognizer performs that
-    rescale, so the test here reduces to a plain comparison with tau_rel.
+    Exact mode: zero means literal zero, whatever the scale.  Float mode:
+    value is zero iff |value| <= tau_rel * scale, where scale is the size
+    the value is measured against.  At unit gauge (`prepare` rescales every
+    float input to unit weighted sup-norm) that size is 1, the default;
+    callers testing a value off the gauge, or with a looser constant, pass
+    its scale and constant together as `scale`.
     """
 
     mode: str = EXACT
@@ -67,13 +70,13 @@ class TolerancePolicy:
     def exact(self) -> bool:
         return self.mode == EXACT
 
-    def is_zero(self, value: Scalar) -> bool:
+    def is_zero(self, value: Scalar, scale: Scalar = 1) -> bool:
         if self.exact:
             return value == 0
-        return abs(value) <= self.tau_rel
+        return abs(value) <= self.tau_rel * scale
 
-    def nonzero(self, value: Scalar) -> bool:
-        return not self.is_zero(value)
+    def nonzero(self, value: Scalar, scale: Scalar = 1) -> bool:
+        return not self.is_zero(value, scale)
 
     def div(self, num: Scalar, den: Scalar) -> Scalar:
         """num / den, as rationals in exact mode (int operands stay exact)."""
@@ -156,10 +159,10 @@ def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
             if not c.is_exact():
                 raise PreconditionError("exact mode requires int or Fraction coefficients")
             c = DarbouxCoefficients(*map(Fraction, vals))
-        zero = lambda v: v == 0
+        sup = 1
     else:
         sup = max(abs(float(v)) for v in vals)
-        zero = lambda v: abs(v) <= pol.tau_rel * sup
+    zero = lambda v: pol.is_zero(v, sup)
     if not zero(c.a0):
         cn = normalize_quartic(c)
         work, scale = _gauge(cn, pol, QUARTIC)
@@ -203,10 +206,9 @@ def _is_zero_point(cn: DarbouxCoefficients, original: DarbouxCoefficients,
     a0 = float(original.a0)
     divided = DarbouxCoefficients(*[float(v) / a0 for v in original.astuple()])
     s = max(weighted_sup_norm(divided), 1.0)
-    tau = pol.tau_rel
-    return (all(abs(float(v)) <= tau * s * s for v in (*cn.c, *cn.d))
-            and all(abs(float(v)) <= tau * s ** 3 for v in cn.e)
-            and abs(float(cn.f0)) <= tau * s ** 4)
+    return (all(pol.is_zero(float(v), s * s) for v in (*cn.c, *cn.d))
+            and all(pol.is_zero(float(v), s ** 3) for v in cn.e)
+            and pol.is_zero(float(cn.f0), s ** 4))
 
 
 def _first_witness(residuals: Dict[str, Scalar], pol: TolerancePolicy):
@@ -229,8 +231,7 @@ def _ungauge(verdict: Verdict, scale: Scalar, pol: TolerancePolicy) -> Verdict:
     return replace(verdict, residuals=residuals, witness=witness)
 
 
-def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy,
-                            cross_check: bool = True) -> Verdict:
+def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
     """First applicable case of the complete-intersection stratification.
 
     (a) e1 != 0: K2, K3, L1, M1.   (b) e2 != 0: K1, K3, L2, M2.
@@ -242,7 +243,7 @@ def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy,
     # dispatch == oracle is a theorem of the exact ideal; float noise shifts
     # the two test families differently near the variety, so the automatic
     # self-check runs in exact mode only
-    if cross_check and pol.exact:
+    if pol.exact:
         oracle = _oracle_verdict(p.work, pol)
         if oracle.is_dupin != verdict.is_dupin:
             raise InternalCheckError(
@@ -311,7 +312,7 @@ def _quartic_case_verdict(c: DarbouxCoefficients, pol: TolerancePolicy,
 def _near_e_zero(c: DarbouxCoefficients, pol: TolerancePolicy) -> bool:
     """True when every e_i is within 10^3*tau of zero: the axis guard is then
     borderline and the e = 0 strata are tried as a second route."""
-    return all(abs(float(v)) <= 1e3 * pol.tau_rel for v in c.e)
+    return all(pol.is_zero(float(v), 1e3) for v in c.e)
 
 
 def recognize_quartic_oracle(p: Prepared, pol: TolerancePolicy) -> Verdict:
@@ -334,14 +335,13 @@ def recognize_cubic(p: Prepared, pol: TolerancePolicy) -> Verdict:
     b0 = p.inv.B0
     names = ("4e1*B0^3-P1", "4e2*B0^3-P2", "4e3*B0^3-P3", "4f0*B0^4-Q")
     res = dict(zip(names, targets.residuals))
-    # cleared equalities, compared at the scale of their own clearing factor:
+    # cleared equalities, measured against their own clearing factor:
     # |lhs - rhs| <= tau * max(4 B0^k, |lhs|, |rhs|) is the relative test of
     # the uncleared equality, evaluated without a division
     floors = (4 * b0 ** 3,) * 3 + (4 * b0 ** 4,)
     witness = None
     for name, (lhs, rhs), floor in zip(names, targets.cleared_pairs, floors):
-        scale = 1 if pol.exact else max(abs(floor), abs(lhs), abs(rhs))
-        if pol.nonzero((lhs - rhs) / scale):
+        if pol.nonzero(lhs - rhs, max(abs(floor), abs(lhs), abs(rhs))):
             witness = (name, lhs - rhs)
             break
     if witness is None:

@@ -14,6 +14,7 @@ from cyclide.classify import J0Value
 from cyclide.genkit import (canonical_quartic_coefficients,
                             generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed)
+from cyclide.pipeline import analyze
 
 
 def j0_of(c, pol):
@@ -187,15 +188,38 @@ class TestJ0Cubic:
 
 
 class TestWillmore:
-    def test_maximum(self):
-        assert willmore_energy(J0Value.finite(Fraction(1, 4))) \
+    def test_maximum(self, pol):
+        assert willmore_energy(J0Value.finite(Fraction(1, 4)), pol) \
             == pytest.approx(2 * math.pi ** 2)
 
-    def test_torus_value(self):
-        got = willmore_energy(J0Value.finite(Fraction(3, 16)))
+    def test_torus_value(self, pol):
+        got = willmore_energy(J0Value.finite(Fraction(3, 16)), pol)
         assert got == pytest.approx(4 * math.pi ** 2 / math.sqrt(3), rel=1e-12)
 
-    def test_not_applicable(self):
-        assert willmore_energy(J0Value.minus_infinity()) is None
-        assert willmore_energy(J0Value.undefined()) is None
-        assert willmore_energy(J0Value.finite(Fraction(-1, 2))) is None
+    def test_not_applicable(self, pol):
+        assert willmore_energy(J0Value.minus_infinity(), pol) is None
+        assert willmore_energy(J0Value.undefined(), pol) is None
+        assert willmore_energy(J0Value.finite(Fraction(-1, 2)), pol) is None
+        assert willmore_energy(J0Value.finite(Fraction(0)), pol) is None
+
+    def test_float_zero_within_tolerance(self, fpol):
+        # J0 is scale-free: a float J0 of rounding size is J0 = 0
+        assert willmore_energy(J0Value.finite(2e-16), fpol) is None
+        assert willmore_energy(J0Value.finite(1e-9), fpol) is None
+        assert willmore_energy(J0Value.finite(2e-9), fpol) \
+            == pytest.approx(math.pi ** 2 / math.sqrt(2e-9))
+
+    def test_float_agrees_with_exact_on_a_j0_zero_cubic(self, pol, fpol):
+        # the (p, q) = (-3, 0) horn cubic of `cyclide generate --seed 7`,
+        # row 27: J0 = 0 exactly, and float J0 is rounding noise about 0
+        f = Fraction
+        c = DarbouxCoefficients.make(
+            a0=0, b=(f(6, 11), f(-6, 11), f(-7, 11)),
+            c=(f(375, 121), f(12, 121), f(339, 121)),
+            d=(f(135, 121), f(-14, 121), f(-12, 121)),
+            e=(f(3, 22), f(-3, 22), f(-7, 44)))
+        exact = analyze(c, pol)
+        assert (exact["class"], exact["J0"], exact["willmore"]) == ("H", 0, None)
+        got = analyze(c.to_float(), fpol)
+        assert got["class"] == "H" and abs(got["J0"]) <= 1e-9
+        assert got["willmore"] is None

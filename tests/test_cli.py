@@ -72,6 +72,27 @@ class TestExitCodes:
         assert captured.err.startswith("cyclide: input error:")
         assert "finite" in captured.err
 
+    # huge finite cubics: the recentering overflows (1e100), or gives NaN
+    # p, q and shift (1e200); each line carries a typed error and strict JSON
+    @pytest.mark.parametrize("row", [
+        '{"a0":1,"b1":1e100,"c1":-10,"c2":-10,"c3":6,"f0":9}',
+        '{"a0":1,"b1":1e200,"c1":-10,"c2":-10,"c3":6,"f0":9}',
+        '{"b1":1e200,"c2":-2e200,"c3":2e200,"e1":-1e200}'],
+        ids=["overflow", "nan-pair", "nan-class"])
+    @pytest.mark.parametrize("verb", ["classify", "to-torus"])
+    def test_float_cubic_beyond_range(self, verb, row, capsys):
+        assert main([verb, "--float", row]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert report == {"error": "PreconditionError: recentering the cubic "
+                                   "leaves the float range; use exact mode"}
+
+    def test_huge_cubic_is_exact_in_exact_mode(self, capsys):
+        code, rows = run_cli(["classify", "--exact", '{"b1":"1e200","c2":"-2e200",'
+                              '"c3":"2e200","e1":"-1e200"}'], capsys)
+        assert code == 0 and rows[0]["class"] == "SM"
+        assert (rows[0]["canonical"]["p"], rows[0]["canonical"]["q"]) == (-2, 2)
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_tol_flag(self, tol, capsys):
         assert main(["recognize", "--float", "--tol", tol, TORUS_JSON]) == 2

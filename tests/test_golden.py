@@ -1,13 +1,21 @@
 """Golden output: the exact-mode stdout of the CLI on the 400-row mixed
-corpus, pinned by sha256.
+corpus, pinned by sha256, and the decisions of `to-torus --float` on it.
 
 A refactor that changes any byte of `generate`, `recognize` or
 `canonicalize` (which carries the class and J0 fields) fails here.  Float
-mode and `to-torus` are left out: their `weighted_sup_norm` powers and map
-values come from libm and may differ across platforms.  When an output is
-meant to change, state the change and re-pin its digest.
+values are left out: their `weighted_sup_norm` powers and map values come
+from libm and may differ across platforms.  Float decisions are pinned
+instead: per row the kind, case, class, `class_ambiguous`, the type of a
+top-level error, and whether `torus` and `map` carry an error.  Those
+nested errors print no type, so their message with its numbers masked
+stands for it.  The boundary rows of the corpus are decided on rounding
+noise, so this digest also pins the rounding of the host it was taken on
+(x86-64 Linux, CPython 3.11).  When an output or a decision is meant to
+change, state the change and re-pin its digest.
 """
 import hashlib
+import json
+import re
 
 import pytest
 
@@ -42,3 +50,31 @@ def test_exact_stdout_is_pinned(verb, capsys, tmp_path):
         out = stdout_of([verb, "--exact", str(path)], capsys)
     assert len(out.splitlines()) == 400
     assert sha256(out) == DIGESTS[verb]
+
+
+FLOAT_DECISIONS = "d4675df7d9fd352c5346cfaec1a65dbcf09143ae145276b5c612f6efd77e7bce"
+
+
+def _error_kind(error):
+    return re.sub(r"-?\d+(\.\d*)?(e[-+]?\d+)?j?", "#", error)
+
+
+def decisions(line: str) -> list:
+    """The decision fields of one `to-torus --float` row, values left out."""
+    report = json.loads(line)
+    error = report.get("error")
+    row = [report.get("kind"), report.get("case"), report.get("class"),
+           report.get("class_ambiguous", False),
+           error and error.split(":", 1)[0]]
+    for stage in ("torus", "map"):
+        part = report.get(stage)
+        row.append(part if part is None else _error_kind(part.get("error", "")))
+    return row
+
+
+def test_float_decisions_are_pinned(capsys, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(stdout_of(CORPUS, capsys), encoding="utf-8")
+    out = stdout_of(["to-torus", "--float", str(path)], capsys).splitlines()
+    assert len(out) == 400
+    assert sha256(json.dumps([decisions(line) for line in out])) == FLOAT_DECISIONS

@@ -116,7 +116,7 @@ class TestOracle:
             else:
                 c = random_coefficients(rng, with_b=True)
             prep = prepare(c, pol)
-            a = recognize_quartic_cases(prep, pol, cross_check=False).is_dupin
+            a = recognize_quartic_cases(prep, pol).is_dupin
             b = recognize_quartic_oracle(prep, pol).is_dupin
             assert a == b
             agree += 1
@@ -247,6 +247,36 @@ class TestInvariances:
             c = generate_quartic_dupin(random_quartic_seed(rng))
             lam = rand_fraction(rng, 1, 5, 2)
             assert recognize(weighted_rescale(c, lam), pol).is_dupin
+
+
+class TestPolicyContract:
+    """`TolerancePolicy.is_zero(value, scale)`: literal in exact mode, and
+    |value| <= tau_rel * scale in float mode, equality counting as zero."""
+
+    def test_exact_ignores_scale(self, pol):
+        for scale in (1, Fraction(1, 10 ** 30), 10 ** 30, 0):
+            assert pol.is_zero(0, scale) and pol.is_zero(Fraction(0), scale)
+            assert not pol.is_zero(Fraction(1, 10 ** 40), scale)
+            assert pol.nonzero(Fraction(-1, 10 ** 40), scale)
+
+    def test_float_threshold_is_tau_times_scale(self):
+        fpol = TolerancePolicy(FLOAT, 0.5)  # tau * scale exact in binary
+        for scale in (1, 4.0, 0.25):
+            edge = 0.5 * scale
+            assert fpol.is_zero(edge, scale) and fpol.is_zero(-edge, scale)
+            above = math.nextafter(edge, math.inf)
+            assert fpol.nonzero(above, scale) and fpol.nonzero(-above, scale)
+        assert fpol.is_zero(0.0, 0) and fpol.nonzero(1e-300, 0)
+
+    def test_nonzero_is_the_negation(self, fpol):
+        for v in (0.0, 1e-10, 1e-9, 2e-9, -3e-7, 1.0):
+            for scale in (1, 1e-3, 1e3):
+                assert fpol.nonzero(v, scale) is (not fpol.is_zero(v, scale))
+
+    def test_default_scale_is_the_plain_tolerance(self, fpol):
+        for v in (0.0, 5e-10, -1e-9, 1e-9, math.nextafter(1e-9, 1.0), -2e-9):
+            assert fpol.is_zero(v) is (abs(v) <= fpol.tau_rel)
+            assert fpol.is_zero(v) is fpol.is_zero(v, 1)
 
 
 class TestFloatPolicy:
