@@ -329,11 +329,9 @@ CRITERIA = (
 )
 
 
-def run_all(verbose: bool = False, only: int | None = None) -> List[CriterionResult]:
+def run_all(verbose: bool = False) -> List[CriterionResult]:
     results = []
     for index, name, fn, budget in CRITERIA:
-        if only is not None and index != only:
-            continue
         t0 = time.perf_counter()
         try:
             passed, detail = fn()

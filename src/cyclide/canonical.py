@@ -5,9 +5,9 @@ e when e != 0), the remaining pair (A2, A3), and the squared canonical
 parameters (alpha^2, gamma^2, delta^2, alpha*gamma*delta).  Cubics: the
 recentering shift and the parameter pair (p, q).
 
-Every stage takes the `Prepared` form of its input (`recognizer.prepare`).
-Quartics are worked at its gauge and scaled back, so float tolerance checks
-are scale-free; cubics are read from its raw coefficients.  Exact mode stays
+Every stage takes the `Prepared` form of its input (`recognizer.prepare`),
+works at its gauge and scales back, so float tolerance checks are
+scale-free and exact arithmetic starts on the integer lattice.  Exact mode stays
 closed over the rationals and demands perfect-square discriminants
 (generator-produced inputs always satisfy this).
 """
@@ -20,9 +20,8 @@ from typing import Tuple
 
 from .core import (SIGMA12, SIGMA13, DarbouxCoefficients, EuclideanMotion,
                    apply_motion, apply_permutation)
-from .errors import (ComplexRoots, Inconsistent, IrrationalSpectrum, PreconditionError,
-                     ZeroCubicPart)
-from .invariants import base_invariants
+from .errors import ComplexRoots, Inconsistent, IrrationalSpectrum
+from .invariants import InvariantBundle, base_invariants
 from .recognizer import Prepared, TolerancePolicy
 from .scalar import Scalar, exact_sqrt
 
@@ -184,71 +183,52 @@ def canonical_quartic_params(s: SpectralData) -> CanonicalQuartic:
                             delta_sq=delta_sq, agd=agd)
 
 
-def cubic_shift(c: DarbouxCoefficients) -> Tuple[Scalar, Scalar, Scalar]:
+def cubic_shift(c: DarbouxCoefficients, inv: InvariantBundle,
+                pol: TolerancePolicy) -> Tuple[Scalar, Scalar, Scalar]:
     """Recentering translation for a cubic: applying a pure translation by
     this vector removes the shift the surface carries (B0-homogenized closed
-    form of the per-axis solution, odd under the index permutations)."""
-    if base_invariants(c).B0 == 0:
-        raise ZeroCubicPart("B0 = 0")
-
+    form of the per-axis solution, odd under the index permutations).
+    inv = base_invariants(c); it serves the permuted copies too."""
     def t_formula(cc: DarbouxCoefficients) -> Scalar:
-        i = base_invariants(cc)
-        return ((-cc.b1 * cc.c2 - cc.b1 * cc.c3 + cc.b2 * cc.d3 + cc.b3 * cc.d2)
-                / (2 * i.B0) + cc.b1 * i.W3 / (2 * i.B0 ** 2))
+        return (pol.div(-cc.b1 * cc.c2 - cc.b1 * cc.c3 + cc.b2 * cc.d3 + cc.b3 * cc.d2,
+                        2 * inv.B0)
+                + pol.div(cc.b1 * inv.W3, 2 * inv.B0 ** 2))
 
-    t1 = t_formula(c)
-    t2 = t_formula(apply_permutation(c, SIGMA12))
-    t3 = t_formula(apply_permutation(c, SIGMA13))
-    return (-t1, -t2, -t3)
+    return tuple(-t_formula(cc) for cc in
+                 (c, apply_permutation(c, SIGMA12), apply_permutation(c, SIGMA13)))
 
 
 def canonical_cubic_params(prep: Prepared,
                            pol: TolerancePolicy) -> CanonicalCubic:
     """Recenter, then read the pair from p+q = -C0_hat/(2 sqrt(B0)) and
     p q = -V/(4 B0) with V = C0_hat^2 - 4 W1_hat; ordered p <= q.  prep is a
-    prepared cubic; the pair is read from its raw coefficients.  In float
-    mode a recentering that overflows, or leaves p, q or the shift
-    non-finite, raises PreconditionError."""
-    try:
-        params = _cubic_params(prep.raw, pol)
-        finite = pol.exact or all(map(math.isfinite, (params.p, params.q, *params.shift)))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise PreconditionError(
-            "recentering the cubic leaves the float range; use exact mode")
-    return params
-
-
-def _cubic_params(c: DarbouxCoefficients, pol: TolerancePolicy) -> CanonicalCubic:
-    shift = cubic_shift(c)
-    recentered = apply_motion(c.replace(a0=0 * c.a0),
-                              EuclideanMotion.translation_by(shift))
-    inv = base_invariants(recentered)
-    if inv.B0 == 0:
-        raise ZeroCubicPart("B0 = 0")
+    prepared cubic; p, q and the shift (weight 1) are worked at its gauge
+    and scaled back."""
+    work, k = prep.work, prep.scale
+    shift = cubic_shift(work, prep.inv, pol)
+    inv = base_invariants(apply_motion(work, EuclideanMotion.translation_by(shift)))
     if pol.exact:
-        lam = exact_sqrt(Fraction(inv.B0))
-        if lam is None:
+        root_b0 = exact_sqrt(Fraction(inv.B0))
+        if root_b0 is None:
             raise IrrationalSpectrum(
-                f"B0 = {inv.B0} is not a perfect square; use float mode")
+                f"B0 = {inv.B0 * k ** 2} is not a perfect square; use float mode")
     else:
-        lam = math.sqrt(float(inv.B0))
-    psum = -inv.C0 / (2 * lam)
-    v = inv.C0 ** 2 - 4 * inv.W1
-    pprod = -v / (4 * inv.B0)
+        root_b0 = math.sqrt(inv.B0)
+    psum = pol.div(-inv.C0, 2 * root_b0)
+    pprod = pol.div(4 * inv.W1 - inv.C0 ** 2, 4 * inv.B0)
     disc = psum * psum - 4 * pprod
-    if disc < 0:
-        if pol.nonzero(disc, 100 * max(1.0, abs(pprod))):
-            raise ComplexRoots(f"negative (p,q) discriminant {disc}")
-        disc = 0.0  # float noise about p = q
+    # p = q decided on the discriminant, whatever the sign of its noise;
+    # messages give (p-q)^2 (weight 2) at the caller's scale
+    if pol.is_zero(disc, 100 * max(1, psum * psum, abs(pprod))):
+        disc = 0
+    elif disc < 0:
+        raise ComplexRoots(f"negative (p,q) discriminant {disc * k ** 2}")
     if pol.exact:
         root = exact_sqrt(Fraction(disc))
         if root is None:
             raise IrrationalSpectrum(
-                f"(p-q)^2 = {disc} is not a perfect square; use float mode")
+                f"(p-q)^2 = {disc * k ** 2} is not a perfect square; use float mode")
     else:
         root = math.sqrt(disc)
-    p = (psum - root) / 2
-    q = (psum + root) / 2
-    return CanonicalCubic(p=p, q=q, shift=shift)
+    return CanonicalCubic(p=(psum - root) / 2 * k, q=(psum + root) / 2 * k,
+                          shift=tuple(v * k for v in shift))

@@ -57,8 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--count", type=int, default=1)
     g.add_argument("--kind", choices=("quartic", "cubic", "mixed"), default="quartic")
 
-    s = sub.add_parser("selftest", help="run the acceptance criteria")
-    add_common(s)
+    sub.add_parser("selftest", help="run the acceptance criteria")
     return parser
 
 
@@ -179,7 +178,7 @@ def _motion_json(m) -> dict:
             "translation": [format_scalar(v) for v in m.translation]}
 
 
-def _run_selftest(args) -> int:
+def _run_selftest() -> int:
     from .acceptance import run_all
     results = run_all(verbose=True)
     return 0 if all(r.passed for r in results) else 1
@@ -190,7 +189,7 @@ def main(argv=None) -> int:
     if args.verb == "generate":
         return _run_generate(args)
     if args.verb == "selftest":
-        return _run_selftest(args)
+        return _run_selftest()
     return _run_analysis(args)
 
 

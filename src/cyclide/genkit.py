@@ -16,8 +16,8 @@ from .canonical import spectral_data
 from .classify import SurfaceClass, classify_quartic
 from .core import (DarbouxCoefficients, EuclideanMotion, apply_motion,
                    polynomial_from_coefficients, weighted_rescale)
-from .errors import (IrrationalSpectrum, NoRealPoints, PreconditionError,
-                     SeedInvariantViolation)
+from .errors import (CyclideError, InternalCheckError, IrrationalSpectrum,
+                     NoRealPoints, PreconditionError, SeedInvariantViolation)
 from .recognizer import TolerancePolicy, recognize
 from .scalar import EXACT, FLOAT, exact_sqrt
 
@@ -156,7 +156,9 @@ def perturb_off_variety(c: DarbouxCoefficients, rng: random.Random,
         try:
             if not recognize(cand, pol).is_dupin:
                 return cand
-        except Exception:
+        except InternalCheckError:
+            raise
+        except CyclideError:
             continue
     raise PreconditionError(f"could not leave the variety in {max_attempts} attempts")
 

@@ -148,19 +148,17 @@ def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle
 class CubicTargets:
     """Rational targets that cut out Dupin cyclides among cubics.
 
-    The surface is Dupin iff 4*e_i = E_i (i = 1,2,3) and f0 = f0_target.
-    Values are exact fractions for rational input; numerators are the cleared
-    forms over B0^3 (E) and 4*B0^4 (f0)."""
+    The surface is Dupin iff 4*e_i = P_i/B0^3 (i = 1,2,3) and
+    f0 = Q/(4*B0^4).  Each equality is kept cleared of its B0 power, as the
+    pair (lhs, rhs) = (4*e_i*B0^3, P_i) or (4*f0*B0^4, Q), so no division
+    is made."""
 
-    E1: Scalar
-    E2: Scalar
-    E3: Scalar
-    f0_target: Scalar
-    # cleared residuals 4*e_i*B0^3 - P_i  and  4*f0*B0^4 - Q, used for the
-    # division-free Dupin test (weighted degrees 9, 9, 9, 12)
-    residuals: Tuple[Scalar, Scalar, Scalar, Scalar]
-    # the two sides of each cleared equality, for relative float comparison
-    cleared_pairs: Tuple[Tuple[Scalar, Scalar], ...] = ()
+    cleared_pairs: Tuple[Tuple[Scalar, Scalar], ...]
+
+    @property
+    def residuals(self) -> Tuple[Scalar, ...]:
+        """lhs - rhs of each pair: weighted degrees 9, 9, 9, 12."""
+        return tuple(lhs - rhs for lhs, rhs in self.cleared_pairs)
 
 
 def _e_numerator(b, c, d, B0) -> Scalar:
@@ -180,8 +178,8 @@ def _e_numerator(b, c, d, B0) -> Scalar:
 
 
 def cubic_forms(c: DarbouxCoefficients, inv: InvariantBundle) -> CubicTargets:
-    """E1, sigma12 E1, sigma13 E1 and the f0 target, with denominators that
-    are powers of B0 (exact over the rationals); inv = base_invariants(c)."""
+    """The cleared pairs of 4e1, 4e2, 4e3 (sigma12 and sigma13 images of the
+    first) and f0 against their targets; inv = base_invariants(c)."""
     if c.a0 != 0:
         raise PreconditionError("cubic forms require a0 = 0")
     if inv.B0 == 0:
@@ -201,15 +199,8 @@ def cubic_forms(c: DarbouxCoefficients, inv: InvariantBundle) -> CubicTargets:
          + B0 ** 3 * (inv.W2 - inv.C0 * inv.W1))
     B3 = B0 ** 3
     B4 = B3 * B0
-    return CubicTargets(
-        E1=p1 / B3, E2=p2 / B3, E3=p3 / B3,
-        f0_target=q / (4 * B4),
-        residuals=(4 * c.e1 * B3 - p1,
-                   4 * c.e2 * B3 - p2,
-                   4 * c.e3 * B3 - p3,
-                   4 * c.f0 * B4 - q),
-        cleared_pairs=((4 * c.e1 * B3, p1), (4 * c.e2 * B3, p2),
-                       (4 * c.e3 * B3, p3), (4 * c.f0 * B4, q)))
+    return CubicTargets(cleared_pairs=((4 * c.e1 * B3, p1), (4 * c.e2 * B3, p2),
+                                       (4 * c.e3 * B3, p3), (4 * c.f0 * B4, q)))
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,12 @@ test, here and in those stages, is a `TolerancePolicy.is_zero` call with
 the size its value is measured against.  The branch is the highest
 degree with a nonzero slot, measured against the largest coefficient, so it
 does not depend on the scale of the equation.  Exact mode refuses float
-coefficients.  Exact quartics go onto the integer lattice:
+coefficients.  Exact inputs of every degree go onto the integer lattice:
 every quantity is weighted-homogeneous, so a weighted rescale by the lcm lam
 of the coefficient denominators multiplies it by a nonzero power of lam and
 leaves each zero test unchanged, while the arithmetic runs on Python ints.
-Float quartics go to unit weighted sup-norm, so one tolerance is scale-free;
-float cubics and quadrics are first divided by max |b| or max |c, d|.  Exact
-cubics and quadrics are used as given.
+Float inputs go to unit weighted sup-norm, so one tolerance is scale-free;
+float cubics and quadrics are first divided by max |b| or max |c, d|.
 """
 from __future__ import annotations
 
@@ -43,12 +42,17 @@ DEGENERATE = "DegenerateInput"
 # degree branches of a prepared input
 QUARTIC, CUBIC, QUADRIC, LINEAR = "quartic", "cubic", "quadric", "linear"
 
-# weighted degree of every residual a quartic verdict can report, under
-# wd(b)=1, wd(c)=wd(d)=2, wd(e)=3, wd(f0)=4: the K, L, M forms of cases (a)-(c)
-# and the N generators of the oracle, then the e = 0 residuals of (d)-(f)
+# weighted degree of every residual a verdict can report, under wd(b)=1,
+# wd(c)=wd(d)=2, wd(e)=3, wd(f0)=4: the K, L, M forms of cases (a)-(c) and
+# the N generators of the oracle, then the e = 0 residuals of (d)-(f)
 RESIDUAL_WEIGHTS = {**GENERATOR_WEIGHTS,
                     "W1+4f0": 4, "W2-C0W1": 6, "Y0": 8, "Y1": 8,
-                    "W1+3f0": 4, "(W2-C0W1)^2-4f0^3": 12}
+                    "W1+3f0": 4, "(W2-C0W1)^2-4f0^3": 12,
+                    # the cleared cubic equalities and the quadric forms
+                    "4e1*B0^3-P1": 9, "4e2*B0^3-P2": 9, "4e3*B0^3-P3": 9,
+                    "4f0*B0^4-Q": 12,
+                    **dict.fromkeys(("S0", "S1", "S12", "S13", "T1", "T12", "T13"), 6),
+                    "detPhat": 10}
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,11 @@ class TolerancePolicy:
 class Prepared:
     """One input, prepared once by `prepare` for every stage: `raw` is the
     input (as Fractions in exact mode), `normalized` is normalize_quartic(raw)
-    for a quartic, `work` the gauged copy every zero test runs on and `inv`
-    its invariant bundle.  A quartic quantity of weighted degree w is its
-    value on work times scale**w on `normalized`."""
+    for a quartic, `work` the gauged copy every stage runs on and `inv` its
+    invariant bundle.  A quantity of weighted degree w is its value on work
+    times scale**w on `normalized` for a quartic; on `raw` for an exact
+    cubic or quadric, and on `raw` divided by max |b| or max |c, d| for a
+    float one."""
 
     raw: DarbouxCoefficients
     branch: str
@@ -127,10 +133,10 @@ def _gauge(c: DarbouxCoefficients, pol: TolerancePolicy,
            branch: str) -> Tuple[DarbouxCoefficients, Scalar]:
     """(working copy, scale) of a normalized quartic, or of a cubic or
     quadric whose higher slots are zero under the policy; see the module
-    docstring.  A cubic or quadric scale omits the first division."""
+    docstring.  Exact mode has one rule for every branch: the weighted
+    rescale onto the integer lattice, scale 1/lam.  A float cubic or quadric
+    scale omits the first division."""
     if pol.exact:
-        if branch != QUARTIC:
-            return c, 1
         lam = math.lcm(*(v.denominator for v in c.astuple()))
         lattice = weighted_rescale(c, lam).astuple()
         return DarbouxCoefficients(*[int(v) for v in lattice]), Fraction(1, lam)
@@ -150,7 +156,8 @@ def _gauge(c: DarbouxCoefficients, pol: TolerancePolicy,
 
 def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
     """Degree branch, normalization, gauge and invariant bundle of one input.
-    Exact mode takes int or Fraction coefficients and works on Fractions."""
+    Exact mode takes int or Fraction coefficients and works on the integer
+    lattice."""
     vals = c.astuple()
     if all(v == 0 for v in vals):
         raise ZeroInput("all fourteen coefficients vanish")
@@ -219,7 +226,7 @@ def _first_witness(residuals: Dict[str, Scalar], pol: TolerancePolicy):
 
 
 def _ungauge(verdict: Verdict, scale: Scalar, pol: TolerancePolicy) -> Verdict:
-    """Exact residuals and witness back at the normalized scale: a residual
+    """Exact residuals and witness back at the caller's scale: a residual
     of weight w is divided by lam^w (scale = 1/lam).  Float residuals are
     reported at the gauge."""
     if not pol.exact:
@@ -344,9 +351,9 @@ def recognize_cubic(p: Prepared, pol: TolerancePolicy) -> Verdict:
         if pol.nonzero(lhs - rhs, max(abs(floor), abs(lhs), abs(rhs))):
             witness = (name, lhs - rhs)
             break
-    if witness is None:
-        return Verdict(kind=DUPIN_CUBIC, case_label="none", residuals=res)
-    return Verdict(kind=NOT_DUPIN, case_label="none", witness=witness, residuals=res)
+    kind = DUPIN_CUBIC if witness is None else NOT_DUPIN
+    return _ungauge(Verdict(kind=kind, case_label="none", witness=witness,
+                            residuals=res), p.scale, pol)
 
 
 def recognize_quadric(p: Prepared, pol: TolerancePolicy) -> Verdict:
@@ -364,12 +371,15 @@ def recognize_quadric(p: Prepared, pol: TolerancePolicy) -> Verdict:
     rotational = all(pol.is_zero(v) for v in st.values())
     singular = pol.is_zero(forms.det_phat)
     if rotational and singular:
-        return Verdict(kind=DUPIN_QUADRIC, case_label="none", residuals=res,
-                       notes=["rotational", "singular"])
-    if rotational:
-        return Verdict(kind=NOT_DUPIN, case_label="none",
-                       witness=("detPhat", forms.det_phat), residuals=res,
-                       notes=["smooth rotational quadric"])
-    return Verdict(kind=NOT_DUPIN, case_label="none", witness=_first_witness(st, pol),
-                   residuals=res,
-                   notes=["singular" if singular else "nonsingular", "not rotational"])
+        verdict = Verdict(kind=DUPIN_QUADRIC, case_label="none", residuals=res,
+                          notes=["rotational", "singular"])
+    elif rotational:
+        verdict = Verdict(kind=NOT_DUPIN, case_label="none",
+                          witness=("detPhat", forms.det_phat), residuals=res,
+                          notes=["smooth rotational quadric"])
+    else:
+        verdict = Verdict(kind=NOT_DUPIN, case_label="none",
+                          witness=_first_witness(st, pol), residuals=res,
+                          notes=["singular" if singular else "nonsingular",
+                                 "not rotational"])
+    return _ungauge(verdict, p.scale, pol)

@@ -1,5 +1,6 @@
 """Real-point taxonomy and the Moebius invariant J0."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,22 @@ class TestClassifyCubic:
         assert classify_cubic(Fraction(1), Fraction(2), pol) == SurfaceClass.SPINDLE
         assert classify_cubic(Fraction(0), Fraction(0), pol) \
             == SurfaceClass.PLANE_AND_POINT
+
+    def test_float_class_matches_exact_on_generated_cubics(self, pol, fpol):
+        # the pairs p = q, p = 0, q = -p and a generic one, randomly moved,
+        # with every coefficient times 10^k for k in -6..6
+        rng = random.Random(17)
+        wrong = []
+        for i in range(78):
+            v, w = rand_fraction(rng), rand_fraction(rng)
+            k = Fraction(10) ** (i % 13 - 6)
+            for pair in ((v, v), (0, v), (v, -v), (v, w)):
+                c = generate_cubic_dupin(*pair, random_motion(rng)).scale(k)
+                want = analyze(c, pol)["class"]
+                got = analyze(c.to_float(), fpol).get("class")
+                if got != want:
+                    wrong.append((pair, k, want, got))
+        assert wrong == []
 
 
 class TestJ0Quartic:

@@ -72,26 +72,34 @@ class TestExitCodes:
         assert captured.err.startswith("cyclide: input error:")
         assert "finite" in captured.err
 
-    # huge finite cubics: the recentering overflows (1e100), or gives NaN
-    # p, q and shift (1e200); each line carries a typed error and strict JSON
-    @pytest.mark.parametrize("row", [
-        '{"a0":1,"b1":1e100,"c1":-10,"c2":-10,"c3":6,"f0":9}',
-        '{"a0":1,"b1":1e200,"c1":-10,"c2":-10,"c3":6,"f0":9}',
-        '{"b1":1e200,"c2":-2e200,"c3":2e200,"e1":-1e200}'],
-        ids=["overflow", "nan-pair", "nan-class"])
+    # huge and tiny finite cubics: a huge b over a quartic remainder below
+    # tolerance (1e100, 1e200), and the 1e200 and 1e-200 multiples of
+    # CUBIC22, whose recentering at their own scale overflows or underflows;
+    # worked at the gauge, each gives strict JSON and no error, and the
+    # CUBIC22 multiples give the exact class and (p, q)
+    @pytest.mark.parametrize("row, pair", [
+        ('{"a0":1,"b1":1e100,"c1":-10,"c2":-10,"c3":6,"f0":9}', None),
+        ('{"a0":1,"b1":1e200,"c1":-10,"c2":-10,"c3":6,"f0":9}', None),
+        ('{"b1":1e200,"c2":-2e200,"c3":2e200,"e1":-1e200}', (-2, 2)),
+        ('{"b1":1e-200,"c2":-2e-200,"c3":2e-200,"e1":-1e-200}', (-2, 2))],
+        ids=["overflow", "nan-pair", "nan-class", "underflow"])
     @pytest.mark.parametrize("verb", ["classify", "to-torus"])
-    def test_float_cubic_beyond_range(self, verb, row, capsys):
+    def test_float_cubic_beyond_range(self, verb, row, pair, capsys):
         assert main([verb, "--float", row]) == 0
         out = capsys.readouterr().out
         report = json.loads(out, parse_constant=pytest.fail)
-        assert report == {"error": "PreconditionError: recentering the cubic "
-                                   "leaves the float range; use exact mode"}
+        assert "error" not in report and report["kind"] == "DupinCubic"
+        if pair is not None:
+            assert report["class"] == "SM"
+            got = (report["canonical"]["p"], report["canonical"]["q"])
+            assert got == pytest.approx(pair, rel=1e-12)
 
     def test_huge_cubic_is_exact_in_exact_mode(self, capsys):
-        code, rows = run_cli(["classify", "--exact", '{"b1":"1e200","c2":"-2e200",'
-                              '"c3":"2e200","e1":"-1e200"}'], capsys)
-        assert code == 0 and rows[0]["class"] == "SM"
-        assert (rows[0]["canonical"]["p"], rows[0]["canonical"]["q"]) == (-2, 2)
+        for k in ("200", "400"):
+            row = {"b1": f"1e{k}", "c2": f"-2e{k}", "c3": f"2e{k}", "e1": f"-1e{k}"}
+            code, rows = run_cli(["classify", "--exact", json.dumps(row)], capsys)
+            assert code == 0 and rows[0]["class"] == "SM"
+            assert (rows[0]["canonical"]["p"], rows[0]["canonical"]["q"]) == (-2, 2)
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_tol_flag(self, tol, capsys):

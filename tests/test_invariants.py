@@ -246,15 +246,17 @@ def targets(c):
 
 class TestCubicForms:
     def test_cubic22(self):
+        assert targets(CUBIC22).residuals == (0, 0, 0, 0)
+        # with e1 = 0 the first pair shows the target 4 e1 = P1 / B0^3 = -4
         t = targets(CUBIC22.replace(e1=Fraction(0)))
-        assert t.E1 == -4 and t.E2 == 0 and t.E3 == 0 and t.f0_target == 0
+        assert t.cleared_pairs[0] == (0, -4) and t.residuals[1:] == (0, 0, 0)
 
     def test_all_c_d_zero(self):
         c = DarbouxCoefficients.make(a0=0, b=(1, 0, 0))
-        t = targets(c)
-        assert t.E1 == t.E2 == t.E3 == t.f0_target == 0
+        assert targets(c).cleared_pairs == ((0, 0),) * 4
 
     def test_homogeneity(self, rng):
+        # weighted degrees 9, 9, 9, 12; projective degrees 7, 7, 7, 9
         for _ in range(30):
             c = random_coefficients(rng, a0=0, with_b=True)
             if base_invariants(c).B0 == 0:
@@ -262,10 +264,10 @@ class TestCubicForms:
             t = targets(c)
             lam = rand_fraction(rng, 1, 4, 3)
             tw = targets(weighted_rescale(c, lam))
-            assert tw.E1 == lam ** 3 * t.E1 and tw.E3 == lam ** 3 * t.E3
-            assert tw.f0_target == lam ** 4 * t.f0_target
             tp = targets(c.scale(Fraction(3)))
-            assert tp.E1 == 3 * t.E1 and tp.f0_target == 3 * t.f0_target
+            for r, rw, rp, w, d in zip(t.residuals, tw.residuals, tp.residuals,
+                                       (9, 9, 9, 12), (7, 7, 7, 9)):
+                assert rw == lam ** w * r and rp == 3 ** d * r
 
     def test_zero_cubic_part(self):
         with pytest.raises(ZeroCubicPart):

@@ -18,8 +18,9 @@ from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             perturb_off_variety, random_motion,
                             random_quartic_seed)
 from cyclide.invariants import base_invariants, quartic_generators
-from cyclide.recognizer import (DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC, NOT_DUPIN,
-                                RESIDUAL_WEIGHTS, Verdict, _axis_case_residuals,
+from cyclide.recognizer import (CUBIC, DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC,
+                                NOT_DUPIN, QUADRIC, RESIDUAL_WEIGHTS, Prepared,
+                                Verdict, _axis_case_residuals,
                                 _e0_case_residuals, _oracle_verdict,
                                 _quartic_case_verdict)
 from cyclide.scalar import FLOAT
@@ -124,8 +125,8 @@ class TestOracle:
 
 
 class TestIntegerGauge:
-    """Exact quartic decisions run on the integer lattice and report their
-    residuals at the caller's scale."""
+    """Exact decisions run on the integer lattice and report their residuals
+    at the caller's scale."""
 
     def _fractional_quartics(self, rng, n=40):
         """Generated Dupin quartics and their perturbations off the variety
@@ -153,20 +154,28 @@ class TestIntegerGauge:
             kinds.add(got.kind)
         assert kinds == {DUPIN_QUARTIC, NOT_DUPIN}
 
-    def test_residual_weights(self, rng):
-        def named(c):
+    def test_residual_weights(self, pol, rng):
+        def named(c, cubic, quadric):
             ce = c.replace(e1=Fraction(0), e2=Fraction(0), e3=Fraction(0))
             vals = quartic_generators(c).as_dict()
             for label in "abc":
                 vals.update(_axis_case_residuals(c, label, base_invariants(c)))
             for label in "def":
                 vals.update(_e0_case_residuals(ce, label, base_invariants(ce)))
+            # the cubic and quadric verdicts, on a copy taken as its own gauge
+            for decide, branch, cc in ((recognize_cubic, CUBIC, cubic),
+                                       (recognize_quadric, QUADRIC, quadric)):
+                prep = Prepared(cc, branch, work=cc, inv=base_invariants(cc))
+                vals.update(decide(prep, pol).residuals)
             return vals
 
         for _ in range(20):
-            c = random_coefficients(rng)
+            inputs = (random_coefficients(rng),
+                      random_coefficients(rng, a0=0, with_b=True),
+                      random_coefficients(rng, a0=0))
             lam = rand_fraction(rng, 1, 5, 3)
-            before, after = named(c), named(weighted_rescale(c, lam))
+            before = named(*inputs)
+            after = named(*(weighted_rescale(c, lam) for c in inputs))
             assert set(before) == set(RESIDUAL_WEIGHTS)
             for name, w in RESIDUAL_WEIGHTS.items():
                 assert after[name] == lam ** w * before[name], name
