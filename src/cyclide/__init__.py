@@ -9,7 +9,7 @@ from .classify import (J0Value, SurfaceClass, classify_cubic, classify_quartic,
 from .core import (SIGMA12, SIGMA13, SIGMA23, DarbouxCoefficients,
                    EuclideanMotion, TriPoly, apply_motion, apply_permutation,
                    coefficients_from_polynomial, normalize_quartic,
-                   polynomial_from_coefficients, weighted_rescale)
+                   polynomial_from_coefficients, sigma_orbit, weighted_rescale)
 from .invariants import (GeneratorValues, InvariantBundle, base_invariants,
                          cubic_forms, quadric_forms, quartic_generators,
                          reduced_generators_e0)
@@ -32,6 +32,6 @@ __all__ = [
     "j0_cubic", "j0_quartic", "normalize_quartic", "polynomial_from_coefficients",
     "prepare", "quadric_forms", "quartic_generators", "recognize", "recognize_cubic",
     "recognize_quadric", "recognize_quartic_cases", "recognize_quartic_oracle",
-    "reduced_generators_e0", "spectral_data",
+    "reduced_generators_e0", "sigma_orbit", "spectral_data",
     "torus_radii", "torus_radii_inversive", "weighted_rescale", "willmore_energy",
 ]

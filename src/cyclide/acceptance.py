@@ -304,11 +304,10 @@ def criterion_9_float_robustness() -> Tuple[bool, str]:
             c = generate_cubic_dupin(p, q, random_motion(rng))
         else:
             c = generate_quartic_dupin(random_quartic_seed(rng, smooth=True))
-        noisy = DarbouxCoefficients(
-            *[float(v) * (1.0 + 1e-14 * rng.uniform(-1, 1)) for v in c.astuple()])
+        noisy = c._make(float(v) * (1.0 + 1e-14 * rng.uniform(-1, 1)) for v in c)
         accepted += recognize(noisy, fpol).is_dupin
         f0 = float(c.f0)
-        scale = max(abs(float(v)) for v in c.astuple())
+        scale = max(abs(float(v)) for v in c)
         bumped = c.to_float().replace(f0=f0 + 1e-4 * max(abs(f0), scale))
         rejected += not recognize(bumped, fpol).is_dupin
     ok = accepted == n and rejected == n

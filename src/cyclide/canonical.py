@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .core import (SIGMA12, SIGMA13, DarbouxCoefficients, EuclideanMotion,
-                   apply_motion, apply_permutation)
+from .core import DarbouxCoefficients, EuclideanMotion, apply_motion, sigma_orbit
 from .errors import ComplexRoots, Inconsistent, IrrationalSpectrum
 from .invariants import InvariantBundle, base_invariants
 from .recognizer import Prepared, TolerancePolicy
@@ -187,15 +186,14 @@ def cubic_shift(c: DarbouxCoefficients, inv: InvariantBundle,
                 pol: TolerancePolicy) -> Tuple[Scalar, Scalar, Scalar]:
     """Recentering translation for a cubic: applying a pure translation by
     this vector removes the shift the surface carries (B0-homogenized closed
-    form of the per-axis solution, odd under the index permutations).
-    inv = base_invariants(c); it serves the permuted copies too."""
+    form of the per-axis solution, taken on the sigma-orbit of c).
+    inv = base_invariants(c); it serves the whole orbit."""
     def t_formula(cc: DarbouxCoefficients) -> Scalar:
         return (pol.div(-cc.b1 * cc.c2 - cc.b1 * cc.c3 + cc.b2 * cc.d3 + cc.b3 * cc.d2,
                         2 * inv.B0)
                 + pol.div(cc.b1 * inv.W3, 2 * inv.B0 ** 2))
 
-    return tuple(-t_formula(cc) for cc in
-                 (c, apply_permutation(c, SIGMA12), apply_permutation(c, SIGMA13)))
+    return tuple(-t_formula(cc) for cc in sigma_orbit(c))
 
 
 def canonical_cubic_params(prep: Prepared,

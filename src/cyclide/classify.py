@@ -172,22 +172,19 @@ def j0_quartic(prep: Prepared, sd: SpectralData,
     k2 = prep.scale * prep.scale
     a1, a2, a3 = sd.A1 / k2, sd.A2 / k2, sd.A3 / k2
 
-    votes = [
-        _fraction_vote((a1 - 2 * a2 - a3) * (a2 + 2 * a3 - a1), (a2 - a3) ** 2, pol),
-    ]
     inv = prep.inv
     C0, W1, W2, E0, f0 = inv.C0, inv.W1, inv.W2, inv.E0, prep.work.f0
-    votes.append(_fraction_vote(
-        7 * a1 * a1 - 8 * C0 * a1 + 2 * C0 ** 2 + W1,
-        3 * a1 * a1 - 2 * C0 * a1 - C0 ** 2 + 4 * W1, pol))
-    votes.append(_fraction_vote(
-        (4 * f0 - C0 ** 2) * (28 * f0 + C0 ** 2) + 4 * (8 * f0 + C0 ** 2) * W1
-        - 12 * C0 * (W2 - 2 * E0),
-        12 * f0 * (4 * f0 - C0 ** 2) + (28 * f0 + C0 ** 2) * W1
-        - 8 * C0 * (W2 - 2 * E0), pol))
-    # A2 <-> A3 swap leaves the spectral form unchanged
-    swap = _fraction_vote((a1 - 2 * a3 - a2) * (a3 + 2 * a2 - a1), (a3 - a2) ** 2, pol)
-    votes.append(swap)
+    votes = [
+        _fraction_vote((a1 - 2 * a2 - a3) * (a2 + 2 * a3 - a1), (a2 - a3) ** 2, pol),
+        _fraction_vote(
+            7 * a1 * a1 - 8 * C0 * a1 + 2 * C0 ** 2 + W1,
+            3 * a1 * a1 - 2 * C0 * a1 - C0 ** 2 + 4 * W1, pol),
+        _fraction_vote(
+            (4 * f0 - C0 ** 2) * (28 * f0 + C0 ** 2) + 4 * (8 * f0 + C0 ** 2) * W1
+            - 12 * C0 * (W2 - 2 * E0),
+            12 * f0 * (4 * f0 - C0 ** 2) + (28 * f0 + C0 ** 2) * W1
+            - 8 * C0 * (W2 - 2 * E0), pol),
+    ]
 
     kinds = {v.kind for v in votes}
     if kinds == {J0_FINITE}:

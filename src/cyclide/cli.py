@@ -20,7 +20,7 @@ from .genkit import generate_cubic_dupin, generate_quartic_dupin, random_motion,
 from .pipeline import analyze
 from .recognizer import TolerancePolicy
 from .scalar import EXACT, FLOAT, format_scalar
-from .serialize import (coefficients_to_json, parse_coefficients,
+from .serialize import (coefficients_to_json, error_text, parse_coefficients,
                         read_csv_coefficients)
 
 VERBS = ("recognize", "classify", "canonicalize", "j0", "to-torus",
@@ -126,7 +126,7 @@ def _run_analysis(args) -> int:
             except InternalCheckError:
                 raise
             except CyclideError as exc:
-                report = {"error": f"{type(exc).__name__}: {exc}"}
+                report = {"error": error_text(exc)}
             if args.verb == "j0":
                 report = {k: report[k] for k in ("J0", "willmore", "kind", "error")
                           if k in report}

@@ -7,6 +7,16 @@ name the implicit surface
       + c1*x^2 + c2*y^2 + c3*z^2 + 2*d1*y*z + 2*d2*x*z + 2*d3*x*y
       + 2*e1*x + 2*e2*y + 2*e3*z + f0  =  0.
 
+`DarbouxCoefficients` is that 14-tuple with named slots, and each action on
+the slots is written once, here.  `SLOT_WEIGHTS` is the weighted degree of
+each slot under (x,y,z) -> lam*(x,y,z) (0 for a0, 1 b, 2 c and d, 3 e, 4 f0):
+`weighted_rescale` and the float gauge read it, and every residual is
+weighted-homogeneous in it.  An index swap sigma_ij exchanges subscripts i
+and j in b, c, d and e at once; `apply_permutation` applies it as a table
+of slot indices, and `sigma_orbit(c) = (c, sigma12 c, sigma13 c)` is the one
+place the index 2 and 3 images of a formula are taken (K2, K3 of K1, likewise
+L, M and the cubic targets).  The symmetric invariants agree on the orbit.
+
 With M the symmetric matrix [[c1,d3,d2],[d3,c2,d1],[d2,d1,c3]], an orthogonal
 motion acts on the coefficients in closed form (`apply_motion`): a rotation
 turns b, M, e into R^T b, R^T M R, R^T e, and a translation updates them by
@@ -18,23 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from operator import itemgetter
+from typing import Dict, NamedTuple, Tuple
 
 from .errors import NotQuartic, ShapeError, ZeroScale
 from .scalar import Scalar
 
-COEFF_FIELDS = ("a0", "b1", "b2", "b3", "c1", "c2", "c3",
-                "d1", "d2", "d3", "e1", "e2", "e3", "f0")
 
-# index permutations sigma_ij swap the indicated subscript in b, c, d, e
-SIGMA12 = "s12"
-SIGMA13 = "s13"
-SIGMA23 = "s23"
-_PERMS = {SIGMA12: (1, 0, 2), SIGMA13: (2, 1, 0), SIGMA23: (0, 2, 1)}
-
-
-@dataclass(frozen=True)
-class DarbouxCoefficients:
+class DarbouxCoefficients(NamedTuple):
     a0: Scalar
     b1: Scalar
     b2: Scalar
@@ -53,43 +54,45 @@ class DarbouxCoefficients:
     @classmethod
     def make(cls, a0=0, b=(0, 0, 0), c=(0, 0, 0), d=(0, 0, 0), e=(0, 0, 0), f0=0,
              exact: bool = True) -> "DarbouxCoefficients":
-        conv = (lambda v: Fraction(v)) if exact else float
-        vals = [a0, *b, *c, *d, *e, f0]
-        return cls(*[conv(v) for v in vals])
+        conv = Fraction if exact else float
+        return cls._make(map(conv, (a0, *b, *c, *d, *e, f0)))
 
     def astuple(self) -> Tuple[Scalar, ...]:
-        return tuple(getattr(self, f) for f in COEFF_FIELDS)
+        return tuple(self)
 
-    @property
-    def b(self):
-        return (self.b1, self.b2, self.b3)
-
-    @property
-    def c(self):
-        return (self.c1, self.c2, self.c3)
-
-    @property
-    def d(self):
-        return (self.d1, self.d2, self.d3)
-
-    @property
-    def e(self):
-        return (self.e1, self.e2, self.e3)
+    # the 3-slot groups, as plain tuples
+    b = property(itemgetter(slice(1, 4)))
+    c = property(itemgetter(slice(4, 7)))
+    d = property(itemgetter(slice(7, 10)))
+    e = property(itemgetter(slice(10, 13)))
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.astuple())
+        return all(isinstance(v, (Fraction, int)) for v in self)
 
     def replace(self, **kw) -> "DarbouxCoefficients":
-        vals = {f: getattr(self, f) for f in COEFF_FIELDS}
-        vals.update(kw)
-        return DarbouxCoefficients(**vals)
+        return self._replace(**kw)
 
     def scale(self, lam: Scalar) -> "DarbouxCoefficients":
         """Projective rescale: all fourteen entries times lam (same surface)."""
-        return DarbouxCoefficients(*[v * lam for v in self.astuple()])
+        return self._make(v * lam for v in self)
 
     def to_float(self) -> "DarbouxCoefficients":
-        return DarbouxCoefficients(*[float(v) for v in self.astuple()])
+        return self._make(map(float, self))
+
+
+COEFF_FIELDS = DarbouxCoefficients._fields
+
+# weighted degree of each slot
+SLOT_WEIGHTS = (0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 4)
+
+# index permutations sigma_ij swap the indicated subscript in b, c, d, e
+SIGMA12 = "s12"
+SIGMA13 = "s13"
+SIGMA23 = "s23"
+_PERMS = {SIGMA12: (1, 0, 2), SIGMA13: (2, 1, 0), SIGMA23: (0, 2, 1)}
+# as slot index tables: a0 and f0 stay, each 3-slot group is permuted
+_SLOT_TABLES = {which: itemgetter(0, *(g + i for g in (1, 4, 7, 10) for i in perm), 13)
+                for which, perm in _PERMS.items()}
 
 
 Monomial = Tuple[int, int, int]
@@ -357,27 +360,24 @@ def apply_motion(c: DarbouxCoefficients, m: EuclideanMotion) -> DarbouxCoefficie
 
 def apply_permutation(c: DarbouxCoefficients, which: str) -> DarbouxCoefficients:
     """Swap one index pair simultaneously in b, c, d, e (a0, f0 fixed)."""
-    perm = _PERMS[which]
-    pick = lambda v: tuple(v[i] for i in perm)
-    b, cc, d, e = pick(c.b), pick(c.c), pick(c.d), pick(c.e)
-    return DarbouxCoefficients(c.a0, *b, *cc, *d, *e, c.f0)
+    return DarbouxCoefficients._make(_SLOT_TABLES[which](c))
+
+
+def sigma_orbit(c: DarbouxCoefficients) -> Tuple[DarbouxCoefficients, ...]:
+    """(c, sigma12 c, sigma13 c): the copies on which a formula written for
+    index 1 gives its index 2 and index 3 images."""
+    return (c, apply_permutation(c, SIGMA12), apply_permutation(c, SIGMA13))
 
 
 def weighted_rescale(c: DarbouxCoefficients, lam: Scalar) -> DarbouxCoefficients:
     """Coefficient action of (x,y,z) -> (lam*x, lam*y, lam*z) followed by
-    dividing the polynomial by lam^4: b*lam, c,d*lam^2, e*lam^3, f0*lam^4."""
+    dividing the polynomial by lam^4: each slot times lam to its
+    `SLOT_WEIGHTS` entry (a0 left as it is)."""
     if lam == 0:
         raise ZeroScale("weighted rescale requires lambda != 0")
     l2 = lam * lam
-    l3 = l2 * lam
-    l4 = l2 * l2
-    return DarbouxCoefficients(
-        c.a0,
-        c.b1 * lam, c.b2 * lam, c.b3 * lam,
-        c.c1 * l2, c.c2 * l2, c.c3 * l2,
-        c.d1 * l2, c.d2 * l2, c.d3 * l2,
-        c.e1 * l3, c.e2 * l3, c.e3 * l3,
-        c.f0 * l4)
+    power = (1, lam, l2, l2 * lam, l2 * l2)
+    return c._make((c.a0, *(v * power[w] for v, w in zip(c[1:], SLOT_WEIGHTS[1:]))))
 
 
 def normalize_quartic(c: DarbouxCoefficients) -> DarbouxCoefficients:
@@ -393,7 +393,7 @@ def normalize_quartic(c: DarbouxCoefficients) -> DarbouxCoefficients:
     if c.a0 != 1:
         # an int a0 divides as a Fraction, so exact input stays exact
         a0 = Fraction(c.a0) if isinstance(c.a0, int) else c.a0
-        scaled = DarbouxCoefficients(*[v / a0 for v in c.astuple()])
+        scaled = c._make(v / a0 for v in c)
     if all(v == 0 for v in scaled.b):
         return scaled
     shift = tuple(-v / 2 for v in scaled.b)

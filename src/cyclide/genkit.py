@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from .canonical import spectral_data
 from .classify import SurfaceClass, classify_quartic
-from .core import (DarbouxCoefficients, EuclideanMotion, apply_motion,
+from .core import (DarbouxCoefficients, EuclideanMotion, _dot, apply_motion,
                    polynomial_from_coefficients, weighted_rescale)
 from .errors import (CyclideError, InternalCheckError, IrrationalSpectrum,
                      NoRealPoints, PreconditionError, SeedInvariantViolation)
@@ -184,7 +184,7 @@ def _residual_ok(c: DarbouxCoefficients, point, exact: bool) -> bool:
     val = poly.evaluate(point)
     if exact:
         return val == 0
-    scale = max(abs(float(v)) for v in c.astuple())
+    scale = max(abs(float(v)) for v in c)
     norm = scale * (1.0 + sum(float(x) * float(x) for x in point)) ** 2
     return abs(float(val)) <= 1e-12 * norm
 
@@ -336,35 +336,54 @@ def _exact_axis_frame(cn: DarbouxCoefficients, sd) -> Optional[List[Tuple]]:
     return None
 
 
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _unit(v):
+    n = math.hypot(*v)
+    return tuple(x / n for x in v)
+
+
+def _normal(v):
+    """A unit vector normal to v, from the axis least along v."""
+    i = min(range(3), key=lambda k: abs(v[k]))
+    return _unit(_cross(v, tuple(float(k == i) for k in range(3))))
+
+
 def _float_frame(cn: DarbouxCoefficients, sd):
-    import numpy as np
+    """Rows of R with cn(x) = canonical(R x), in floats: r1 along e, or else
+    the A1 eigenvector of P; r2, r3 the eigenvectors of P normal to r1, for
+    A2 <= A3."""
     c1, c2, c3 = (float(v) for v in cn.c)
     d1, d2, d3 = (float(v) for v in cn.d)
-    P = np.array([[c1, d3, d2], [d3, c2, d1], [d2, d1, c3]])
-    a1, a2, a3 = float(sd.A1), float(sd.A2), float(sd.A3)
-    dsq = max(float(sd.Dsq), 0.0)
-    dd = math.sqrt(dsq)
-    scale = max(1.0, abs(a1), abs(a2), abs(a3))
-    e2v = 2.0 * np.array([float(v) for v in cn.e])
-    en = float(np.linalg.norm(e2v))
-    if en > 1e-9 * scale ** 1.5:    # |2e| = D, weighted degree 3
-        r1 = e2v / en
-    else:
-        w, V = np.linalg.eigh(P)
-        idx = int(np.argmin(np.abs(w - a1)))
-        r1 = V[:, idx]
-    r1 = r1 / np.linalg.norm(r1)
-    # orthonormal complement of r1
-    basis = np.eye(3)
-    q = basis[np.argmin(np.abs(basis @ r1))]
-    q1 = q - (q @ r1) * r1
-    q1 /= np.linalg.norm(q1)
-    q2 = np.cross(r1, q1)
-    M2 = np.array([[q1 @ P @ q1, q1 @ P @ q2], [q2 @ P @ q1, q2 @ P @ q2]])
-    w2, V2 = np.linalg.eigh(M2)  # ascending: matches A2 <= A3
-    r2 = V2[0, 0] * q1 + V2[1, 0] * q2
-    r3 = V2[0, 1] * q1 + V2[1, 1] * q2
-    return [tuple(map(float, r1)), tuple(map(float, r2)), tuple(map(float, r3))]
+    P = ((c1, d3, d2), (d3, c2, d1), (d2, d1, c3))
+    a1 = float(sd.A1)
+    scale = max(1.0, abs(a1), abs(float(sd.A2)), abs(float(sd.A3)))
+    size = lambda v: math.hypot(*v)
+    r1 = tuple(2.0 * float(v) for v in cn.e)
+    if size(r1) <= 1e-9 * scale ** 1.5:    # |2e| = D, weighted degree 3
+        # the A1 eigenvector is normal to the rows of P - A1 I: the largest
+        # cross product of two rows, unless that is rounding noise (A1 is
+        # repeated); then any vector normal to the largest row
+        rows = [tuple(v - a1 * (i == j) for j, v in enumerate(r))
+                for i, r in enumerate(P)]
+        r1 = max((_cross(rows[i - 1], rows[i]) for i in range(3)), key=size)
+        if size(r1) <= 1e-9 * scale ** 2:
+            top = max(rows, key=size)
+            r1 = _normal(top) if size(top) > 1e-9 * scale else (1.0, 0.0, 0.0)
+    r1 = _unit(r1)
+    q1 = _normal(r1)
+    q2 = _cross(r1, q1)
+    # the block of P on (q1, q2) turns by theta onto its eigenvectors, the
+    # larger eigenvalue A3 along theta
+    Pq1, Pq2 = (tuple(_dot(row, q) for row in P) for q in (q1, q2))
+    theta = math.atan2(2 * _dot(q1, Pq2), _dot(q1, Pq1) - _dot(q2, Pq2)) / 2
+    cs, sn = math.cos(theta), math.sin(theta)
+    r2 = tuple(cs * y - sn * x for x, y in zip(q1, q2))
+    r3 = tuple(cs * x + sn * y for x, y in zip(q1, q2))
+    return [r1, r2, r3]
 
 
 def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):

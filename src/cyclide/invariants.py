@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .core import DarbouxCoefficients
+from .core import DarbouxCoefficients, sigma_orbit
 from .errors import NotNormalized, PreconditionError, ZeroCubicPart
 from .scalar import Scalar
 
@@ -52,7 +52,7 @@ def k_form(c: DarbouxCoefficients) -> Scalar:
 
 def l_form(c: DarbouxCoefficients, inv: InvariantBundle) -> Scalar:
     """L1; the leading bracket uses the symmetric W1 + 4 f0;
-    inv = base_invariants(c)."""
+    inv = base_invariants(c), or of any sigma-image of c (it is symmetric)."""
     c1, c2, c3 = c.c
     d1, d2, d3 = c.d
     e1, e2, e3 = c.e
@@ -64,7 +64,7 @@ def l_form(c: DarbouxCoefficients, inv: InvariantBundle) -> Scalar:
 
 def m_form(c: DarbouxCoefficients, inv: InvariantBundle) -> Scalar:
     """M1 = 2(c1e1+d3e2+d2e3)(W1+4f0) + e1(W2 - C0 W1 - 4 E0);
-    inv = base_invariants(c)."""
+    inv = base_invariants(c), or of any sigma-image of c."""
     c1 = c.c1
     d2, d3 = c.d2, c.d3
     e1, e2, e3 = c.e
@@ -99,7 +99,7 @@ class GeneratorValues:
         return all(v == 0 for v in self.as_dict().values())
 
 
-# weighted degrees under wd(b)=1, wd(c)=wd(d)=2, wd(e)=3, wd(f0)=4
+# weighted degrees under the slot weights of `core.SLOT_WEIGHTS`
 GENERATOR_WEIGHTS = {"K1": 8, "K2": 8, "K3": 8, "L1": 7, "L2": 7, "L3": 7,
                      "M1": 9, "M2": 9, "M3": 9, "N1": 8, "N2": 10, "N3": 12}
 
@@ -110,23 +110,23 @@ def _require_normalized(c: DarbouxCoefficients):
 
 
 def quartic_generators(c: DarbouxCoefficients) -> GeneratorValues:
-    from .core import SIGMA12, SIGMA13, apply_permutation
+    """The 12 generators at a normalized quartic c: K, L and M on the
+    sigma-orbit of c, every L and M with the one bundle of c (it is
+    sigma-invariant), and the symmetric N1, N2, N3."""
     _require_normalized(c)
     inv = base_invariants(c)
-    s12 = apply_permutation(c, SIGMA12)
-    s13 = apply_permutation(c, SIGMA13)
-    i12, i13 = base_invariants(s12), base_invariants(s13)
+    orbit = sigma_orbit(c)
+    k1, k2, k3 = (k_form(cc) for cc in orbit)
+    l1, l2, l3 = (l_form(cc, inv) for cc in orbit)
+    m1, m2, m3 = (m_form(cc, inv) for cc in orbit)
     w14 = inv.W1 + 4 * c.f0
     n1 = ((4 * inv.W1 + 12 * c.f0 - 3 * inv.C0 ** 2) * w14
           - 2 * inv.C0 * (inv.W2 - inv.C0 * inv.W1 - 6 * inv.E0) - 4 * inv.W4)
     big = inv.W2 + inv.C0 * inv.W1 + 8 * inv.C0 * c.f0 - 4 * inv.E0
     n2 = 4 * (inv.W2 - inv.C0 * inv.W1 - 2 * inv.E0) * w14 + (inv.C0 ** 2 - 4 * c.f0) * big
     n3 = big * big - 4 * w14 ** 3
-    return GeneratorValues(
-        K1=k_form(c), K2=k_form(s12), K3=k_form(s13),
-        L1=l_form(c, inv), L2=l_form(s12, i12), L3=l_form(s13, i13),
-        M1=m_form(c, inv), M2=m_form(s12, i12), M3=m_form(s13, i13),
-        N1=n1, N2=n2, N3=n3)
+    return GeneratorValues(K1=k1, K2=k2, K3=k3, L1=l1, L2=l2, L3=l3,
+                           M1=m1, M2=m2, M3=m3, N1=n1, N2=n2, N3=n3)
 
 
 def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle
@@ -161,11 +161,11 @@ class CubicTargets:
         return tuple(lhs - rhs for lhs, rhs in self.cleared_pairs)
 
 
-def _e_numerator(b, c, d, B0) -> Scalar:
+def _e_numerator(c: DarbouxCoefficients, B0: Scalar) -> Scalar:
     """B0^3 * E1 as a polynomial (division-free)."""
-    b1, b2, b3 = b
-    c1, c2, c3 = c
-    d1, d2, d3 = d
+    b1, b2, b3 = c.b
+    c1, c2, c3 = c.c
+    d1, d2, d3 = c.d
     W3 = (b1 * b1 * c1 + b2 * b2 * c2 + b3 * b3 * c3
           + 2 * b2 * b3 * d1 + 2 * b1 * b3 * d2 + 2 * b1 * b2 * d3)
     return (-b1 * (W3 - B0 * (c2 + c3)) ** 2
@@ -178,23 +178,14 @@ def _e_numerator(b, c, d, B0) -> Scalar:
 
 
 def cubic_forms(c: DarbouxCoefficients, inv: InvariantBundle) -> CubicTargets:
-    """The cleared pairs of 4e1, 4e2, 4e3 (sigma12 and sigma13 images of the
-    first) and f0 against their targets; inv = base_invariants(c)."""
+    """The cleared pairs of 4e1, 4e2, 4e3 (the first on the sigma-orbit of c)
+    and f0 against their targets; inv = base_invariants(c)."""
     if c.a0 != 0:
         raise PreconditionError("cubic forms require a0 = 0")
     if inv.B0 == 0:
         raise ZeroCubicPart("B0 = 0: no cubic part")
     B0 = inv.B0
-
-    def swapped(which):
-        from .core import apply_permutation
-        cc = apply_permutation(c, which)
-        return cc.b, cc.c, cc.d
-
-    from .core import SIGMA12, SIGMA13
-    p1 = _e_numerator(c.b, c.c, c.d, B0)
-    p2 = _e_numerator(*swapped(SIGMA12), B0)
-    p3 = _e_numerator(*swapped(SIGMA13), B0)
+    p1, p2, p3 = (_e_numerator(cc, B0) for cc in sigma_orbit(c))
     q = (inv.W3 * (inv.W3 - B0 * inv.C0) ** 2 + B0 * B0 * inv.W3 * inv.W1
          + B0 ** 3 * (inv.W2 - inv.C0 * inv.W1))
     B3 = B0 ** 3
@@ -222,36 +213,36 @@ class QuadricForms:
                    (self.S0, self.S1, self.S12, self.S13, self.T1, self.T12, self.T13))
 
 
-def _s1(c1, c2, c3, d1, d2, d3):
+def _s1(c: DarbouxCoefficients) -> Scalar:
+    c1, c2, c3 = c.c
+    d1, d2, d3 = c.d
     return (d1 * (d2 * d2 + d3 * d3 - 2 * d1 * d1)
             + (c2 + c3 - 2 * c1) * d2 * d3 + 2 * (c2 - c1) * (c3 - c1) * d1)
 
 
-def _t1(c1, c2, c3, d1, d2, d3):
+def _t1(c: DarbouxCoefficients) -> Scalar:
+    c1, c2, c3 = c.c
+    d1, d2, d3 = c.d
     return d1 * (d2 * d2 - d3 * d3) + (c2 - c3) * d2 * d3
 
 
 def quadric_forms(c: DarbouxCoefficients) -> QuadricForms:
+    """S1, T1 and their sigma12, sigma13 images, the symmetric S0, and det
+    Phat."""
     if c.a0 != 0 or any(v != 0 for v in c.b):
         raise PreconditionError("quadric forms require a0 = 0 and b = 0")
     c1, c2, c3 = c.c
     d1, d2, d3 = c.d
     e1, e2, e3 = c.e
-    f0 = c.f0
     s0 = ((c3 - c2) * d1 * d1 + (c1 - c3) * d2 * d2 + (c2 - c1) * d3 * d3
           + (c1 - c2) * (c1 - c3) * (c2 - c3))
+    orbit = sigma_orbit(c)
+    s1, s12, s13 = map(_s1, orbit)
+    t1, t12, t13 = map(_t1, orbit)
     # 4x4 determinant of [[c1,d3,d2,e1],[d3,c2,d1,e2],[d2,d1,c3,e3],[e1,e2,e3,f0]]
-    m = ((c1, d3, d2, e1), (d3, c2, d1, e2), (d2, d1, c3, e3), (e1, e2, e3, f0))
-    det = _det4(m)
-    return QuadricForms(
-        S0=s0,
-        S1=_s1(c1, c2, c3, d1, d2, d3),
-        S12=_s1(c2, c1, c3, d2, d1, d3),
-        S13=_s1(c3, c2, c1, d3, d2, d1),
-        T1=_t1(c1, c2, c3, d1, d2, d3),
-        T12=_t1(c2, c1, c3, d2, d1, d3),
-        T13=_t1(c3, c2, c1, d3, d2, d1),
-        det_phat=det)
+    m = ((c1, d3, d2, e1), (d3, c2, d1, e2), (d2, d1, c3, e3), (e1, e2, e3, c.f0))
+    return QuadricForms(S0=s0, S1=s1, S12=s12, S13=s13, T1=t1, T12=t12, T13=t13,
+                        det_phat=_det4(m))
 
 
 def _det3(m):

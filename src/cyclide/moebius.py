@@ -228,7 +228,7 @@ class CalibrationReport:
 def _surface_residual(coeffs: DarbouxCoefficients, point) -> float:
     poly = polynomial_from_coefficients(coeffs)
     val = float(poly.evaluate(tuple(float(v) for v in point)))
-    scale = max(abs(float(v)) for v in coeffs.astuple())
+    scale = max(abs(float(v)) for v in coeffs)
     norm = scale * (1.0 + sum(float(x) ** 2 for x in point)) ** 2
     return abs(val) / norm
 

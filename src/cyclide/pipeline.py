@@ -11,7 +11,7 @@ from .core import DarbouxCoefficients, normalize_quartic  # noqa: F401  (traced 
 from .errors import CyclideError
 from .recognizer import (DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC,
                          TolerancePolicy, recognize)
-from .serialize import scalar_json, verdict_to_json
+from .serialize import error_text, scalar_json, verdict_to_json
 
 
 def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
@@ -50,12 +50,12 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
                     report["torus"] = {"r_sq": scalar_json(spec.r_sq),
                                        "R_sq": scalar_json(spec.R_sq)}
                 except CyclideError as exc:
-                    report["torus"] = {"error": str(exc)}
+                    report["torus"] = {"error": error_text(exc)}
                 try:
                     variant = moebius.MOBT if float(params.gamma_sq) > 0 else moebius.MOBT2
                     report["map"] = moebius.build_map(params, variant).to_json()
                 except CyclideError as exc:
-                    report["map"] = {"error": str(exc)}
+                    report["map"] = {"error": error_text(exc)}
         return report
 
     if verdict.kind == DUPIN_CUBIC:

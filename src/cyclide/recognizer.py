@@ -21,12 +21,13 @@ float cubics and quadrics are first divided by max |b| or max |c, d|.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .core import (SIGMA12, SIGMA13, DarbouxCoefficients, apply_permutation,
-                   normalize_quartic, weighted_rescale)
+from .core import (SLOT_WEIGHTS, DarbouxCoefficients, normalize_quartic,
+                   sigma_orbit, weighted_rescale)
 from .errors import InternalCheckError, PreconditionError, ZeroInput
 from .invariants import (GENERATOR_WEIGHTS, InvariantBundle, base_invariants,
                          cubic_forms, k_form, l_form, m_form, quadric_forms,
@@ -42,8 +43,8 @@ DEGENERATE = "DegenerateInput"
 # degree branches of a prepared input
 QUARTIC, CUBIC, QUADRIC, LINEAR = "quartic", "cubic", "quadric", "linear"
 
-# weighted degree of every residual a verdict can report, under wd(b)=1,
-# wd(c)=wd(d)=2, wd(e)=3, wd(f0)=4: the K, L, M forms of cases (a)-(c) and
+# weighted degree of every residual a verdict can report, under the slot
+# weights of `SLOT_WEIGHTS`: the K, L, M forms of cases (a)-(c) and
 # the N generators of the oracle, then the e = 0 residuals of (d)-(f)
 RESIDUAL_WEIGHTS = {**GENERATOR_WEIGHTS,
                     "W1+4f0": 4, "W2-C0W1": 6, "Y0": 8, "Y1": 8,
@@ -121,12 +122,9 @@ class Verdict:
 
 
 def weighted_sup_norm(c: DarbouxCoefficients) -> float:
-    """max(|b_i|, |c_i|^1/2, |d_i|^1/2, |e_i|^1/3, |f0|^1/4); a0 has weight 0."""
-    mags = [abs(float(v)) for v in c.b]
-    mags += [abs(float(v)) ** 0.5 for v in (*c.c, *c.d)]
-    mags += [abs(float(v)) ** (1.0 / 3.0) for v in c.e]
-    mags.append(abs(float(c.f0)) ** 0.25)
-    return max(mags)
+    """max |slot|^(1/w) over the slots of weight w > 0 (`SLOT_WEIGHTS`):
+    |b_i|, |c_i|^1/2, |d_i|^1/2, |e_i|^1/3, |f0|^1/4."""
+    return max(abs(float(v)) ** (1.0 / w) for v, w in zip(c, SLOT_WEIGHTS) if w)
 
 
 def _gauge(c: DarbouxCoefficients, pol: TolerancePolicy,
@@ -137,14 +135,13 @@ def _gauge(c: DarbouxCoefficients, pol: TolerancePolicy,
     rescale onto the integer lattice, scale 1/lam.  A float cubic or quadric
     scale omits the first division."""
     if pol.exact:
-        lam = math.lcm(*(v.denominator for v in c.astuple()))
-        lattice = weighted_rescale(c, lam).astuple()
-        return DarbouxCoefficients(*[int(v) for v in lattice]), Fraction(1, lam)
+        lam = math.lcm(*(v.denominator for v in c))
+        return c._make(map(int, weighted_rescale(c, lam))), Fraction(1, lam)
     zeroed = {}
     if branch != QUARTIC:
         cubic = branch == CUBIC
         top = max(abs(float(v)) for v in (c.b if cubic else (*c.c, *c.d)))
-        c = DarbouxCoefficients(*[float(v) / top for v in c.astuple()])
+        c = c._make(float(v) / top for v in c)
         # the slots above the input's degree are zero within tolerance
         zeroed = dict.fromkeys(("a0",) if cubic else ("a0", "b1", "b2", "b3"), 0.0)
     s = weighted_sup_norm(c)
@@ -158,17 +155,16 @@ def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
     """Degree branch, normalization, gauge and invariant bundle of one input.
     Exact mode takes int or Fraction coefficients and works on the integer
     lattice."""
-    vals = c.astuple()
-    if all(v == 0 for v in vals):
+    if all(v == 0 for v in c):
         raise ZeroInput("all fourteen coefficients vanish")
     if pol.exact:
-        if not all(type(v) is Fraction for v in vals):
+        if not all(type(v) is Fraction for v in c):
             if not c.is_exact():
                 raise PreconditionError("exact mode requires int or Fraction coefficients")
-            c = DarbouxCoefficients(*map(Fraction, vals))
+            c = c._make(map(Fraction, c))
         sup = 1
     else:
-        sup = max(abs(float(v)) for v in vals)
+        sup = max(abs(float(v)) for v in c)
     zero = lambda v: pol.is_zero(v, sup)
     if not zero(c.a0):
         cn = normalize_quartic(c)
@@ -211,7 +207,7 @@ def _is_zero_point(cn: DarbouxCoefficients, original: DarbouxCoefficients,
     """Every normalized coefficient below tolerance at the weighted scale of
     the a0-divided input (b included, weight 1)."""
     a0 = float(original.a0)
-    divided = DarbouxCoefficients(*[float(v) / a0 for v in original.astuple()])
+    divided = original._make(float(v) / a0 for v in original)
     s = max(weighted_sup_norm(divided), 1.0)
     return (all(pol.is_zero(float(v), s * s) for v in (*cn.c, *cn.d))
             and all(pol.is_zero(float(v), s ** 3) for v in cn.e)
@@ -261,19 +257,15 @@ def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
 
 def _axis_case_residuals(c: DarbouxCoefficients, label: str,
                          inv: InvariantBundle) -> Dict[str, Scalar]:
-    """Residuals of the axis case; inv = base_invariants(c)."""
-    s12 = apply_permutation(c, SIGMA12)
-    s13 = apply_permutation(c, SIGMA13)
-    if label == "a":
-        return {"K2": k_form(s12), "K3": k_form(s13), "L1": l_form(c, inv),
-                "M1": m_form(c, inv)}
-    if label == "b":
-        i12 = base_invariants(s12)
-        return {"K1": k_form(c), "K3": k_form(s13), "L2": l_form(s12, i12),
-                "M2": m_form(s12, i12)}
-    i13 = base_invariants(s13)
-    return {"K1": k_form(c), "K2": k_form(s12), "L3": l_form(s13, i13),
-            "M3": m_form(s13, i13)}
+    """Residuals of the axis case i = 1, 2, 3 (label a, b, c): the K forms of
+    the other two axes, then L_i and M_i, each on the sigma-orbit of c;
+    inv = base_invariants(c), which serves the whole orbit."""
+    i = "abc".index(label)
+    orbit = sigma_orbit(c)
+    res = {f"K{j + 1}": k_form(cc) for j, cc in enumerate(orbit) if j != i}
+    res[f"L{i + 1}"] = l_form(orbit[i], inv)
+    res[f"M{i + 1}"] = m_form(orbit[i], inv)
+    return res
 
 
 def _e0_case_residuals(c: DarbouxCoefficients, label: str,
@@ -292,8 +284,7 @@ def _e0_case_residuals(c: DarbouxCoefficients, label: str,
 def _quartic_case_verdict(c: DarbouxCoefficients, pol: TolerancePolicy,
                           inv: InvariantBundle) -> Verdict:
     """The case decision on c as given; inv = base_invariants(c)."""
-    guards = (("a", c.e1), ("b", c.e2), ("c", c.e3))
-    for label, guard in guards:
+    for label, guard in zip("abc", c.e):
         if not pol.nonzero(guard):
             continue
         res = _axis_case_residuals(c, label, inv)
@@ -337,9 +328,14 @@ def _oracle_verdict(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
 
 def recognize_cubic(p: Prepared, pol: TolerancePolicy) -> Verdict:
     """Dupin iff 4e_i = E_i for i = 1..3 and f0 equals its rational target;
-    compared after clearing the B0 powers.  p is a prepared cubic."""
+    compared after clearing the B0 powers.  p is a prepared cubic.  Float
+    mode refuses a B0^4 that underflows at the gauge (b tiny next to f0)."""
     targets = cubic_forms(p.work, p.inv)
     b0 = p.inv.B0
+    if not pol.exact and b0 ** 4 < sys.float_info.min:
+        raise PreconditionError(
+            f"B0^4 = {b0 ** 4} at the gauge is below the normal float range; "
+            "use exact mode")
     names = ("4e1*B0^3-P1", "4e2*B0^3-P2", "4e3*B0^3-P3", "4f0*B0^4-Q")
     res = dict(zip(names, targets.residuals))
     # cleared equalities, measured against their own clearing factor:

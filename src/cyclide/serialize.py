@@ -28,21 +28,22 @@ def parse_coefficients(obj, mode: str = EXACT) -> DarbouxCoefficients:
     unknown = sorted(set(obj) - set(COEFF_FIELDS))
     if unknown:
         raise ParseError(f"unknown coefficient key(s): {', '.join(unknown)}")
-    values = {}
+    values = []
     for key in COEFF_FIELDS:
-        if key in obj:
-            try:
-                values[key] = parse_scalar(obj[key], mode)
-            except ParseError as exc:
-                raise ParseError(f"key {key!r}: {exc}") from exc
-        else:
-            values[key] = parse_scalar(0, mode)
-    return DarbouxCoefficients(**values)
+        try:
+            values.append(parse_scalar(obj.get(key, 0), mode))
+        except ParseError as exc:
+            raise ParseError(f"key {key!r}: {exc}") from exc
+    return DarbouxCoefficients._make(values)
 
 
 def coefficients_to_json(c: DarbouxCoefficients) -> dict:
-    return {k: format_scalar(getattr(c, k)) for k in COEFF_FIELDS
-            if getattr(c, k) != 0}
+    return {k: format_scalar(v) for k, v in c._asdict().items() if v != 0}
+
+
+def error_text(exc: Exception) -> str:
+    """The "Type: message" text of an error field, top-level or nested."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def scalar_json(v: Optional[Scalar]):
@@ -80,11 +81,11 @@ def read_csv_coefficients(text: str, mode: str = EXACT) -> Iterable[DarbouxCoeff
             continue
         if len(row) != 14:
             raise ParseError(f"CSV line {lineno}: expected 14 columns, got {len(row)}")
-        values = {}
+        values = []
         for key, cell in zip(CSV_HEADER, row):
             cell = cell.strip()
             try:
-                values[key] = parse_scalar(cell if cell else 0, mode)
+                values.append(parse_scalar(cell if cell else 0, mode))
             except ParseError as exc:
                 raise ParseError(f"CSV line {lineno}, column {key}: {exc}") from exc
-        yield DarbouxCoefficients(**values)
+        yield DarbouxCoefficients._make(values)

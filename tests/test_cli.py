@@ -94,6 +94,19 @@ class TestExitCodes:
             got = (report["canonical"]["p"], report["canonical"]["q"])
             assert got == pytest.approx(pair, rel=1e-12)
 
+    # b tiny next to f0 at a tolerance of 0: B0^4 underflows at the gauge,
+    # so float mode refuses the row; exact mode decides it
+    @pytest.mark.parametrize("f0", ["1e300", "1e200"])
+    def test_float_cubic_with_underflowing_b0_is_refused(self, f0, capsys):
+        code, rows = run_cli(["recognize", "--float", "--tol", "0",
+                              '{"b1":1,"f0":%s}' % f0], capsys)
+        assert code == 0
+        assert rows[0]["error"].startswith("PreconditionError: ")
+        assert "use exact mode" in rows[0]["error"]
+        code, rows = run_cli(["recognize", "--exact", '{"b1":1,"f0":"%s"}' % f0], capsys)
+        assert code == 0 and rows[0]["kind"] == "NotDupin"
+        assert rows[0]["witness"]["name"] == "4f0*B0^4-Q"
+
     def test_huge_cubic_is_exact_in_exact_mode(self, capsys):
         for k in ("200", "400"):
             row = {"b1": f"1e{k}", "c2": f"-2e{k}", "c3": f"2e{k}", "e1": f"-1e{k}"}

@@ -13,7 +13,7 @@ from conftest import TORUS21, rand_fraction, random_coefficients
 from cyclide import (SIGMA12, SIGMA13, SIGMA23, DarbouxCoefficients,
                      EuclideanMotion, TriPoly, apply_motion, apply_permutation,
                      coefficients_from_polynomial, normalize_quartic,
-                     polynomial_from_coefficients, weighted_rescale)
+                     polynomial_from_coefficients, sigma_orbit, weighted_rescale)
 from cyclide.errors import NotQuartic, ShapeError, ZeroScale
 from cyclide.genkit import quaternion_rotation, random_motion, random_rotation
 from cyclide.invariants import base_invariants
@@ -189,6 +189,21 @@ class TestPermutations:
         c = DarbouxCoefficients.make(a0=0, c=(1, 2, 3), d=(4, 5, 6))
         out = apply_permutation(c, SIGMA12)
         assert out.c == (2, 1, 3) and out.d == (5, 4, 6)
+
+    @pytest.mark.parametrize("which, i, j", [(SIGMA12, 1, 2), (SIGMA13, 1, 3),
+                                             (SIGMA23, 2, 3)])
+    def test_swaps_the_index_pair_in_every_group(self, which, i, j):
+        c = DarbouxCoefficients(*range(1, 15))  # fourteen distinct slots
+        swapped = {}
+        for group in "bcde":
+            swapped[f"{group}{i}"] = getattr(c, f"{group}{j}")
+            swapped[f"{group}{j}"] = getattr(c, f"{group}{i}")
+        assert apply_permutation(c, which) == c.replace(**swapped)
+
+    def test_sigma_orbit(self, rng):
+        c = random_coefficients(rng, with_b=True)
+        assert sigma_orbit(c) == (c, apply_permutation(c, SIGMA12),
+                                  apply_permutation(c, SIGMA13))
 
     def test_involution(self, rng):
         c = random_coefficients(rng, with_b=True)

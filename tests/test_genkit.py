@@ -1,5 +1,6 @@
 """Generator soundness, coverage, rejection and surface sampling."""
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,20 @@ class TestSampling:
             pts = sample_surface_points(c.to_float(), 15, rng)
             poly = polynomial_from_coefficients(c.to_float())
             scale = max(abs(float(v)) for v in c.astuple())
+            for p in pts:
+                norm = scale * (1 + sum(x * x for x in p)) ** 2
+                assert abs(poly.evaluate(p)) <= 1e-12 * norm
+
+    def test_float_sampling_needs_no_numpy(self, rng, monkeypatch):
+        # a None entry makes `import numpy` raise ImportError
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        moved = generate_quartic_dupin(random_quartic_seed(rng, random_motion(rng),
+                                                           smooth=True))
+        for c in (moved.to_float(), TORUS21.to_float()):
+            pts = sample_surface_points(c, 10, rng)
+            poly = polynomial_from_coefficients(c)
+            scale = max(abs(v) for v in c)
+            assert pts
             for p in pts:
                 norm = scale * (1 + sum(x * x for x in p)) ** 2
                 assert abs(poly.evaluate(p)) <= 1e-12 * norm

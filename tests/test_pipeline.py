@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from cyclide import (DarbouxCoefficients, canonical, classify, core, invariants,
-                     pipeline, recognizer)
+from cyclide import (DarbouxCoefficients, EuclideanMotion, canonical, classify, core,
+                     invariants, pipeline, recognizer)
 from cyclide.errors import PreconditionError
-from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin, random_motion,
-                            random_quartic_seed)
+from cyclide.genkit import (QuarticSeed, generate_cubic_dupin, generate_quartic_dupin,
+                            random_motion, random_quartic_seed)
 from cyclide.recognizer import CUBIC, LINEAR, QUADRIC, QUARTIC, TolerancePolicy, prepare
 from cyclide.scalar import EXACT, FLOAT
 
@@ -61,8 +61,10 @@ def test_to_torus_prepares_each_quartic_once(mode, monkeypatch):
         assert len(normalized) == 1
         work = prepared[-1].work
         # exact mode: the 12-generator cross-check is an independent oracle
-        # and computes its own bundle of the same copy
+        # and computes its own bundle of the same copy; no stage computes
+        # one of a permuted copy
         assert sum(b is work for b in bundles) == (2 if mode == EXACT else 1)
+        assert len(bundles) == (2 if mode == EXACT else 1)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -147,3 +149,13 @@ def test_int_cubic_reports_exact_values():
     assert json.dumps(report) == json.dumps(pipeline.analyze(fractions, pol, "to-torus"))
     assert json.dumps(report["canonical"]["shift"]) == "[0, 0, 0]"
     assert all(json.dumps(v) == "0" for v in report["residuals"].values())
+
+
+def test_nested_errors_carry_their_type():
+    # touching spheres, alpha^2 = gamma^2: no torus radius ratio
+    seed = QuarticSeed(Fraction(1), Fraction(1), Fraction(1, 4), Fraction(1, 2),
+                       EuclideanMotion.identity())
+    report = pipeline.analyze(generate_quartic_dupin(seed), TolerancePolicy(EXACT),
+                              "to-torus")
+    assert report["class"] == "R"
+    assert report["torus"]["error"].startswith("DegenerateRatio: ")
