@@ -383,6 +383,8 @@ def weighted_rescale(c: DarbouxCoefficients, lam: Scalar) -> DarbouxCoefficients
 def normalize_quartic(c: DarbouxCoefficients) -> DarbouxCoefficients:
     """Divide by a0, then shift (x,y,z) -> (x - b1/2, y - b2/2, z - b3/2).
 
+    Exact input stays exact: an int a0 divides as a Fraction and an odd int
+    b_i halves as one, so int input with a0 = 1 and even b stays in ints.
     Result has a0 = 1 and b = 0 exactly, in float mode too: the shifted b is
     b + 2*(-b/2), which rounds to zero unless b is subnormal; then b/2 may
     round, and that slot keeps +-5e-324.
@@ -396,5 +398,12 @@ def normalize_quartic(c: DarbouxCoefficients) -> DarbouxCoefficients:
         scaled = c._make(v / a0 for v in c)
     if all(v == 0 for v in scaled.b):
         return scaled
-    shift = tuple(-v / 2 for v in scaled.b)
+    shift = tuple(-_half(v) for v in scaled.b)
     return apply_motion(scaled, EuclideanMotion.translation_by(shift))
+
+
+def _half(v: Scalar) -> Scalar:
+    """v / 2, exact for an int: an int when v is even, else a Fraction."""
+    if isinstance(v, int):
+        return v // 2 if v % 2 == 0 else Fraction(v, 2)
+    return v / 2

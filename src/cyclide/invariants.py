@@ -161,13 +161,12 @@ class CubicTargets:
         return tuple(lhs - rhs for lhs, rhs in self.cleared_pairs)
 
 
-def _e_numerator(c: DarbouxCoefficients, B0: Scalar) -> Scalar:
-    """B0^3 * E1 as a polynomial (division-free)."""
+def _e_numerator(c: DarbouxCoefficients, B0: Scalar, W3: Scalar) -> Scalar:
+    """B0^3 * E1 as a polynomial (division-free); B0 and W3 are symmetric,
+    so the bundle of c serves every sigma-image of c."""
     b1, b2, b3 = c.b
     c1, c2, c3 = c.c
     d1, d2, d3 = c.d
-    W3 = (b1 * b1 * c1 + b2 * b2 * c2 + b3 * b3 * c3
-          + 2 * b2 * b3 * d1 + 2 * b1 * b3 * d2 + 2 * b1 * b2 * d3)
     return (-b1 * (W3 - B0 * (c2 + c3)) ** 2
             + 2 * b1 * b1 * B0 * (b3 * c3 * d2 + b2 * c2 * d3)
             - 4 * b1 * B0 * (b3 * d2 + b2 * d3) ** 2
@@ -185,7 +184,7 @@ def cubic_forms(c: DarbouxCoefficients, inv: InvariantBundle) -> CubicTargets:
     if inv.B0 == 0:
         raise ZeroCubicPart("B0 = 0: no cubic part")
     B0 = inv.B0
-    p1, p2, p3 = (_e_numerator(cc, B0) for cc in sigma_orbit(c))
+    p1, p2, p3 = (_e_numerator(cc, B0, inv.W3) for cc in sigma_orbit(c))
     q = (inv.W3 * (inv.W3 - B0 * inv.C0) ** 2 + B0 * B0 * inv.W3 * inv.W1
          + B0 ** 3 * (inv.W2 - inv.C0 * inv.W1))
     B3 = B0 ** 3

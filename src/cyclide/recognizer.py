@@ -11,12 +11,16 @@ test, here and in those stages, is a `TolerancePolicy.is_zero` call with
 the size its value is measured against.  The branch is the highest
 degree with a nonzero slot, measured against the largest coefficient, so it
 does not depend on the scale of the equation.  Exact mode refuses float
-coefficients.  Exact inputs of every degree go onto the integer lattice:
-every quantity is weighted-homogeneous, so a weighted rescale by the lcm lam
-of the coefficient denominators multiplies it by a nonzero power of lam and
-leaves each zero test unchanged, while the arithmetic runs on Python ints.
-Float inputs go to unit weighted sup-norm, so one tolerance is scale-free;
-float cubics and quadrics are first divided by max |b| or max |c, d|.
+coefficients.  Exact inputs of every degree go onto the integer lattice in
+one pass of int arithmetic from the numerators and denominators they were
+parsed to: every quantity is weighted-homogeneous, so a weighted rescale by
+lam multiplies it by a nonzero power of lam and leaves each zero test
+unchanged.  A quartic is divided by a0 slot by slot, lam is the lcm of the
+reduced denominators (doubled when a lattice b_i is odd) and the lattice
+copy is centred by `normalize_quartic`; a cubic or quadric takes the lcm of
+its own denominators.  Float inputs go to unit weighted sup-norm, so one
+tolerance is scale-free; float cubics and quadrics are first divided by
+max |b| or max |c, d|.
 """
 from __future__ import annotations
 
@@ -91,19 +95,29 @@ class TolerancePolicy:
 @dataclass(frozen=True)
 class Prepared:
     """One input, prepared once by `prepare` for every stage: `raw` is the
-    input (as Fractions in exact mode), `normalized` is normalize_quartic(raw)
-    for a quartic, `work` the gauged copy every stage runs on and `inv` its
+    input, `work` the gauged copy every stage runs on and `inv` its
     invariant bundle.  A quantity of weighted degree w is its value on work
     times scale**w on `normalized` for a quartic; on `raw` for an exact
     cubic or quadric, and on `raw` divided by max |b| or max |c, d| for a
-    float one."""
+    float one.  An exact work is on the integer lattice with scale = 1/lam."""
 
     raw: DarbouxCoefficients
     branch: str
-    normalized: Optional[DarbouxCoefficients] = None
     work: Optional[DarbouxCoefficients] = None
     scale: Scalar = 1
     inv: Optional[InvariantBundle] = None
+    # normalize_quartic(raw) of a float quartic; exact mode derives it
+    float_normalized: Optional[DarbouxCoefficients] = None
+
+    @property
+    def normalized(self) -> Optional[DarbouxCoefficients]:
+        """normalize_quartic(raw) for a quartic, else None; in exact mode
+        the lattice copy taken back to the caller's scale, as Fractions."""
+        if self.branch != QUARTIC or self.float_normalized is not None:
+            return self.float_normalized
+        lam = self.scale.denominator
+        return self.work._make(Fraction(v, lam ** w)
+                               for v, w in zip(self.work, SLOT_WEIGHTS))
 
 
 @dataclass
@@ -127,16 +141,11 @@ def weighted_sup_norm(c: DarbouxCoefficients) -> float:
     return max(abs(float(v)) ** (1.0 / w) for v, w in zip(c, SLOT_WEIGHTS) if w)
 
 
-def _gauge(c: DarbouxCoefficients, pol: TolerancePolicy,
-           branch: str) -> Tuple[DarbouxCoefficients, Scalar]:
-    """(working copy, scale) of a normalized quartic, or of a cubic or
+def _float_gauge(c: DarbouxCoefficients,
+                 branch: str) -> Tuple[DarbouxCoefficients, float]:
+    """(working copy, scale) of a float normalized quartic, or of a cubic or
     quadric whose higher slots are zero under the policy; see the module
-    docstring.  Exact mode has one rule for every branch: the weighted
-    rescale onto the integer lattice, scale 1/lam.  A float cubic or quadric
-    scale omits the first division."""
-    if pol.exact:
-        lam = math.lcm(*(v.denominator for v in c))
-        return c._make(map(int, weighted_rescale(c, lam))), Fraction(1, lam)
+    docstring.  A cubic or quadric scale omits the first division."""
     zeroed = {}
     if branch != QUARTIC:
         cubic = branch == CUBIC
@@ -151,6 +160,57 @@ def _gauge(c: DarbouxCoefficients, pol: TolerancePolicy,
     return (work.replace(**zeroed) if zeroed else work), s
 
 
+def _rescaled(c: DarbouxCoefficients, nums, dens, lam: int) -> DarbouxCoefficients:
+    """The slots nums[i]/dens[i] weighted-rescaled by lam, in ints; lam is a
+    multiple of every dens[i], and dens[0] (slot a0, weight 0) is 1."""
+    l2 = lam * lam
+    power = (1, lam, l2, l2 * lam, l2 * l2)
+    return c._make(n * (power[w] // d) for n, d, w in zip(nums, dens, SLOT_WEIGHTS))
+
+
+def _quartic_lattice(c: DarbouxCoefficients) -> Tuple[DarbouxCoefficients, int]:
+    """(work, lam) of an exact quartic: normalize_quartic(c) weighted-
+    rescaled by lam, built in ints.  Each slot over a0 is reduced to n/d
+    (one gcd), lam is the lcm of the d, doubled when a lattice b_i is odd so
+    that the centring shift -b/2 is integral too."""
+    na, da = c.a0.numerator, c.a0.denominator
+    if na < 0:
+        na, da = -na, -da
+    nums, dens = [], []
+    for v in c:
+        n, d = v.numerator * da, v.denominator * na
+        g = math.gcd(n, d)
+        nums.append(n // g)
+        dens.append(d // g)
+    lam = math.lcm(*dens)
+    if any(n * (lam // d) % 2 for n, d in zip(nums[1:4], dens[1:4])):
+        lam *= 2
+    return normalize_quartic(_rescaled(c, nums, dens, lam)), lam
+
+
+def _lattice(c: DarbouxCoefficients) -> Tuple[DarbouxCoefficients, int]:
+    """(work, lam) of an exact cubic or quadric (a0 = 0): c weighted-rescaled
+    by the lcm lam of its denominators, built in ints."""
+    dens = [v.denominator for v in c]
+    lam = math.lcm(*dens)
+    return _rescaled(c, [v.numerator for v in c], dens, lam), lam
+
+
+def _prepare_exact(c: DarbouxCoefficients) -> Prepared:
+    """`prepare` of int or Fraction coefficients: the branch is the highest
+    degree with a nonzero slot, and every branch goes onto the lattice."""
+    if c.a0 != 0:
+        work, lam = _quartic_lattice(c)
+        return Prepared(c, QUARTIC, work, Fraction(1, lam), base_invariants(work))
+    if any(v != 0 for v in c.b):
+        work, lam = _lattice(c)
+        return Prepared(c, CUBIC, work, Fraction(1, lam), base_invariants(work))
+    if any(v != 0 for v in (*c.c, *c.d)):
+        work, lam = _lattice(c)
+        return Prepared(c, QUADRIC, work, Fraction(1, lam))
+    return Prepared(c, LINEAR)
+
+
 def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
     """Degree branch, normalization, gauge and invariant bundle of one input.
     Exact mode takes int or Fraction coefficients and works on the integer
@@ -158,23 +218,20 @@ def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
     if all(v == 0 for v in c):
         raise ZeroInput("all fourteen coefficients vanish")
     if pol.exact:
-        if not all(type(v) is Fraction for v in c):
-            if not c.is_exact():
-                raise PreconditionError("exact mode requires int or Fraction coefficients")
-            c = c._make(map(Fraction, c))
-        sup = 1
-    else:
-        sup = max(abs(float(v)) for v in c)
+        if not c.is_exact():
+            raise PreconditionError("exact mode requires int or Fraction coefficients")
+        return _prepare_exact(c)
+    sup = max(abs(float(v)) for v in c)
     zero = lambda v: pol.is_zero(v, sup)
     if not zero(c.a0):
         cn = normalize_quartic(c)
-        work, scale = _gauge(cn, pol, QUARTIC)
-        return Prepared(c, QUARTIC, cn, work, scale, base_invariants(work))
+        work, scale = _float_gauge(cn, QUARTIC)
+        return Prepared(c, QUARTIC, work, scale, base_invariants(work), cn)
     if not all(map(zero, c.b)):
-        work, scale = _gauge(c, pol, CUBIC)
-        return Prepared(c, CUBIC, None, work, scale, base_invariants(work))
+        work, scale = _float_gauge(c, CUBIC)
+        return Prepared(c, CUBIC, work, scale, base_invariants(work))
     if not all(map(zero, (*c.c, *c.d))):
-        return Prepared(c, QUADRIC, None, *_gauge(c, pol, QUADRIC))
+        return Prepared(c, QUADRIC, *_float_gauge(c, QUADRIC))
     return Prepared(c, LINEAR)
 
 
@@ -227,7 +284,8 @@ def _ungauge(verdict: Verdict, scale: Scalar, pol: TolerancePolicy) -> Verdict:
     reported at the gauge."""
     if not pol.exact:
         return verdict
-    back = lambda name, v: Fraction(v, scale.denominator ** RESIDUAL_WEIGHTS[name])
+    lam = scale.denominator
+    back = lambda name, v: Fraction(v, lam ** RESIDUAL_WEIGHTS[name])
     residuals = {name: back(name, v) for name, v in verdict.residuals.items()}
     witness = None if verdict.witness is None else (verdict.witness[0],
                                                      back(*verdict.witness))

@@ -38,6 +38,14 @@ def parse_scalar(value, mode: str) -> Scalar:
     if isinstance(value, str):
         text = value.strip()
         try:
+            if mode == EXACT and text.isascii():
+                # fast path for an ASCII integer or "p/q", same value and
+                # errors as Fraction(text); anything else ("+", "_",
+                # decimals, q = 0) takes Fraction(text)
+                num, slash, den = text.partition("/")
+                if (num.removeprefix("-").isdigit()
+                        and (not slash or den.isdigit() and den.strip("0"))):
+                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot parse coefficient {value!r}: {exc}") from exc

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from .core import COEFF_FIELDS, DarbouxCoefficients
@@ -29,9 +30,10 @@ def parse_coefficients(obj, mode: str = EXACT) -> DarbouxCoefficients:
     if unknown:
         raise ParseError(f"unknown coefficient key(s): {', '.join(unknown)}")
     values = []
+    zero = Fraction(0) if mode == EXACT else 0.0  # a missing key: parse_scalar(0, mode)
     for key in COEFF_FIELDS:
         try:
-            values.append(parse_scalar(obj.get(key, 0), mode))
+            values.append(parse_scalar(obj[key], mode) if key in obj else zero)
         except ParseError as exc:
             raise ParseError(f"key {key!r}: {exc}") from exc
     return DarbouxCoefficients._make(values)

@@ -265,6 +265,18 @@ class TestNormalizeQuartic:
         assert shifted.b != (0, 0, 0)
         assert normalize_quartic(shifted) == TORUS21
 
+    def test_int_input_stays_exact(self):
+        # odd b halves as a Fraction; a0 = 1 with even b stays in ints
+        c = DarbouxCoefficients(1, 1, 2, 0, 3, 3, 3, 0, 0, 0, 1, 1, 1, 5)
+        n = normalize_quartic(c)
+        assert all(type(v) in (int, Fraction) for v in n)
+        assert n == normalize_quartic(c._make(map(Fraction, c)))
+        assert (n.c1, n.f0) == (Fraction(-1, 2), Fraction(17, 16))
+        even = c.replace(b1=4, b2=-2)
+        n = normalize_quartic(even)
+        assert all(type(v) is int for v in n)
+        assert n == normalize_quartic(even._make(map(Fraction, even)))
+
     def test_not_quartic(self):
         with pytest.raises(NotQuartic):
             normalize_quartic(DarbouxCoefficients.make(a0=0, b=(1, 0, 0)))

@@ -1,8 +1,10 @@
 """Golden output: the exact-mode stdout of the CLI on the 400-row mixed
-corpus, pinned by sha256, and the decisions of `to-torus --float` on it.
+corpus and on a small hand corpus, pinned by sha256, and the decisions of
+`to-torus --float` on the mixed corpus.
 
-A refactor that changes any byte of `generate`, `recognize` or
-`canonicalize` (which carries the class and J0 fields) fails here.  Float
+A refactor that changes any byte of `generate`, `recognize`,
+`canonicalize` (which carries the class and J0 fields) or `to-torus` fails
+here.  The hand corpus holds exact forms the generator never emits.  Float
 values are left out: their `weighted_sup_norm` powers and map values come
 from libm and may differ across platforms.  Float decisions are pinned
 instead: per row the kind, case, class, `class_ambiguous`, the type of a
@@ -26,6 +28,7 @@ DIGESTS = {
     "generate": "3992a5f99dbe736da3c987afb8f940f9fecc764eff1b512212e3017b9676031d",
     "recognize": "2f490dbc4d43c9fc5a183239868a6c53d63c45cb763a628aa84082443ff7e91a",
     "canonicalize": "c9ac81bb83b8a3c22c0b7b117f23f82cbaa0335c914944daefa34ffe78cb293b",
+    "to-torus": "cec1f096e086b40784ef68fa457103b98c8eb5fef72bc0f82dff5f5f88c41061",
 }
 
 
@@ -49,6 +52,41 @@ def test_exact_stdout_is_pinned(verb, capsys, tmp_path):
         out = stdout_of([verb, "--exact", str(path)], capsys)
     assert len(out.splitlines()) == 400
     assert sha256(out) == DIGESTS[verb]
+
+
+# forms the generator never emits: a0 negative or != 1 with odd b on the
+# integer lattice, JSON ints, decimal strings and a leading "+"
+HAND_CORPUS = [
+    {"a0": 2, "b1": 1, "b2": -3, "b3": 2, "c1": -16, "c2": -12, "c3": "35/2", "d1": -3,
+     "d2": 1, "d3": "-3/2", "e1": "-33/8", "e2": "99/8", "e3": "31/4", "f0": "321/32"},
+    {"a0": -3, "c1": 30, "c2": 30, "c3": -18, "f0": -27},
+    {"a0": "-5/3", "b1": "-5/9", "b3": "1/3", "c1": "736/45", "c2": "2233/135",
+     "c3": "-1376/135", "d2": "1/9", "e1": "2233/810", "e3": "1367/1350",
+     "f0": "-1778689/121500"},
+    {"a0": "0.25", "c1": "-2.5", "c2": "-2.5", "c3": "1.5", "f0": "2.25"},
+    {"a0": "+3/4", "c1": "-15/2", "c2": "-7.5", "c3": "9/2", "f0": "27/4"},
+    {"a0": "+3/4", "b1": 1, "c1": "0.25", "e2": "+1/2", "f0": "-1/3"},
+    {"a0": -2, "b1": 3, "b2": -1, "c1": 5, "d3": "-7/3", "e3": 7, "f0": 1},
+    {"b1": 1, "c2": -2, "c3": 2, "e1": -1},
+    {"b1": "0.5", "c2": "-1", "c3": "+1", "e1": "-0.5"},
+    {"b1": -3, "b2": "+1/2", "c1": 2, "e3": "0.75", "f0": -1},
+    {"c1": 1, "c2": 1, "c3": 2, "f0": "-0.5"},
+]
+
+HAND_DIGESTS = {
+    "recognize": "e0e11f34701bc9a56a217525fe79afe018754c11883352e2dd30dcb2bba83eb0",
+    "to-torus": "48444a55fa6d6e586eada3f81aaebbce1cd3e91fa295f75da4e427cc070091ff",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(HAND_DIGESTS))
+def test_exact_stdout_of_hand_corpus_is_pinned(verb, capsys, tmp_path):
+    path = tmp_path / "hand.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in HAND_CORPUS),
+                    encoding="utf-8")
+    out = stdout_of([verb, "--exact", str(path)], capsys)
+    assert len(out.splitlines()) == len(HAND_CORPUS)
+    assert sha256(out) == HAND_DIGESTS[verb]
 
 
 FLOAT_DECISIONS = "d91289fec985fa3f415350d91292639b70d0e9b7f67272112fe55f38dd9d5bfb"

@@ -140,6 +140,49 @@ class TestIntegerGauge:
                     out.append(cn)
         return out
 
+    def _lattice_quartics(self, rng):
+        """Quartics with a0 of either sign and of several sizes, centred or
+        not; a0 = 2, b1 = 1 puts an odd b on the lattice."""
+        shift = EuclideanMotion.translation_by((Fraction(1, 4), Fraction(-3, 4),
+                                                 Fraction(1, 2)))
+        out = [TORUS21.scale(-3), apply_motion(TORUS21, shift).scale(2)]
+        for i in range(30):
+            size = Fraction(10) ** rng.randint(-4, 4)
+            a0 = rng.choice((-1, 1)) * size * rand_fraction(rng, 1, 9, 7)
+            out.append(random_coefficients(rng, a0=a0, with_b=i % 3 != 0))
+        return out
+
+    @staticmethod
+    def _as_ints(c):
+        """The same surface with int coefficients."""
+        lcm = math.lcm(*(v.denominator for v in c))
+        return c._make(int(v * lcm) for v in c)
+
+    def test_exact_quartics_go_straight_onto_the_lattice(self, pol, rng):
+        odd_b = 0
+        for c in self._lattice_quartics(rng):
+            divided = c.scale(1 / c.a0)
+            lam = math.lcm(*(v.denominator for v in divided))
+            odd_b += any(v * lam % 2 for v in divided.b)
+            for cc in (c, self._as_ints(c)):
+                p = prepare(cc, pol)
+                assert all(type(v) is int for v in p.work)
+                assert p.work.a0 == 1 and p.work.b == (0, 0, 0)
+                assert p.work == weighted_rescale(normalize_quartic(cc), 1 / p.scale)
+                assert p.normalized == normalize_quartic(cc)
+                assert all(type(v) is Fraction for v in p.normalized)
+        assert odd_b > 0
+
+    def test_exact_cubics_and_quadrics_go_onto_the_lattice(self, pol, rng):
+        for i in range(30):
+            c = random_coefficients(rng, a0=0, with_b=i % 2 == 0)
+            for cc in (c, self._as_ints(c)):
+                p = prepare(cc, pol)
+                assert p.branch == (CUBIC if i % 2 == 0 else QUADRIC)
+                assert all(type(v) is int for v in p.work)
+                assert p.work == weighted_rescale(cc, 1 / p.scale)
+                assert p.normalized is None
+
     def test_verdict_matches_fraction_arithmetic(self, pol, rng):
         kinds = set()
         for cn in self._fractional_quartics(rng):
