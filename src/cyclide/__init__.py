@@ -13,7 +13,7 @@ from .core import (SIGMA12, SIGMA13, SIGMA23, DarbouxCoefficients,
 from .invariants import (GeneratorValues, InvariantBundle, base_invariants,
                          cubic_forms, quadric_forms, quartic_generators,
                          reduced_generators_e0)
-from .moebius import (MoebiusMap, TorusSpec, apply_map, build_map,
+from .moebius import (MoebiusMap, TorusSpec, build_map,
                       calibrate_convention, torus_radii, torus_radii_inversive)
 from .recognizer import (Prepared, TolerancePolicy, Verdict, prepare, recognize,
                          recognize_cubic, recognize_quadric,
@@ -25,7 +25,7 @@ __all__ = [
     "EuclideanMotion", "TriPoly", "GeneratorValues", "InvariantBundle",
     "J0Value", "SurfaceClass", "MoebiusMap", "TorusSpec", "Prepared",
     "TolerancePolicy", "Verdict", "SIGMA12", "SIGMA13", "SIGMA23",
-    "apply_map", "apply_motion", "apply_permutation", "base_invariants",
+    "apply_motion", "apply_permutation", "base_invariants",
     "build_map", "calibrate_convention", "canonical_cubic_params",
     "canonical_quartic_params", "classify_cubic", "classify_quartic",
     "coefficients_from_polynomial", "cubic_forms", "errors", "genkit",

@@ -6,7 +6,8 @@ parameters (alpha^2, gamma^2, delta^2, alpha*gamma*delta).  Cubics: the
 recentering shift and the parameter pair (p, q).
 
 Every stage takes the `Prepared` form of its input (`recognizer.prepare`),
-works at its gauge and scales back, so float tolerance checks are
+works at its gauge and takes each value it reports, messages included, back
+by `Prepared.scale_back` of its weight, so float tolerance checks are
 scale-free and exact arithmetic starts on the integer lattice.  Exact mode stays
 closed over the rationals and demands perfect-square discriminants
 (generator-produced inputs always satisfy this).
@@ -16,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .core import DarbouxCoefficients, EuclideanMotion, apply_motion, sigma_orbit
 from .errors import ComplexRoots, Inconsistent, IrrationalSpectrum
 from .invariants import InvariantBundle, base_invariants
 from .recognizer import Prepared, TolerancePolicy
-from .scalar import Scalar, exact_sqrt
+from .scalar import Scalar, exact_sqrt, format_scalar
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,11 @@ class SpectralData:
     A3: Scalar
     Dsq: Scalar
     F: Scalar
+
+    def squares(self) -> Tuple[Scalar, Scalar, Scalar]:
+        """(alpha^2, gamma^2, delta^2) = ((A3-A1)/4, (A2-A1)/4, -(A2+A3)/4)."""
+        return ((self.A3 - self.A1) / 4, (self.A2 - self.A1) / 4,
+                -(self.A2 + self.A3) / 4)
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,22 @@ class CanonicalCubic:
     p: Scalar
     q: Scalar
     shift: Tuple[Scalar, Scalar, Scalar]
+
+
+def _sqrt(v: Scalar, exact: bool, name: str, prep: Optional[Prepared] = None,
+          w: int = 0) -> Scalar:
+    """sqrt(v): a rational root in exact mode, or IrrationalSpectrum naming
+    `name` and v when there is none, v taken back by prep.scale_back(w) when
+    it is of weight w at prep's gauge; a float root in float mode, where a
+    value below zero by rounding noise roots to 0."""
+    if not exact:
+        return math.sqrt(max(v, 0.0))
+    root = exact_sqrt(Fraction(v))
+    if root is None:
+        shown = v if prep is None else v * prep.scale_back(w)
+        raise IrrationalSpectrum(
+            f"{name} {format_scalar(shown)} is not a perfect square; use float mode")
+    return root
 
 
 def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
@@ -124,15 +146,11 @@ def _a23_at_scale(prep: Prepared, a1: Scalar,
         if pol.nonzero(disc, 100 * max(1.0, p_lin * p_lin, abs(q_const))):
             # messages give the discriminant (weight 4) at the caller's scale
             raise ComplexRoots(
-                f"negative discriminant {disc * prep.scale ** 4}: no real spectrum")
+                f"negative discriminant {disc * prep.scale_back(4)}: no real spectrum")
         disc = 0.0  # float noise about a double root
+    root = _sqrt(disc, pol.exact, "discriminant", prep, 4)
     if pol.exact:
-        root = exact_sqrt(Fraction(disc))
-        if root is None:
-            raise IrrationalSpectrum(f"discriminant {disc * prep.scale ** 4} "
-                                     "is not a perfect square; use float mode")
         return (-p_lin - root) / 2, (-p_lin + root) / 2
-    root = math.sqrt(disc)
     if p_lin >= 0:
         r1 = (-p_lin - root) / 2
         r2 = q_const / r1 if r1 != 0 else -p_lin - r1
@@ -158,26 +176,18 @@ def spectral_data(prep: Prepared, pol: TolerancePolicy) -> SpectralData:
     bad = {k: v for k, v in checks.items() if pol.nonzero(v, 100)}
     if bad:
         raise Inconsistent(f"spectral closure failed: {bad}")
-    k2 = prep.scale * prep.scale
+    k2 = prep.scale_back(2)
     return SpectralData(A1=a1 * k2, A2=a2 * k2, A3=a3 * k2,
-                        Dsq=dsq * k2 ** 3, F=f * k2 ** 2)
+                        Dsq=dsq * prep.scale_back(6), F=f * prep.scale_back(4))
 
 
 def canonical_quartic_params(s: SpectralData) -> CanonicalQuartic:
-    """alpha^2 = (A3-A1)/4, gamma^2 = (A2-A1)/4, delta^2 = -(A2+A3)/4;
-    agd = sqrt(alpha^2 gamma^2 delta^2) taken nonnegative (flipping the sign
-    of any canonical parameter is a symmetry of the surface)."""
-    alpha_sq = (s.A3 - s.A1) / 4
-    gamma_sq = (s.A2 - s.A1) / 4
-    delta_sq = -(s.A2 + s.A3) / 4
+    """(alpha^2, gamma^2, delta^2) = `SpectralData.squares`; agd =
+    sqrt(alpha^2 gamma^2 delta^2) taken nonnegative (flipping the sign of
+    any canonical parameter is a symmetry of the surface)."""
+    alpha_sq, gamma_sq, delta_sq = s.squares()
     prod = alpha_sq * gamma_sq * delta_sq
-    if isinstance(prod, Fraction):
-        agd = exact_sqrt(prod)
-        if agd is None:
-            raise IrrationalSpectrum(
-                f"alpha^2*gamma^2*delta^2 = {prod} is not a perfect square; use float mode")
-    else:
-        agd = math.sqrt(max(prod, 0.0))
+    agd = _sqrt(prod, isinstance(prod, Fraction), "alpha^2*gamma^2*delta^2 =")
     return CanonicalQuartic(alpha_sq=alpha_sq, gamma_sq=gamma_sq,
                             delta_sq=delta_sq, agd=agd)
 
@@ -202,16 +212,10 @@ def canonical_cubic_params(prep: Prepared,
     p q = -V/(4 B0) with V = C0_hat^2 - 4 W1_hat; ordered p <= q.  prep is a
     prepared cubic; p, q and the shift (weight 1) are worked at its gauge
     and scaled back."""
-    work, k = prep.work, prep.scale
+    work = prep.work
     shift = cubic_shift(work, prep.inv, pol)
     inv = base_invariants(apply_motion(work, EuclideanMotion.translation_by(shift)))
-    if pol.exact:
-        root_b0 = exact_sqrt(Fraction(inv.B0))
-        if root_b0 is None:
-            raise IrrationalSpectrum(
-                f"B0 = {inv.B0 * k ** 2} is not a perfect square; use float mode")
-    else:
-        root_b0 = math.sqrt(inv.B0)
+    root_b0 = _sqrt(inv.B0, pol.exact, "B0 =", prep, 2)
     psum = pol.div(-inv.C0, 2 * root_b0)
     pprod = pol.div(4 * inv.W1 - inv.C0 ** 2, 4 * inv.B0)
     disc = psum * psum - 4 * pprod
@@ -220,13 +224,8 @@ def canonical_cubic_params(prep: Prepared,
     if pol.is_zero(disc, 100 * max(1, psum * psum, abs(pprod))):
         disc = 0
     elif disc < 0:
-        raise ComplexRoots(f"negative (p,q) discriminant {disc * k ** 2}")
-    if pol.exact:
-        root = exact_sqrt(Fraction(disc))
-        if root is None:
-            raise IrrationalSpectrum(
-                f"(p-q)^2 = {disc * k ** 2} is not a perfect square; use float mode")
-    else:
-        root = math.sqrt(disc)
+        raise ComplexRoots(f"negative (p,q) discriminant {disc * prep.scale_back(2)}")
+    root = _sqrt(disc, pol.exact, "(p-q)^2 =", prep, 2)
+    k = prep.scale_back(1)
     return CanonicalCubic(p=(psum - root) / 2 * k, q=(psum + root) / 2 * k,
                           shift=tuple(v * k for v in shift))

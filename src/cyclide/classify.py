@@ -8,7 +8,8 @@ exactly one label (three boundary strata that the coefficient-level
 condition list leaves out are included here: the horn-torus edge, the
 one-point edge at s = t < 0 <= u, and sphere-with-point taking precedence
 over the touching-spheres line).  J0 takes the `Prepared` form of its
-input (`recognizer.prepare`) and is computed at its gauge.
+input (`recognizer.prepare`) and is computed at its gauge (weight 0: no
+scale-back).
 """
 from __future__ import annotations
 
@@ -67,10 +68,6 @@ class J0Value:
         return cls(J0_UNDEFINED)
 
 
-def _squares(s: SpectralData) -> Tuple[Scalar, Scalar, Scalar]:
-    return ((s.A3 - s.A1) / 4, (s.A2 - s.A1) / 4, -(s.A2 + s.A3) / 4)
-
-
 def classify_quartic(sd: SpectralData, pol: TolerancePolicy) -> SurfaceClass:
     label, _ = classify_quartic_report(sd, pol)
     return label
@@ -80,7 +77,7 @@ def classify_quartic_report(sd: SpectralData,
                             pol: TolerancePolicy) -> Tuple[SurfaceClass, bool]:
     """(label, ambiguous): ambiguous flags a float equality decided within
     tolerance, i.e. the input sits on (or hugs) a stratification boundary."""
-    s, t, u = _squares(sd)
+    s, t, u = sd.squares()
     scale = max(1.0, abs(s), abs(t), abs(u))
 
     def sgn(v):
@@ -167,9 +164,10 @@ def j0_quartic(prep: Prepared, sd: SpectralData,
     Coefficient-level: the C0/W1/W2/E0/f0 rational form.
     Zero denominator with nonzero numerator means minus infinity (touching
     spheres, double sphere); 0/0 is undefined (sphere with a point on it).
-    prep is the prepared quartic sd was recovered from.
+    prep is the prepared quartic sd was recovered from; sd / scale_back(2)
+    is the triple at its gauge.
     """
-    k2 = prep.scale * prep.scale
+    k2 = prep.scale_back(2)
     a1, a2, a3 = sd.A1 / k2, sd.A2 / k2, sd.A3 / k2
 
     inv = prep.inv

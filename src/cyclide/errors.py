@@ -51,6 +51,11 @@ class IrrationalSpectrum(CyclideError):
     not a perfect rational square.  Use float mode."""
 
 
+class TooManyDigits(CyclideError):
+    """An exact value has more decimal digits than Python converts from int
+    to str (`sys.get_int_max_str_digits`).  Use float mode."""
+
+
 class FormulaDisagreement(CyclideError):
     """Independent formulas for the same invariant disagree."""
 

@@ -21,6 +21,9 @@ from .errors import (CyclideError, InternalCheckError, IrrationalSpectrum,
 from .recognizer import TolerancePolicy, recognize
 from .scalar import EXACT, FLOAT, exact_sqrt
 
+# draws `perturb_off_variety` makes before giving up
+PERTURB_ATTEMPTS = 10
+
 
 @dataclass(frozen=True)
 class QuarticSeed:
@@ -141,13 +144,13 @@ def random_quartic_seed(rng: random.Random, motion: Optional[EuclideanMotion] = 
     return QuarticSeed(s=s, t=t, u=u, m=m, motion=motion, lam=lam)
 
 
-def perturb_off_variety(c: DarbouxCoefficients, rng: random.Random,
-                        max_attempts: int = 10) -> DarbouxCoefficients:
+def perturb_off_variety(c: DarbouxCoefficients,
+                        rng: random.Random) -> DarbouxCoefficients:
     """Add a random nonzero rational to one of e1, e2, e3, f0; resample the
     rare accidental returns to the variety (codimension 4 makes them measure
     zero along a generic line, but boundary strata exist)."""
     pol = TolerancePolicy(EXACT)
-    for _ in range(max_attempts):
+    for _ in range(PERTURB_ATTEMPTS):
         field = rng.choice(["e1", "e2", "e3", "f0"])
         delta = random_fraction(rng)
         if delta == 0:
@@ -160,7 +163,7 @@ def perturb_off_variety(c: DarbouxCoefficients, rng: random.Random,
             raise
         except CyclideError:
             continue
-    raise PreconditionError(f"could not leave the variety in {max_attempts} attempts")
+    raise PreconditionError(f"could not leave the variety in {PERTURB_ATTEMPTS} attempts")
 
 
 # --------------------------------------------------------------------------
@@ -403,7 +406,7 @@ def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):
     cn = verdict.prepared.normalized
     sd = spectral_data(verdict.prepared, pol)
     label = classify_quartic(sd, pol)
-    squares = ((sd.A3 - sd.A1) / 4, (sd.A2 - sd.A1) / 4, -(sd.A2 + sd.A3) / 4)
+    squares = sd.squares()
 
     frame = _exact_axis_frame(cn, sd) if exact_in else None
     exact = exact_in and frame is not None

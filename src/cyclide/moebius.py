@@ -22,6 +22,9 @@ from .scalar import Scalar
 FORWARD = "forward"
 INVERSE = "inverse"
 
+# largest residual over the samples that `calibrate_convention` accepts
+CALIBRATION_BOUND = 1e-9
+
 
 @dataclass(frozen=True)
 class TorusSpec:
@@ -212,10 +215,6 @@ def build_map(q: CanonicalQuartic, variant: str,
     raise PreconditionError(f"unknown variant {variant!r}")
 
 
-def apply_map(m: MoebiusMap, point) -> Tuple[float, float, float]:
-    return m.apply(point)
-
-
 @dataclass(frozen=True)
 class CalibrationReport:
     signs: Tuple[int, int]
@@ -256,8 +255,7 @@ def _torus_side_coefficients(q: CanonicalQuartic, variant: str) -> DarbouxCoeffi
 
 
 def calibrate_convention(q: CanonicalQuartic, variant: str,
-                         samples: Sequence[Tuple[float, float, float]],
-                         residual_bound: float = 1e-9):
+                         samples: Sequence[Tuple[float, float, float]]):
     """Search the sign/swap/direction conventions and the source/target role
     for the one minimizing the max target-equation residual over the samples.
 
@@ -292,7 +290,7 @@ def calibrate_convention(q: CanonicalQuartic, variant: str,
                 for side_name, side_coeffs in sides:
                     res = max(_surface_residual(side_coeffs, img)
                               for img in images)
-                    if res <= residual_bound:
+                    if res <= CALIBRATION_BOUND:
                         return mapped, CalibrationReport((s1, s2), swap,
                                                          direction, side_name, res)
                     if res < best[0]:
@@ -301,5 +299,5 @@ def calibrate_convention(q: CanonicalQuartic, variant: str,
                                                   side_name, res))
     res, mapped, report = best
     raise CalibrationFailed(
-        f"best residual {res:.3e} exceeds bound {residual_bound:.1e}",
+        f"best residual {res:.3e} exceeds bound {CALIBRATION_BOUND:.1e}",
         best_residual=res)

@@ -5,28 +5,28 @@ the rational-target equalities for cubics, and the rotational-quadric test.
 A 12-generator oracle cross-checks every exact quartic case decision.
 
 `prepare` is the one place that decides an input's degree branch and gauges
-it; every stage after it, here and in `canonical` and `classify`, takes the
-`Prepared` form it builds and runs on its one gauged copy.  Every zero
-test, here and in those stages, is a `TolerancePolicy.is_zero` call with
-the size its value is measured against.  The branch is the highest
-degree with a nonzero slot, measured against the largest coefficient, so it
-does not depend on the scale of the equation.  Exact mode refuses float
-coefficients.  Exact inputs of every degree go onto the integer lattice in
-one pass of int arithmetic from the numerators and denominators they were
-parsed to: every quantity is weighted-homogeneous, so a weighted rescale by
-lam multiplies it by a nonzero power of lam and leaves each zero test
+it, and `Prepared.scale_back` the one way back: every stage after it, here
+and in `canonical` and `classify`, runs on the one gauged copy and takes a
+value of weighted degree w back to the caller's scale with scale_back(w).
+Every zero test is a `TolerancePolicy.is_zero` call with the size its value
+is measured against.  The branch is the highest degree with a nonzero slot,
+measured in float mode against the largest coefficient, so it does not
+depend on the scale of the equation.  Exact mode refuses float coefficients
+and never converts one to float; `_lattice` puts every degree onto the
+integer lattice in one pass of int arithmetic from the parsed numerators and
+denominators: every quantity is weighted-homogeneous, so a weighted rescale
+by lam multiplies it by a nonzero power of lam and leaves each zero test
 unchanged.  A quartic is divided by a0 slot by slot, lam is the lcm of the
-reduced denominators (doubled when a lattice b_i is odd) and the lattice
-copy is centred by `normalize_quartic`; a cubic or quadric takes the lcm of
-its own denominators.  Float inputs go to unit weighted sup-norm, so one
-tolerance is scale-free; float cubics and quadrics are first divided by
-max |b| or max |c, d|.
+reduced denominators (doubled when a lattice b_i is odd) and the quartic
+copy is centred by `normalize_quartic`.  `_float_gauge` takes float inputs
+to unit weighted sup-norm, so one tolerance is scale-free; a quartic is
+normalized first, a cubic or quadric divided by max |b| or max |c, d|.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -97,9 +97,10 @@ class Prepared:
     """One input, prepared once by `prepare` for every stage: `raw` is the
     input, `work` the gauged copy every stage runs on and `inv` its
     invariant bundle.  A quantity of weighted degree w is its value on work
-    times scale**w on `normalized` for a quartic; on `raw` for an exact
-    cubic or quadric, and on `raw` divided by max |b| or max |c, d| for a
-    float one.  An exact work is on the integer lattice with scale = 1/lam."""
+    times `scale_back(w)`, the one way back: on `normalized` for a quartic;
+    on `raw` for an exact cubic or quadric, and on `raw` divided by max |b|
+    or max |c, d| for a float one.  An exact work is on the integer lattice
+    with scale = 1/lam."""
 
     raw: DarbouxCoefficients
     branch: str
@@ -109,14 +110,19 @@ class Prepared:
     # normalize_quartic(raw) of a float quartic; exact mode derives it
     float_normalized: Optional[DarbouxCoefficients] = None
 
+    def scale_back(self, w: int) -> Scalar:
+        """scale**w, the factor taking a value of weight w at the gauge back
+        to the caller's scale; an even power squares the scale first."""
+        s = self.scale
+        return (s * s) ** (w // 2) if w % 2 == 0 else s ** w
+
     @property
     def normalized(self) -> Optional[DarbouxCoefficients]:
         """normalize_quartic(raw) for a quartic, else None; in exact mode
         the lattice copy taken back to the caller's scale, as Fractions."""
         if self.branch != QUARTIC or self.float_normalized is not None:
             return self.float_normalized
-        lam = self.scale.denominator
-        return self.work._make(Fraction(v, lam ** w)
+        return self.work._make(v * self.scale_back(w)
                                for v, w in zip(self.work, SLOT_WEIGHTS))
 
 
@@ -141,13 +147,14 @@ def weighted_sup_norm(c: DarbouxCoefficients) -> float:
     return max(abs(float(v)) ** (1.0 / w) for v, w in zip(c, SLOT_WEIGHTS) if w)
 
 
-def _float_gauge(c: DarbouxCoefficients,
-                 branch: str) -> Tuple[DarbouxCoefficients, float]:
-    """(working copy, scale) of a float normalized quartic, or of a cubic or
-    quadric whose higher slots are zero under the policy; see the module
-    docstring.  A cubic or quadric scale omits the first division."""
-    zeroed = {}
-    if branch != QUARTIC:
+def _float_gauge(c: DarbouxCoefficients, branch: str):
+    """(work, scale, normalize_quartic(c)) of a float quartic, (work, scale,
+    None) of a cubic or quadric; see the module docstring.  A cubic or
+    quadric scale omits the first division."""
+    zeroed, cn = {}, None
+    if branch == QUARTIC:
+        c = cn = normalize_quartic(c)
+    else:
         cubic = branch == CUBIC
         top = max(abs(float(v)) for v in (c.b if cubic else (*c.c, *c.d)))
         c = c._make(float(v) / top for v in c)
@@ -155,25 +162,17 @@ def _float_gauge(c: DarbouxCoefficients,
         zeroed = dict.fromkeys(("a0",) if cubic else ("a0", "b1", "b2", "b3"), 0.0)
     s = weighted_sup_norm(c)
     if s == 0:
-        return c, 1.0
+        return c, 1.0, cn
     work = weighted_rescale(c, 1.0 / s)
-    return (work.replace(**zeroed) if zeroed else work), s
+    return (work.replace(**zeroed) if zeroed else work), s, cn
 
 
-def _rescaled(c: DarbouxCoefficients, nums, dens, lam: int) -> DarbouxCoefficients:
-    """The slots nums[i]/dens[i] weighted-rescaled by lam, in ints; lam is a
-    multiple of every dens[i], and dens[0] (slot a0, weight 0) is 1."""
-    l2 = lam * lam
-    power = (1, lam, l2, l2 * lam, l2 * l2)
-    return c._make(n * (power[w] // d) for n, d, w in zip(nums, dens, SLOT_WEIGHTS))
-
-
-def _quartic_lattice(c: DarbouxCoefficients) -> Tuple[DarbouxCoefficients, int]:
-    """(work, lam) of an exact quartic: normalize_quartic(c) weighted-
-    rescaled by lam, built in ints.  Each slot over a0 is reduced to n/d
-    (one gcd), lam is the lcm of the d, doubled when a lattice b_i is odd so
-    that the centring shift -b/2 is integral too."""
-    na, da = c.a0.numerator, c.a0.denominator
+def _lattice(c: DarbouxCoefficients, branch: str):
+    """(work, 1/lam, None) of exact c, in ints; see the module docstring.
+    Each slot is reduced to n/d by one gcd; a doubled lam makes the
+    centring shift -b/2 of a quartic integral too."""
+    quartic = branch == QUARTIC
+    na, da = (c.a0.numerator, c.a0.denominator) if quartic else (1, 1)
     if na < 0:
         na, da = -na, -da
     nums, dens = [], []
@@ -183,56 +182,34 @@ def _quartic_lattice(c: DarbouxCoefficients) -> Tuple[DarbouxCoefficients, int]:
         nums.append(n // g)
         dens.append(d // g)
     lam = math.lcm(*dens)
-    if any(n * (lam // d) % 2 for n, d in zip(nums[1:4], dens[1:4])):
+    if quartic and any(n * (lam // d) % 2 for n, d in zip(nums[1:4], dens[1:4])):
         lam *= 2
-    return normalize_quartic(_rescaled(c, nums, dens, lam)), lam
-
-
-def _lattice(c: DarbouxCoefficients) -> Tuple[DarbouxCoefficients, int]:
-    """(work, lam) of an exact cubic or quadric (a0 = 0): c weighted-rescaled
-    by the lcm lam of its denominators, built in ints."""
-    dens = [v.denominator for v in c]
-    lam = math.lcm(*dens)
-    return _rescaled(c, [v.numerator for v in c], dens, lam), lam
-
-
-def _prepare_exact(c: DarbouxCoefficients) -> Prepared:
-    """`prepare` of int or Fraction coefficients: the branch is the highest
-    degree with a nonzero slot, and every branch goes onto the lattice."""
-    if c.a0 != 0:
-        work, lam = _quartic_lattice(c)
-        return Prepared(c, QUARTIC, work, Fraction(1, lam), base_invariants(work))
-    if any(v != 0 for v in c.b):
-        work, lam = _lattice(c)
-        return Prepared(c, CUBIC, work, Fraction(1, lam), base_invariants(work))
-    if any(v != 0 for v in (*c.c, *c.d)):
-        work, lam = _lattice(c)
-        return Prepared(c, QUADRIC, work, Fraction(1, lam))
-    return Prepared(c, LINEAR)
+    l2 = lam * lam
+    power = (1, lam, l2, l2 * lam, l2 * l2)
+    work = c._make(n * (power[w] // d) for n, d, w in zip(nums, dens, SLOT_WEIGHTS))
+    return (normalize_quartic(work) if quartic else work), Fraction(1, lam), None
 
 
 def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
-    """Degree branch, normalization, gauge and invariant bundle of one input.
-    Exact mode takes int or Fraction coefficients and works on the integer
-    lattice."""
+    """Degree branch, normalization, gauge and invariant bundle of one input;
+    see the module docstring."""
     if all(v == 0 for v in c):
         raise ZeroInput("all fourteen coefficients vanish")
-    if pol.exact:
-        if not c.is_exact():
-            raise PreconditionError("exact mode requires int or Fraction coefficients")
-        return _prepare_exact(c)
-    sup = max(abs(float(v)) for v in c)
+    if pol.exact and not c.is_exact():
+        raise PreconditionError("exact mode requires int or Fraction coefficients")
+    sup = 1 if pol.exact else max(abs(float(v)) for v in c)
     zero = lambda v: pol.is_zero(v, sup)
     if not zero(c.a0):
-        cn = normalize_quartic(c)
-        work, scale = _float_gauge(cn, QUARTIC)
-        return Prepared(c, QUARTIC, work, scale, base_invariants(work), cn)
-    if not all(map(zero, c.b)):
-        work, scale = _float_gauge(c, CUBIC)
-        return Prepared(c, CUBIC, work, scale, base_invariants(work))
-    if not all(map(zero, (*c.c, *c.d))):
-        return Prepared(c, QUADRIC, *_float_gauge(c, QUADRIC))
-    return Prepared(c, LINEAR)
+        branch = QUARTIC
+    elif not all(map(zero, c.b)):
+        branch = CUBIC
+    elif not all(map(zero, (*c.c, *c.d))):
+        branch = QUADRIC
+    else:
+        return Prepared(c, LINEAR)
+    work, scale, cn = (_lattice if pol.exact else _float_gauge)(c, branch)
+    inv = None if branch == QUADRIC else base_invariants(work)
+    return Prepared(c, branch, work, scale, inv, cn)
 
 
 def recognize(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
@@ -278,18 +255,19 @@ def _first_witness(residuals: Dict[str, Scalar], pol: TolerancePolicy):
     return None
 
 
-def _ungauge(verdict: Verdict, scale: Scalar, pol: TolerancePolicy) -> Verdict:
-    """Exact residuals and witness back at the caller's scale: a residual
-    of weight w is divided by lam^w (scale = 1/lam).  Float residuals are
-    reported at the gauge."""
-    if not pol.exact:
-        return verdict
-    lam = scale.denominator
-    back = lambda name, v: Fraction(v, lam ** RESIDUAL_WEIGHTS[name])
-    residuals = {name: back(name, v) for name, v in verdict.residuals.items()}
-    witness = None if verdict.witness is None else (verdict.witness[0],
-                                                     back(*verdict.witness))
-    return replace(verdict, residuals=residuals, witness=witness)
+def _ungauge(verdict: Verdict, p: Prepared, pol: TolerancePolicy) -> Verdict:
+    """Exact residuals and witness back at the caller's scale: a residual of
+    weight w times p.scale_back(w).  Float residuals are reported at the
+    gauge."""
+    if pol.exact:
+        # a zero residual is zero at every scale
+        verdict.residuals = {name: v * p.scale_back(RESIDUAL_WEIGHTS[name])
+                             if v else Fraction(0)
+                             for name, v in verdict.residuals.items()}
+        if verdict.witness is not None:
+            name = verdict.witness[0]
+            verdict.witness = (name, verdict.residuals[name])
+    return verdict
 
 
 def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
@@ -300,7 +278,7 @@ def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
     Float-mode axis guards that barely fire fall through to (d)-(f) as well,
     so there is no cliff at the e = 0 boundary.  p is a prepared quartic.
     """
-    verdict = _ungauge(_quartic_case_verdict(p.work, pol, p.inv), p.scale, pol)
+    verdict = _ungauge(_quartic_case_verdict(p.work, pol, p.inv), p, pol)
     # dispatch == oracle is a theorem of the exact ideal; float noise shifts
     # the two test families differently near the variety, so the automatic
     # self-check runs in exact mode only
@@ -374,7 +352,7 @@ def _near_e_zero(c: DarbouxCoefficients, pol: TolerancePolicy) -> bool:
 def recognize_quartic_oracle(p: Prepared, pol: TolerancePolicy) -> Verdict:
     """Dupin iff all 12 ideal generators vanish under the policy; p is a
     prepared quartic."""
-    return _ungauge(_oracle_verdict(p.work, pol), p.scale, pol)
+    return _ungauge(_oracle_verdict(p.work, pol), p, pol)
 
 
 def _oracle_verdict(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
@@ -407,7 +385,7 @@ def recognize_cubic(p: Prepared, pol: TolerancePolicy) -> Verdict:
             break
     kind = DUPIN_CUBIC if witness is None else NOT_DUPIN
     return _ungauge(Verdict(kind=kind, case_label="none", witness=witness,
-                            residuals=res), p.scale, pol)
+                            residuals=res), p, pol)
 
 
 def recognize_quadric(p: Prepared, pol: TolerancePolicy) -> Verdict:
@@ -436,4 +414,4 @@ def recognize_quadric(p: Prepared, pol: TolerancePolicy) -> Verdict:
                           witness=_first_witness(st, pol), residuals=res,
                           notes=["singular" if singular else "nonsingular",
                                  "not rotational"])
-    return _ungauge(verdict, p.scale, pol)
+    return _ungauge(verdict, p, pol)

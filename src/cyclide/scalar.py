@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError
+from .errors import ParseError, TooManyDigits
 
 Scalar = Union[Fraction, float]
 
@@ -65,12 +65,26 @@ def _finite(value, raw=None) -> float:
     return v
 
 
+# an int of at most 2000 bits has at most 603 decimal digits, under the
+# lowest int-to-str digit limit Python allows (640)
+_SHORT_BITS = 2000
+
+
 def format_scalar(v: Scalar):
-    """JSON-friendly form: Fractions as int or "p/q" string, floats as floats."""
+    """JSON-friendly form: Fractions as int or "p/q" string, floats as floats.
+    TooManyDigits when a Fraction has a part too long to convert to str
+    (an int would otherwise fail only later, in json.dumps)."""
     if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return int(v)
-        return f"{v.numerator}/{v.denominator}"
+        num, den = v.numerator, v.denominator
+        if num.bit_length() > _SHORT_BITS or den.bit_length() > _SHORT_BITS:
+            try:
+                str(num), str(den)
+            except ValueError:
+                raise TooManyDigits("exact value beyond the int-to-str digit "
+                                    "limit; use --float") from None
+        if den == 1:
+            return num
+        return f"{num}/{den}"
     return float(v)
 
 

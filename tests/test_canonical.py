@@ -7,8 +7,9 @@ import pytest
 from conftest import CUBIC22, TORUS21, rand_fraction
 from cyclide import (DarbouxCoefficients, EuclideanMotion, apply_motion,
                      canonical_cubic_params, canonical_quartic_params,
-                     normalize_quartic, prepare, spectral_data)
-from cyclide.errors import Inconsistent, IrrationalSpectrum
+                     normalize_quartic, prepare, spectral_data,
+                     weighted_rescale)
+from cyclide.errors import Inconsistent, IrrationalSpectrum, TooManyDigits
 from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed, random_rotation)
 
@@ -151,3 +152,36 @@ class TestCanonicalCubic:
         scaled = CUBIC22.scale(Fraction(2))
         out = canonical_cubic_params(prepare(scaled, pol), pol)
         assert (out.p, out.q) == (-2, 2)
+
+
+class TestMessagesAtCallerScale:
+    """A message value of weight w, computed at the gauge, is printed at the
+    caller's scale: a weighted rescale by lam multiplies it by lam^w."""
+
+    make = DarbouxCoefficients.make
+    # (stage, input, message prefix, value at lam = 1, weight)
+    CASES = {
+        "discriminant": (spectral_data,
+                         make(a0=1, c=(0, 1, -1), d=(1, 0, 0), f0=Fraction(1, 2)),
+                         "discriminant", 8, 4),
+        "B0": (canonical_cubic_params,
+               make(b=(1, 1, 0), c=(0, -2, 2), e=(-1, 0, 0)), "B0 =", 2, 2),
+        "(p-q)^2": (canonical_cubic_params,
+                    make(b=(1, 0, 0), c=(1, -2, -1), d=(-2, 0, 0), e=(3, 0, 0)),
+                    "(p-q)^2 =", 17, 2),
+    }
+
+    @pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 3), Fraction(5, 2)],
+                             ids=str)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_irrational_message_value(self, pol, case, lam):
+        stage, c, prefix, value, w = self.CASES[case]
+        with pytest.raises(IrrationalSpectrum) as err:
+            stage(prepare(weighted_rescale(c, lam), pol), pol)
+        assert str(err.value) == (f"{prefix} {value * lam ** w} is not a perfect "
+                                  "square; use float mode")
+
+    def test_message_value_too_long_to_print(self, pol):
+        stage, c, *_ = self.CASES["discriminant"]
+        with pytest.raises(TooManyDigits):
+            stage(prepare(weighted_rescale(c, Fraction(10) ** 1100), pol), pol)

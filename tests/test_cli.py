@@ -1,13 +1,21 @@
 """Batch front end: verbs, formats, exit codes."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cyclide.cli import main
 
 TORUS_JSON = '{"a0":1,"c1":"-10","c2":"-10","c3":"6","f0":"9"}'
+
+# the environment of a `python -m cyclide.cli` child: src first on its path,
+# so the subprocess tests need no install
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(args, capsys):
@@ -114,6 +122,22 @@ class TestExitCodes:
             assert code == 0 and rows[0]["class"] == "SM"
             assert (rows[0]["canonical"]["p"], rows[0]["canonical"]["q"]) == (-2, 2)
 
+    @pytest.mark.parametrize("verb", ["recognize", "classify"])
+    def test_value_too_long_to_print_is_an_error_row(self, verb, tmp_path, capsys):
+        # residuals of c1 = 10^2200 exceed the int-to-str digit limit; a0 = 3
+        # makes them "p/q" values at the caller's scale
+        long_rows = ['{"a0": %d, "c1": "1e2200", "c2": 1, "e1": 1, "e2": 1}' % a0
+                     for a0 in (1, 3)]
+        path = tmp_path / "batch.jsonl"
+        path.write_text("\n".join([TORUS_JSON, *long_rows, TORUS_JSON]) + "\n")
+        code, rows = run_cli([verb, "--exact", str(path)], capsys)
+        assert code == 0 and len(rows) == 4
+        assert rows[0] == rows[3] and rows[0]["kind"] == "DupinQuartic"
+        for row in rows[1:3]:
+            assert list(row) == ["error"]
+            assert row["error"].startswith("TooManyDigits: ")
+            assert "--float" in row["error"]
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_tol_flag(self, tol, capsys):
         assert main(["recognize", "--float", "--tol", tol, TORUS_JSON]) == 2
@@ -169,7 +193,7 @@ class TestSubprocessEntry:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cyclide.cli", "recognize", TORUS_JSON],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kind"] == "DupinQuartic"
 
@@ -180,7 +204,7 @@ class TestSubprocessEntry:
         path.write_text((TORUS_JSON + "\n") * 2000)
         proc = subprocess.Popen(
             [sys.executable, "-m", "cyclide.cli", "recognize", str(path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
@@ -192,6 +216,6 @@ class TestSubprocessEntry:
     def test_stdin_pipe(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cyclide.cli", "recognize", "-"],
-            input=TORUS_JSON + "\n", capture_output=True, text=True)
+            input=TORUS_JSON + "\n", capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kind"] == "DupinQuartic"

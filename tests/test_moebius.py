@@ -13,7 +13,7 @@ from cyclide.errors import (CalibrationFailed, DegenerateRatio, NotRealOverR,
                             PoleInput, PreconditionError)
 from cyclide.genkit import sample_surface_points
 from cyclide.moebius import (MOBT, MOBT2, MOBT2A, TorusSpec,
-                             _cyclide_coefficients, apply_map)
+                             _cyclide_coefficients)
 
 SQ3 = math.sqrt(3.0)
 
@@ -68,16 +68,16 @@ class TestBuildMap:
 class TestApplyMap:
     def test_axis_points(self):
         m = build_map(cq(4.0, 0.0, 1.0), MOBT2)
-        img = apply_map(m, (2 + SQ3, 0.0, 0.0))
+        img = m.apply((2 + SQ3, 0.0, 0.0))
         assert img[0] == pytest.approx(3.0, abs=1e-12)
         assert img[1] == img[2] == 0.0
-        img2 = apply_map(m, (2 - SQ3, 0.0, 0.0))
+        img2 = m.apply((2 - SQ3, 0.0, 0.0))
         assert img2[0] == pytest.approx(-3.0, abs=1e-12)
 
     def test_pole(self):
         m = build_map(cq(4.0, 0.0, 1.0), MOBT2)
         with pytest.raises(PoleInput):
-            apply_map(m, (1.0, 0.0, 0.0))
+            m.apply((1.0, 0.0, 0.0))
 
     def test_inverse_is_involution(self):
         m = build_map(cq(4.0, 0.0, 1.0), MOBT2)

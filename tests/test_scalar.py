@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cyclide.errors import ParseError
-from cyclide.scalar import EXACT, parse_scalar
+from cyclide.errors import ParseError, TooManyDigits
+from cyclide.scalar import EXACT, format_scalar, parse_scalar
 
 CASES = ["3/4", "-3/4", " 7 ", "+3/4", "3/04", "0/5", "-0", "3/0", "3/-4",
          "1_000/3", "١/٢", "0.25", "1e3", "", "/3", "3/",
@@ -32,3 +32,20 @@ def test_exact_parse_agrees_with_fraction(text):
     else:
         got = parse_scalar(text, EXACT)
         assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("v, want", [
+    (Fraction(10 ** 1000), 10 ** 1000),
+    (Fraction(-1, 10 ** 1000), f"-1/{10 ** 1000}"),
+    (Fraction(10 ** 5000), TooManyDigits),
+    (Fraction(10 ** 5000, 3), TooManyDigits),
+    (Fraction(3, 10 ** 5000), TooManyDigits),
+], ids=["int", "p/q", "long int", "long p", "long q"])
+def test_format_scalar_refuses_what_cannot_be_printed(v, want):
+    """Parts beyond the int-to-str digit limit (4300 by default) raise
+    TooManyDigits in place of the ValueError that printing them would."""
+    if want is TooManyDigits:
+        with pytest.raises(TooManyDigits, match="use --float"):
+            format_scalar(v)
+    else:
+        assert format_scalar(v) == want
