@@ -10,9 +10,8 @@ from .core import (SIGMA12, SIGMA13, SIGMA23, DarbouxCoefficients,
                    EuclideanMotion, TriPoly, apply_motion, apply_permutation,
                    coefficients_from_polynomial, normalize_quartic,
                    polynomial_from_coefficients, sigma_orbit, weighted_rescale)
-from .invariants import (GeneratorValues, InvariantBundle, base_invariants,
-                         cubic_forms, quadric_forms, quartic_generators,
-                         reduced_generators_e0)
+from .invariants import (InvariantBundle, base_invariants, cubic_forms,
+                         quadric_forms, quartic_generators, reduced_generators_e0)
 from .moebius import (MoebiusMap, TorusSpec, build_map,
                       calibrate_convention, torus_radii, torus_radii_inversive)
 from .recognizer import (Prepared, TolerancePolicy, Verdict, prepare, recognize,
@@ -22,7 +21,7 @@ from . import errors, genkit
 
 __all__ = [
     "CanonicalCubic", "CanonicalQuartic", "SpectralData", "DarbouxCoefficients",
-    "EuclideanMotion", "TriPoly", "GeneratorValues", "InvariantBundle",
+    "EuclideanMotion", "TriPoly", "InvariantBundle",
     "J0Value", "SurfaceClass", "MoebiusMap", "TorusSpec", "Prepared",
     "TolerancePolicy", "Verdict", "SIGMA12", "SIGMA13", "SIGMA23",
     "apply_motion", "apply_permutation", "base_invariants",

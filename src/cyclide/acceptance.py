@@ -20,7 +20,8 @@ from .core import DarbouxCoefficients, weighted_rescale
 from .genkit import (generate_cubic_dupin, generate_quartic_dupin,
                      perturb_off_variety, random_motion, random_quartic_seed,
                      sample_surface_points)
-from .invariants import GENERATOR_WEIGHTS, base_invariants, quartic_generators, reduced_generators_e0
+from .invariants import (RESIDUAL_WEIGHTS, base_invariants, quartic_generators,
+                         reduced_generators_e0)
 from .moebius import (MOBT, MOBT2, CanonicalQuartic, TorusSpec,
                       calibrate_convention, torus_radii, torus_radii_inversive)
 from .recognizer import (TolerancePolicy, prepare, recognize,
@@ -185,10 +186,8 @@ def criterion_6_classification_grid() -> Tuple[bool, str]:
     bad = []
     for r2 in GRID:
         for R2 in GRID:
-            spec = TorusSpec(Fraction(r2), Fraction(R2))
-            want = _figure_torus_label(spec.r_sq, spec.R_sq)
-            assert spec.label() == want, (r2, R2)  # figure-logic source
-            c = spec.coefficients(exact=True)
+            want = _figure_torus_label(Fraction(r2), Fraction(R2))
+            c = TorusSpec(Fraction(r2), Fraction(R2)).coefficients(exact=True)
             sd = spectral_data(prepare(c, EXACT_POL), EXACT_POL)
             got = classify_quartic(sd, EXACT_POL)
             if got != want:
@@ -214,18 +213,19 @@ def criterion_7_identity_suites() -> Tuple[bool, str]:
         e1, e2, e3 = c.e
         c1, c2, c3 = c.c
         d1, d2, d3 = c.d
-        K1, K2, K3 = g.K1, -g.K2, -g.K3
+        K1, K2, K3 = g["K1"], -g["K2"], -g["K3"]
+        L1, L2, L3 = g["L1"], g["L2"], g["L3"]
         assert e1 * K1 + e2 * K2 + e3 * K3 == 0
-        assert e1 * g.L2 - e2 * g.L1 == d2 * K1 + d1 * K2 + (c1 + c2 + 2 * c3) * K3
-        assert e3 * g.L1 - e1 * g.L3 == d3 * K1 + d1 * K3 + (c1 + 2 * c2 + c3) * K2
-        assert e2 * g.L3 - e3 * g.L2 == d3 * K2 + d2 * K3 + (2 * c1 + c2 + c3) * K1
-        assert 2 * e1 * g.M2 - 2 * e2 * g.M1 == (
+        assert e1 * L2 - e2 * L1 == d2 * K1 + d1 * K2 + (c1 + c2 + 2 * c3) * K3
+        assert e3 * L1 - e1 * L3 == d3 * K1 + d1 * K3 + (c1 + 2 * c2 + c3) * K2
+        assert e2 * L3 - e3 * L2 == d3 * K2 + d2 * K3 + (2 * c1 + c2 + c3) * K1
+        assert 2 * e1 * g["M2"] - 2 * e2 * g["M1"] == (
             (c2 * d2 - c3 * d2 - 2 * d1 * d3) * K1
             - (2 * c2 * d1 + 2 * c3 * d1 + d2 * d3) * K2
             - (2 * c3 ** 2 + 2 * d1 ** 2 + d2 ** 2 - 8 * c.f0) * K3
-            + 2 * (d3 * e1 - c1 * e2 - c3 * e2 + d1 * e3) * g.L1
-            + (2 * c2 * e1 + 2 * c3 * e1 - 2 * d3 * e2 - d2 * e3) * g.L2
-            - d2 * e2 * g.L3)
+            + 2 * (d3 * e1 - c1 * e2 - c3 * e2 + d1 * e3) * L1
+            + (2 * c2 * e1 + 2 * c3 * e1 - 2 * d3 * e2 - d2 * e3) * L2
+            - d2 * e2 * L3)
         checked += 1
     for _ in range(100):
         c = rand_c(with_e=False)
@@ -237,14 +237,13 @@ def criterion_7_identity_suites() -> Tuple[bool, str]:
         assert -2 * C0 * y3 == (W2 - C0 * W1 + 8 * W2) * (y0 - 3 * y1) \
             - (C0 ** 2 - 3 * W1) * y2
         checked += 1
-    weights = dict(GENERATOR_WEIGHTS)
     for _ in range(100):
         c = rand_c()
         lam = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-        g = quartic_generators(c).as_dict()
-        gs = quartic_generators(weighted_rescale(c, lam)).as_dict()
-        for name, w in weights.items():
-            assert gs[name] == lam ** w * g[name], name
+        g = quartic_generators(c)
+        gs = quartic_generators(weighted_rescale(c, lam))
+        for name, v in g.items():
+            assert gs[name] == lam ** RESIDUAL_WEIGHTS[name] * v, name
         inv, invs = base_invariants(c), base_invariants(weighted_rescale(c, lam))
         for name, w in (("B0", 2), ("C0", 2), ("E0", 6), ("W1", 4),
                         ("W2", 6), ("W3", 4), ("W4", 8)):

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .core import DarbouxCoefficients, EuclideanMotion, apply_motion, sigma_orbit
 from .errors import ComplexRoots, Inconsistent, IrrationalSpectrum
 from .invariants import InvariantBundle, base_invariants
-from .recognizer import Prepared, TolerancePolicy
+from .recognizer import Prepared, TolerancePolicy, residuals_back
 from .scalar import Scalar, exact_sqrt, format_scalar
 
 
@@ -85,6 +85,47 @@ def _sqrt(v: Scalar, exact: bool, name: str, prep: Optional[Prepared] = None,
     return root
 
 
+def _check(res: Dict[str, Scalar], prep: Prepared, pol: TolerancePolicy,
+           what: str) -> None:
+    """Inconsistent naming `what` and every residual of res that is nonzero
+    at prep's gauge, printed at the caller's scale by `residuals_back`.  At
+    unit gauge a loose constant absorbs the division noise of the A_i."""
+    bad = {k: v for k, v in res.items() if pol.nonzero(v, 100)}
+    if bad:
+        shown = {k: format_scalar(v) for k, v in residuals_back(bad, prep, pol).items()}
+        raise Inconsistent(f"{what}: {shown}")
+
+
+def _a1_system(c: DarbouxCoefficients, inv: InvariantBundle,
+               a1: Scalar) -> Dict[str, Scalar]:
+    """The linear system {G1,G2,G3,H1,H2,H3} and the characteristic
+    polynomial at the candidate a1; inv = base_invariants(c)."""
+    c1, c2, c3 = c.c
+    d1, d2, d3 = c.d
+    e1, e2, e3 = c.e
+    f0 = c.f0
+    return {
+        "G1": -e1 * a1 + c1 * e1 + d3 * e2 + d2 * e3,
+        "G2": -e2 * a1 + d3 * e1 + c2 * e2 + d1 * e3,
+        "G3": -e3 * a1 + d2 * e1 + d1 * e2 + c3 * e3,
+        "H1": 2 * (inv.W1 + 4 * f0) * a1 + inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0,
+        "H2": ((inv.C0 ** 2 + 4 * inv.W1 + 12 * f0) * a1
+               - inv.C0 ** 3 + 4 * inv.C0 * f0 - 4 * inv.E0),
+        "H3": a1 * a1 - 2 * inv.C0 * a1 + inv.C0 ** 2 - inv.W1 - 4 * f0,
+        "charpoly": a1 ** 3 - inv.C0 * a1 ** 2 + inv.W1 * a1 - inv.W2,
+    }
+
+
+def _closure(c: DarbouxCoefficients, inv: InvariantBundle, a1: Scalar, a2: Scalar,
+             a3: Scalar, dsq: Scalar, f: Scalar) -> Dict[str, Scalar]:
+    """The spectral closure checks: elementary symmetric functions of the
+    A_i against C0, W1, W2; Dsq against 4 E0; F against f0."""
+    return {"Dsq-4E0": dsq - 4 * inv.E0, "F-f0": f - c.f0,
+            "sym1": a1 + a2 + a3 - inv.C0,
+            "sym2": a1 * a2 + a1 * a3 + a2 * a3 - inv.W1,
+            "sym3": a1 * a2 * a3 - inv.W2}
+
+
 def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
     """Distinguished eigenvalue from the linear system {G1,G2,G3,H1,H2,H3}.
 
@@ -115,21 +156,7 @@ def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
     else:
         # on this stratum H3 = (A1 - C0)^2: double root
         a1 = inv.C0
-
-    residuals = {
-        "G1": -e1 * a1 + c1 * e1 + d3 * e2 + d2 * e3,
-        "G2": -e2 * a1 + d3 * e1 + c2 * e2 + d1 * e3,
-        "G3": -e3 * a1 + d2 * e1 + d1 * e2 + c3 * e3,
-        "H1": 2 * w14 * a1 + inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0,
-        "H2": h2_lead * a1 - inv.C0 ** 3 + 4 * inv.C0 * f0 - 4 * inv.E0,
-        "H3": a1 * a1 - 2 * inv.C0 * a1 + inv.C0 ** 2 - inv.W1 - 4 * f0,
-        "charpoly": a1 ** 3 - inv.C0 * a1 ** 2 + inv.W1 * a1 - inv.W2,
-    }
-    # a1 has weighted degree 2; at unit gauge a loose constant absorbs the
-    # division noise of the guard branches
-    bad = {k: v for k, v in residuals.items() if pol.nonzero(v, 100)}
-    if bad:
-        raise Inconsistent(f"A1 system has no common solution: {bad}")
+    _check(_a1_system(work, inv, a1), prep, pol, "A1 system has no common solution")
     return a1
 
 
@@ -169,13 +196,7 @@ def spectral_data(prep: Prepared, pol: TolerancePolicy) -> SpectralData:
     a2, a3 = _a23_at_scale(prep, a1, pol)
     dsq = -(a2 + a3) * (a1 - a2) * (a1 - a3)
     f = (a2 * a2 + a3 * a3 + a2 * a3 - a1 * a2 - a1 * a3) / 4
-    checks = {"Dsq-4E0": dsq - 4 * inv.E0, "F-f0": f - work.f0,
-              "sym1": a1 + a2 + a3 - inv.C0,
-              "sym2": a1 * a2 + a1 * a3 + a2 * a3 - inv.W1,
-              "sym3": a1 * a2 * a3 - inv.W2}
-    bad = {k: v for k, v in checks.items() if pol.nonzero(v, 100)}
-    if bad:
-        raise Inconsistent(f"spectral closure failed: {bad}")
+    _check(_closure(work, inv, a1, a2, a3, dsq, f), prep, pol, "spectral closure failed")
     k2 = prep.scale_back(2)
     return SpectralData(A1=a1 * k2, A2=a2 * k2, A3=a3 * k2,
                         Dsq=dsq * prep.scale_back(6), F=f * prep.scale_back(4))

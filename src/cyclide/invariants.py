@@ -1,6 +1,11 @@
 """Every named coefficient polynomial: the symmetric abbreviations, the 12
 quartic ideal generators, the e=0 reduction, the cubic rational targets, and
-the rotational-quadric forms."""
+the rotational-quadric forms.
+
+Each family of named residuals is a plain {name: value} dict, keyed and
+ordered as it is reported (the cubic targets as their cleared (lhs, rhs)
+pairs), and `RESIDUAL_WEIGHTS` is the one table of their weighted degrees,
+including the residuals `recognizer` and `canonical` build themselves."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -72,36 +77,24 @@ def m_form(c: DarbouxCoefficients, inv: InvariantBundle) -> Scalar:
             + e1 * (inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0))
 
 
-@dataclass(frozen=True)
-class GeneratorValues:
-    """Values of the 12 generators of the translation-normalized quartic ideal.
-
-    All twelve vanish exactly when the surface is a Dupin cyclide."""
-
-    K1: Scalar
-    K2: Scalar
-    K3: Scalar
-    L1: Scalar
-    L2: Scalar
-    L3: Scalar
-    M1: Scalar
-    M2: Scalar
-    M3: Scalar
-    N1: Scalar
-    N2: Scalar
-    N3: Scalar
-
-    def as_dict(self) -> Dict[str, Scalar]:
-        return {k: getattr(self, k) for k in
-                ("K1", "K2", "K3", "L1", "L2", "L3", "M1", "M2", "M3", "N1", "N2", "N3")}
-
-    def all_zero(self) -> bool:
-        return all(v == 0 for v in self.as_dict().values())
-
-
-# weighted degrees under the slot weights of `core.SLOT_WEIGHTS`
-GENERATOR_WEIGHTS = {"K1": 8, "K2": 8, "K3": 8, "L1": 7, "L2": 7, "L3": 7,
-                     "M1": 9, "M2": 9, "M3": 9, "N1": 8, "N2": 10, "N3": 12}
+# weighted degree of every named residual, under the slot weights of
+# `core.SLOT_WEIGHTS`; every residual is weighted-homogeneous
+RESIDUAL_WEIGHTS = {
+    # the 12 generators of the quartic ideal (`quartic_generators`)
+    "K1": 8, "K2": 8, "K3": 8, "L1": 7, "L2": 7, "L3": 7,
+    "M1": 9, "M2": 9, "M3": 9, "N1": 8, "N2": 10, "N3": 12,
+    # the e = 0 strata (d), (e), (f) of the case logic
+    "W1+4f0": 4, "W2-C0W1": 6, "Y0": 8, "Y1": 8,
+    "W1+3f0": 4, "(W2-C0W1)^2-4f0^3": 12,
+    # the cleared cubic equalities (`cubic_forms`)
+    "4e1*B0^3-P1": 9, "4e2*B0^3-P2": 9, "4e3*B0^3-P3": 9, "4f0*B0^4-Q": 12,
+    # the rotational-quadric forms and det Phat (`quadric_forms`)
+    **dict.fromkeys(("S0", "S1", "S12", "S13", "T1", "T12", "T13"), 6),
+    "detPhat": 10,
+    # the A1 system and the spectral closure of `canonical` (A_i weigh 2)
+    "G1": 5, "G2": 5, "G3": 5, "H1": 6, "H2": 6, "H3": 4, "charpoly": 6,
+    "Dsq-4E0": 6, "F-f0": 4, "sym1": 2, "sym2": 4, "sym3": 6,
+}
 
 
 def _require_normalized(c: DarbouxCoefficients):
@@ -109,10 +102,11 @@ def _require_normalized(c: DarbouxCoefficients):
         raise NotNormalized("requires a0 = 1 and b = 0 (run normalize_quartic)")
 
 
-def quartic_generators(c: DarbouxCoefficients) -> GeneratorValues:
-    """The 12 generators at a normalized quartic c: K, L and M on the
-    sigma-orbit of c, every L and M with the one bundle of c (it is
-    sigma-invariant), and the symmetric N1, N2, N3."""
+def quartic_generators(c: DarbouxCoefficients) -> Dict[str, Scalar]:
+    """The 12 generators K1..N3 at a normalized quartic c, by name: K, L and
+    M on the sigma-orbit of c, every L and M with the one bundle of c (it is
+    sigma-invariant), and the symmetric N1, N2, N3.  All twelve vanish
+    exactly when the surface is a Dupin cyclide."""
     _require_normalized(c)
     inv = base_invariants(c)
     orbit = sigma_orbit(c)
@@ -125,8 +119,8 @@ def quartic_generators(c: DarbouxCoefficients) -> GeneratorValues:
     big = inv.W2 + inv.C0 * inv.W1 + 8 * inv.C0 * c.f0 - 4 * inv.E0
     n2 = 4 * (inv.W2 - inv.C0 * inv.W1 - 2 * inv.E0) * w14 + (inv.C0 ** 2 - 4 * c.f0) * big
     n3 = big * big - 4 * w14 ** 3
-    return GeneratorValues(K1=k1, K2=k2, K3=k3, L1=l1, L2=l2, L3=l3,
-                           M1=m1, M2=m2, M3=m3, N1=n1, N2=n2, N3=n3)
+    return {"K1": k1, "K2": k2, "K3": k3, "L1": l1, "L2": l2, "L3": l3,
+            "M1": m1, "M2": m2, "M3": m3, "N1": n1, "N2": n2, "N3": n3}
 
 
 def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle
@@ -144,23 +138,6 @@ def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle
     return (y0, y1, y2, y3)
 
 
-@dataclass(frozen=True)
-class CubicTargets:
-    """Rational targets that cut out Dupin cyclides among cubics.
-
-    The surface is Dupin iff 4*e_i = P_i/B0^3 (i = 1,2,3) and
-    f0 = Q/(4*B0^4).  Each equality is kept cleared of its B0 power, as the
-    pair (lhs, rhs) = (4*e_i*B0^3, P_i) or (4*f0*B0^4, Q), so no division
-    is made."""
-
-    cleared_pairs: Tuple[Tuple[Scalar, Scalar], ...]
-
-    @property
-    def residuals(self) -> Tuple[Scalar, ...]:
-        """lhs - rhs of each pair: weighted degrees 9, 9, 9, 12."""
-        return tuple(lhs - rhs for lhs, rhs in self.cleared_pairs)
-
-
 def _e_numerator(c: DarbouxCoefficients, B0: Scalar, W3: Scalar) -> Scalar:
     """B0^3 * E1 as a polynomial (division-free); B0 and W3 are symmetric,
     so the bundle of c serves every sigma-image of c."""
@@ -176,9 +153,14 @@ def _e_numerator(c: DarbouxCoefficients, B0: Scalar, W3: Scalar) -> Scalar:
             + 2 * d1 * B0 * B0 * (b2 * d2 + b3 * d3))
 
 
-def cubic_forms(c: DarbouxCoefficients, inv: InvariantBundle) -> CubicTargets:
-    """The cleared pairs of 4e1, 4e2, 4e3 (the first on the sigma-orbit of c)
-    and f0 against their targets; inv = base_invariants(c)."""
+def cubic_forms(c: DarbouxCoefficients,
+                inv: InvariantBundle) -> Dict[str, Tuple[Scalar, Scalar]]:
+    """Rational targets that cut out Dupin cyclides among cubics: the
+    surface is Dupin iff 4*e_i = P_i/B0^3 (i = 1,2,3) and f0 = Q/(4*B0^4).
+    Each equality is kept cleared of its B0 power, as the pair (lhs, rhs) =
+    (4*e_i*B0^3, P_i) or (4*f0*B0^4, Q), so no division is made; the pairs
+    are keyed by the name of their residual lhs - rhs.  P1 is taken on the
+    sigma-orbit of c for P2, P3; inv = base_invariants(c)."""
     if c.a0 != 0:
         raise PreconditionError("cubic forms require a0 = 0")
     if inv.B0 == 0:
@@ -189,27 +171,8 @@ def cubic_forms(c: DarbouxCoefficients, inv: InvariantBundle) -> CubicTargets:
          + B0 ** 3 * (inv.W2 - inv.C0 * inv.W1))
     B3 = B0 ** 3
     B4 = B3 * B0
-    return CubicTargets(cleared_pairs=((4 * c.e1 * B3, p1), (4 * c.e2 * B3, p2),
-                                       (4 * c.e3 * B3, p3), (4 * c.f0 * B4, q)))
-
-
-@dataclass(frozen=True)
-class QuadricForms:
-    """Seven cubic forms cutting out rotational quadrics, plus det of the
-    extended 4x4 symmetric matrix (singularity of the quadric)."""
-
-    S0: Scalar
-    S1: Scalar
-    S12: Scalar
-    S13: Scalar
-    T1: Scalar
-    T12: Scalar
-    T13: Scalar
-    det_phat: Scalar
-
-    def rotational(self) -> bool:
-        return all(v == 0 for v in
-                   (self.S0, self.S1, self.S12, self.S13, self.T1, self.T12, self.T13))
+    return {"4e1*B0^3-P1": (4 * c.e1 * B3, p1), "4e2*B0^3-P2": (4 * c.e2 * B3, p2),
+            "4e3*B0^3-P3": (4 * c.e3 * B3, p3), "4f0*B0^4-Q": (4 * c.f0 * B4, q)}
 
 
 def _s1(c: DarbouxCoefficients) -> Scalar:
@@ -225,9 +188,11 @@ def _t1(c: DarbouxCoefficients) -> Scalar:
     return d1 * (d2 * d2 - d3 * d3) + (c2 - c3) * d2 * d3
 
 
-def quadric_forms(c: DarbouxCoefficients) -> QuadricForms:
-    """S1, T1 and their sigma12, sigma13 images, the symmetric S0, and det
-    Phat."""
+def quadric_forms(c: DarbouxCoefficients) -> Dict[str, Scalar]:
+    """The seven cubic forms that cut out rotational quadrics, by name (the
+    symmetric S0, then S1, T1 and their sigma12, sigma13 images), and det of
+    the extended 4x4 symmetric matrix, "detPhat" (zero when the quadric is
+    singular)."""
     if c.a0 != 0 or any(v != 0 for v in c.b):
         raise PreconditionError("quadric forms require a0 = 0 and b = 0")
     c1, c2, c3 = c.c
@@ -240,8 +205,8 @@ def quadric_forms(c: DarbouxCoefficients) -> QuadricForms:
     t1, t12, t13 = map(_t1, orbit)
     # 4x4 determinant of [[c1,d3,d2,e1],[d3,c2,d1,e2],[d2,d1,c3,e3],[e1,e2,e3,f0]]
     m = ((c1, d3, d2, e1), (d3, c2, d1, e2), (d2, d1, c3, e3), (e1, e2, e3, c.f0))
-    return QuadricForms(S0=s0, S1=s1, S12=s12, S13=s13, T1=t1, T12=t12, T13=t13,
-                        det_phat=_det4(m))
+    return {"S0": s0, "S1": s1, "S12": s12, "S13": s13,
+            "T1": t1, "T12": t12, "T13": t13, "detPhat": _det4(m)}
 
 
 def _det3(m):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .canonical import CanonicalQuartic
-from .classify import SurfaceClass
 from .core import DarbouxCoefficients, polynomial_from_coefficients
 from .errors import CalibrationFailed, DegenerateRatio, NotRealOverR, PoleInput, PreconditionError
 from .scalar import Scalar
@@ -33,29 +32,6 @@ class TorusSpec:
 
     r_sq: Scalar
     R_sq: Scalar
-
-    def label(self) -> SurfaceClass:
-        r2, R2 = self.r_sq, self.R_sq
-        if r2 == R2:
-            if r2 > 0:
-                return SurfaceClass.HORN
-            return SurfaceClass.ONE_POINT  # r^2 = R^2 <= 0, incl. the origin
-        if r2 > 0:
-            if R2 > r2:
-                return SurfaceClass.SMOOTH_RING
-            if R2 > 0:
-                return SurfaceClass.SPINDLE
-            if R2 == 0:
-                return SurfaceClass.DOUBLE_SPHERE
-            return SurfaceClass.TWO_POINTS
-        if r2 == 0:
-            if R2 > 0:
-                return SurfaceClass.CIRCLE
-            return SurfaceClass.TWO_POINTS  # (0,0,+-sqrt(-R^2))
-        # r^2 < 0
-        if R2 > r2:
-            return SurfaceClass.NO_REAL_POINTS
-        return SurfaceClass.TWO_POINTS  # R^2 < r^2 < 0
 
     def ratio(self) -> Scalar:
         if self.R_sq == 0:

@@ -4,6 +4,12 @@ Dispatch by degree, then the complete-intersection case logic for quartics,
 the rational-target equalities for cubics, and the rotational-quadric test.
 A 12-generator oracle cross-checks every exact quartic case decision.
 
+Every decision reads a {name: value} dict of residuals: `_verdict` is the
+one rule (Dupin iff `_first_witness` finds no nonzero residual, in the order
+the dict is reported), and `residuals_back` the one way a dict of named
+residuals is taken to the caller's scale, by the weights of
+`invariants.RESIDUAL_WEIGHTS`.
+
 `prepare` is the one place that decides an input's degree branch and gauges
 it, and `Prepared.scale_back` the one way back: every stage after it, here
 and in `canonical` and `classify`, runs on the one gauged copy and takes a
@@ -33,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from .core import (SLOT_WEIGHTS, DarbouxCoefficients, normalize_quartic,
                    sigma_orbit, weighted_rescale)
 from .errors import InternalCheckError, PreconditionError, ZeroInput
-from .invariants import (GENERATOR_WEIGHTS, InvariantBundle, base_invariants,
+from .invariants import (RESIDUAL_WEIGHTS, InvariantBundle, base_invariants,
                          cubic_forms, k_form, l_form, m_form, quadric_forms,
                          quartic_generators, reduced_generators_e0)
 from .scalar import EXACT, Scalar
@@ -46,19 +52,6 @@ DEGENERATE = "DegenerateInput"
 
 # degree branches of a prepared input
 QUARTIC, CUBIC, QUADRIC, LINEAR = "quartic", "cubic", "quadric", "linear"
-
-# weighted degree of every residual a verdict can report, under the slot
-# weights of `SLOT_WEIGHTS`: the K, L, M forms of cases (a)-(c) and
-# the N generators of the oracle, then the e = 0 residuals of (d)-(f)
-RESIDUAL_WEIGHTS = {**GENERATOR_WEIGHTS,
-                    "W1+4f0": 4, "W2-C0W1": 6, "Y0": 8, "Y1": 8,
-                    "W1+3f0": 4, "(W2-C0W1)^2-4f0^3": 12,
-                    # the cleared cubic equalities and the quadric forms
-                    "4e1*B0^3-P1": 9, "4e2*B0^3-P2": 9, "4e3*B0^3-P3": 9,
-                    "4f0*B0^4-Q": 12,
-                    **dict.fromkeys(("S0", "S1", "S12", "S13", "T1", "T12", "T13"), 6),
-                    "detPhat": 10}
-
 
 @dataclass(frozen=True)
 class TolerancePolicy:
@@ -248,25 +241,45 @@ def _is_zero_point(cn: DarbouxCoefficients, original: DarbouxCoefficients,
             and pol.is_zero(float(cn.f0), s ** 4))
 
 
-def _first_witness(residuals: Dict[str, Scalar], pol: TolerancePolicy):
-    for name, value in residuals.items():
-        if pol.nonzero(value):
+def _first_witness(res: Dict[str, Scalar], pol: TolerancePolicy,
+                   scales: Optional[Dict[str, Scalar]] = None):
+    """(name, value) of the first residual of res that is nonzero under pol,
+    each measured against its size in scales (1 when scales is None), or
+    None when every residual vanishes."""
+    for name, value in res.items():
+        if pol.nonzero(value, 1 if scales is None else scales[name]):
             return (name, value)
     return None
 
 
+def _verdict(res: Dict[str, Scalar], pol: TolerancePolicy, dupin: str,
+             label: str = "none",
+             scales: Optional[Dict[str, Scalar]] = None) -> Verdict:
+    """The one decision rule: kind `dupin` when no residual of res is a
+    witness, else NotDupin with the first witness."""
+    witness = _first_witness(res, pol, scales)
+    return Verdict(kind=dupin if witness is None else NOT_DUPIN,
+                   case_label=label, witness=witness, residuals=res)
+
+
+def residuals_back(res: Dict[str, Scalar], p: Prepared,
+                   pol: TolerancePolicy) -> Dict[str, Scalar]:
+    """Named residuals at the caller's scale: an exact residual of weight w
+    (`RESIDUAL_WEIGHTS`) times p.scale_back(w); float residuals as given,
+    at the gauge."""
+    if not pol.exact:
+        return res
+    # a zero residual is zero at every scale
+    return {name: v * p.scale_back(RESIDUAL_WEIGHTS[name]) if v else Fraction(0)
+            for name, v in res.items()}
+
+
 def _ungauge(verdict: Verdict, p: Prepared, pol: TolerancePolicy) -> Verdict:
-    """Exact residuals and witness back at the caller's scale: a residual of
-    weight w times p.scale_back(w).  Float residuals are reported at the
-    gauge."""
-    if pol.exact:
-        # a zero residual is zero at every scale
-        verdict.residuals = {name: v * p.scale_back(RESIDUAL_WEIGHTS[name])
-                             if v else Fraction(0)
-                             for name, v in verdict.residuals.items()}
-        if verdict.witness is not None:
-            name = verdict.witness[0]
-            verdict.witness = (name, verdict.residuals[name])
+    """The verdict's residuals and witness by `residuals_back`."""
+    verdict.residuals = residuals_back(verdict.residuals, p, pol)
+    if verdict.witness is not None:
+        name = verdict.witness[0]
+        verdict.witness = (name, verdict.residuals[name])
     return verdict
 
 
@@ -323,24 +336,17 @@ def _quartic_case_verdict(c: DarbouxCoefficients, pol: TolerancePolicy,
     for label, guard in zip("abc", c.e):
         if not pol.nonzero(guard):
             continue
-        res = _axis_case_residuals(c, label, inv)
-        witness = _first_witness(res, pol)
-        if witness is None:
-            return Verdict(kind=DUPIN_QUARTIC, case_label=label, residuals=res)
-        if pol.exact or not _near_e_zero(c, pol):
-            return Verdict(kind=NOT_DUPIN, case_label=label, witness=witness,
-                           residuals=res)
+        verdict = _verdict(_axis_case_residuals(c, label, inv), pol, DUPIN_QUARTIC, label)
+        if verdict.is_dupin or pol.exact or not _near_e_zero(c, pol):
+            return verdict
         break  # borderline float guard: give the e = 0 strata a chance too
 
     ce = c if pol.exact else c.replace(e1=0.0, e2=0.0, e3=0.0)
-    d_res = _e0_case_residuals(ce, "d", inv)
-    if all(pol.is_zero(v) for v in d_res.values()):
-        return Verdict(kind=DUPIN_QUARTIC, case_label="d", residuals=d_res)
+    verdict = _verdict(_e0_case_residuals(ce, "d", inv), pol, DUPIN_QUARTIC, "d")
+    if verdict.is_dupin:
+        return verdict
     label = "e" if pol.nonzero(inv.C0) else "f"
-    res = _e0_case_residuals(ce, label, inv)
-    witness = _first_witness(res, pol)
-    return Verdict(kind=DUPIN_QUARTIC if witness is None else NOT_DUPIN,
-                   case_label=label, witness=witness, residuals=res)
+    return _verdict(_e0_case_residuals(ce, label, inv), pol, DUPIN_QUARTIC, label)
 
 
 def _near_e_zero(c: DarbouxCoefficients, pol: TolerancePolicy) -> bool:
@@ -356,62 +362,43 @@ def recognize_quartic_oracle(p: Prepared, pol: TolerancePolicy) -> Verdict:
 
 
 def _oracle_verdict(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
-    gens = quartic_generators(c).as_dict()
-    witness = _first_witness(gens, pol)
-    return Verdict(kind=DUPIN_QUARTIC if witness is None else NOT_DUPIN,
-                   case_label="none", witness=witness, residuals=gens)
+    return _verdict(quartic_generators(c), pol, DUPIN_QUARTIC)
 
 
 def recognize_cubic(p: Prepared, pol: TolerancePolicy) -> Verdict:
     """Dupin iff 4e_i = E_i for i = 1..3 and f0 equals its rational target;
     compared after clearing the B0 powers.  p is a prepared cubic.  Float
     mode refuses a B0^4 that underflows at the gauge (b tiny next to f0)."""
-    targets = cubic_forms(p.work, p.inv)
+    pairs = cubic_forms(p.work, p.inv)
     b0 = p.inv.B0
     if not pol.exact and b0 ** 4 < sys.float_info.min:
         raise PreconditionError(
             f"B0^4 = {b0 ** 4} at the gauge is below the normal float range; "
             "use exact mode")
-    names = ("4e1*B0^3-P1", "4e2*B0^3-P2", "4e3*B0^3-P3", "4f0*B0^4-Q")
-    res = dict(zip(names, targets.residuals))
+    res = {name: lhs - rhs for name, (lhs, rhs) in pairs.items()}
     # cleared equalities, measured against their own clearing factor:
     # |lhs - rhs| <= tau * max(4 B0^k, |lhs|, |rhs|) is the relative test of
     # the uncleared equality, evaluated without a division
     floors = (4 * b0 ** 3,) * 3 + (4 * b0 ** 4,)
-    witness = None
-    for name, (lhs, rhs), floor in zip(names, targets.cleared_pairs, floors):
-        if pol.nonzero(lhs - rhs, max(abs(floor), abs(lhs), abs(rhs))):
-            witness = (name, lhs - rhs)
-            break
-    kind = DUPIN_CUBIC if witness is None else NOT_DUPIN
-    return _ungauge(Verdict(kind=kind, case_label="none", witness=witness,
-                            residuals=res), p, pol)
+    scales = {name: max(abs(floor), abs(lhs), abs(rhs))
+              for (name, (lhs, rhs)), floor in zip(pairs.items(), floors)}
+    return _ungauge(_verdict(res, pol, DUPIN_CUBIC, scales=scales), p, pol)
 
 
 def recognize_quadric(p: Prepared, pol: TolerancePolicy) -> Verdict:
     """Dupin-as-quadric iff the quadratic part is rotational (seven forms
     vanish) and the extended matrix is singular (det Phat = 0).
 
-    The two bits are reported separately in the notes: a smooth rotational
-    quadric fails only the singularity condition.  p is a prepared quadric.
+    The two bits are reported separately in the notes, read off the
+    witness: the seven forms come before detPhat, so a detPhat witness is a
+    smooth rotational quadric.  p is a prepared quadric.
     """
-    forms = quadric_forms(p.work)
-    res = {"S0": forms.S0, "S1": forms.S1, "S12": forms.S12, "S13": forms.S13,
-           "T1": forms.T1, "T12": forms.T12, "T13": forms.T13,
-           "detPhat": forms.det_phat}
-    st = {k: v for k, v in res.items() if k != "detPhat"}
-    rotational = all(pol.is_zero(v) for v in st.values())
-    singular = pol.is_zero(forms.det_phat)
-    if rotational and singular:
-        verdict = Verdict(kind=DUPIN_QUADRIC, case_label="none", residuals=res,
-                          notes=["rotational", "singular"])
-    elif rotational:
-        verdict = Verdict(kind=NOT_DUPIN, case_label="none",
-                          witness=("detPhat", forms.det_phat), residuals=res,
-                          notes=["smooth rotational quadric"])
+    verdict = _verdict(quadric_forms(p.work), pol, DUPIN_QUADRIC)
+    if verdict.witness is None:
+        verdict.notes = ["rotational", "singular"]
+    elif verdict.witness[0] == "detPhat":
+        verdict.notes = ["smooth rotational quadric"]
     else:
-        verdict = Verdict(kind=NOT_DUPIN, case_label="none",
-                          witness=_first_witness(st, pol), residuals=res,
-                          notes=["singular" if singular else "nonsingular",
-                                 "not rotational"])
+        singular = pol.is_zero(verdict.residuals["detPhat"])
+        verdict.notes = ["singular" if singular else "nonsingular", "not rotational"]
     return _ungauge(verdict, p, pol)

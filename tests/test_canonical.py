@@ -12,6 +12,7 @@ from cyclide import (DarbouxCoefficients, EuclideanMotion, apply_motion,
 from cyclide.errors import Inconsistent, IrrationalSpectrum, TooManyDigits
 from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed, random_rotation)
+from cyclide.scalar import format_scalar
 
 
 def spectral(c, pol):
@@ -185,3 +186,23 @@ class TestMessagesAtCallerScale:
         stage, c, *_ = self.CASES["discriminant"]
         with pytest.raises(TooManyDigits):
             stage(prepare(weighted_rescale(c, Fraction(10) ** 1100), pol), pol)
+
+    # not Dupin: the A1 candidate of case (a) fails H1, H2 (weight 6) and
+    # H3 (weight 4), which read -12, -12 and 21 at lam = 1
+    NOT_DUPIN = make(a0=1, c=(-2, 1, 3), e=(-3, 0, 0))
+
+    @pytest.mark.parametrize("lam,h1", [(Fraction(1), "-12"),
+                                        (Fraction(1, 3), "'-4/243'"),
+                                        (Fraction(5, 2), "'-46875/16'")], ids=str)
+    def test_inconsistent_message_values(self, pol, lam, h1):
+        with pytest.raises(Inconsistent) as err:
+            spectral_data(prepare(weighted_rescale(self.NOT_DUPIN, lam), pol), pol)
+        shown = {"H1": format_scalar(-12 * lam ** 6), "H2": format_scalar(-12 * lam ** 6),
+                 "H3": format_scalar(21 * lam ** 4)}
+        assert str(err.value) == f"A1 system has no common solution: {shown}"
+        assert f"'H1': {h1}, " in str(err.value)
+
+    def test_inconsistent_message_value_too_long_to_print(self, pol):
+        with pytest.raises(TooManyDigits):
+            spectral_data(prepare(weighted_rescale(self.NOT_DUPIN, Fraction(10) ** 1100),
+                                  pol), pol)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from cyclide import (TolerancePolicy, build_map, calibrate_convention,
-                     j0_quartic, prepare, spectral_data, torus_radii,
-                     torus_radii_inversive)
+                     classify_quartic, j0_quartic, prepare, spectral_data,
+                     torus_radii, torus_radii_inversive)
 from cyclide.canonical import CanonicalQuartic
 from cyclide.classify import SurfaceClass
 from cyclide.errors import (CalibrationFailed, DegenerateRatio, NotRealOverR,
@@ -177,5 +177,6 @@ class TestTorusSpecLabels:
         (0, -1, SurfaceClass.TWO_POINTS),
         (-1, 0, SurfaceClass.NO_REAL_POINTS),
     ])
-    def test_labels(self, r2, R2, label):
-        assert TorusSpec(Fraction(r2), Fraction(R2)).label() == label
+    def test_labels(self, r2, R2, label, pol):
+        c = TorusSpec(Fraction(r2), Fraction(R2)).coefficients(exact=True)
+        assert classify_quartic(spectral_data(prepare(c, pol), pol), pol) == label

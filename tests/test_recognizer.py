@@ -13,6 +13,7 @@ from cyclide import (DarbouxCoefficients, EuclideanMotion, TolerancePolicy,
                      recognize_quartic_cases, recognize_quartic_oracle,
                      weighted_rescale)
 from cyclide import recognizer
+from cyclide.canonical import _a1_system, _closure
 from cyclide.errors import InternalCheckError, PreconditionError, ZeroInput
 from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             perturb_off_variety, random_motion,
@@ -23,7 +24,8 @@ from cyclide.recognizer import (CUBIC, DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC
                                 Verdict, _axis_case_residuals,
                                 _e0_case_residuals, _oracle_verdict,
                                 _quartic_case_verdict)
-from cyclide.scalar import FLOAT
+from cyclide.scalar import EXACT, FLOAT
+from cyclide.serialize import parse_coefficients
 
 
 class TestDispatch:
@@ -82,6 +84,18 @@ class TestQuarticCases:
              (Fraction(1), Fraction(0), Fraction(0))))
         v = recognize_quartic_cases(prepare(apply_motion(base, rot_xz), pol), pol)
         assert v.kind == DUPIN_QUARTIC and v.case_label == "c"
+
+    def test_borderline_float_axis_guard_falls_through(self):
+        # the torus R = 2, r = 1 at c2 = -6 with e2 = 1e-6: the case (b)
+        # guard fires, but within 10^3 tau of zero, so float mode also tries
+        # the e = 0 strata and lands in case (d); exact mode decides (b)
+        row = {"a0": 1, "c1": -10, "c2": -6, "c3": 6, "e2": 1e-6, "f0": 9}
+        v = recognize(parse_coefficients(row, FLOAT), TolerancePolicy(FLOAT, 1e-9))
+        assert (v.kind, v.case_label) == (DUPIN_QUARTIC, "d")
+        exact = parse_coefficients({**row, "e2": "1/1000000"}, EXACT)
+        v = recognize(exact, TolerancePolicy(EXACT))
+        assert (v.kind, v.case_label) == (NOT_DUPIN, "b")
+        assert v.witness == ("L2", Fraction(-1, 62500))
 
     def test_case_f(self, pol):
         # C0 = 0 stratum: c = (0, 1, -1) with d1 = 1 has W1 = -2, W2 = 0;
@@ -198,11 +212,14 @@ class TestIntegerGauge:
         assert kinds == {DUPIN_QUARTIC, NOT_DUPIN}
 
     def test_residual_weights(self, pol, rng):
-        def named(c, cubic, quadric):
+        def named(c, cubic, quadric, spectrum):
             ce = c.replace(e1=Fraction(0), e2=Fraction(0), e3=Fraction(0))
-            vals = quartic_generators(c).as_dict()
+            vals = quartic_generators(c)
             for label in "abc":
                 vals.update(_axis_case_residuals(c, label, base_invariants(c)))
+            # the A1 system and the spectral closure at (A1, A2, A3, Dsq, F)
+            vals.update(_a1_system(c, base_invariants(c), spectrum[0]))
+            vals.update(_closure(c, base_invariants(c), *spectrum))
             for label in "def":
                 vals.update(_e0_case_residuals(ce, label, base_invariants(ce)))
             # the cubic and quadric verdicts, on a copy taken as its own gauge
@@ -216,9 +233,11 @@ class TestIntegerGauge:
             inputs = (random_coefficients(rng),
                       random_coefficients(rng, a0=0, with_b=True),
                       random_coefficients(rng, a0=0))
+            spectrum = tuple(rand_fraction(rng) for _ in range(5))
             lam = rand_fraction(rng, 1, 5, 3)
-            before = named(*inputs)
-            after = named(*(weighted_rescale(c, lam) for c in inputs))
+            before = named(*inputs, spectrum)
+            after = named(*(weighted_rescale(c, lam) for c in inputs),
+                          tuple(v * lam ** w for v, w in zip(spectrum, (2, 2, 2, 6, 4))))
             assert set(before) == set(RESIDUAL_WEIGHTS)
             for name, w in RESIDUAL_WEIGHTS.items():
                 assert after[name] == lam ** w * before[name], name
@@ -270,6 +289,13 @@ class TestQuadricRecognition:
         c = DarbouxCoefficients.make(a0=0, c=(1, 2, 3))
         v = recognize_quadric(prepare(c, pol), pol)
         assert v.kind == NOT_DUPIN and v.witness == ("S0", -2)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_singular_not_rotational_notes(self, mode):
+        c = DarbouxCoefficients.make(a0=0, c=(1, 2, 3))
+        v = recognize(c if mode == EXACT else c.to_float(), TolerancePolicy(mode))
+        assert v.kind == NOT_DUPIN and v.witness[0] == "S0"
+        assert v.notes == ["singular", "not rotational"]
 
     def test_smooth_sphere(self, pol):
         c = DarbouxCoefficients.make(a0=0, c=(1, 1, 1), f0=-1)
