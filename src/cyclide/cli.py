@@ -76,13 +76,23 @@ def _tolerance(args) -> TolerancePolicy:
     return TolerancePolicy(args.mode, tau)
 
 
+def _parse_json(text: str, mode: str):
+    """DarbouxCoefficients of one JSON object; an object nested deeper than
+    the JSON decoder can follow is a ParseError."""
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+    return parse_coefficients(obj, mode)
+
+
 def _iter_inputs(raw: str, mode: str):
     """Yield DarbouxCoefficients from inline JSON, stdin, or a file."""
     text = None
     if raw == "-":
         text = sys.stdin.read()
     elif raw.lstrip().startswith("{"):
-        yield parse_coefficients(json.loads(raw), mode)
+        yield _parse_json(raw, mode)
         return
     else:
         with open(raw, "r", encoding="utf-8") as fh:
@@ -95,7 +105,7 @@ def _iter_inputs(raw: str, mode: str):
             if not line.strip():
                 continue
             try:
-                yield parse_coefficients(json.loads(line), mode)
+                yield _parse_json(line, mode)
             except (ParseError, json.JSONDecodeError) as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
     else:

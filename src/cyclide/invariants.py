@@ -8,17 +8,17 @@ pairs), and `RESIDUAL_WEIGHTS` is the one table of their weighted degrees,
 including the residuals `recognizer` and `canonical` build themselves."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .core import DarbouxCoefficients, sigma_orbit
 from .errors import NotNormalized, PreconditionError, ZeroCubicPart
 from .scalar import Scalar
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
-    """Symmetric abbreviations; invariant under all index permutations."""
+class InvariantBundle(NamedTuple):
+    """Symmetric abbreviations, invariant under all index permutations, as a
+    named 7-tuple: one is built per `base_invariants` call, twice per exact
+    quartic, so it is as cheap to make as `DarbouxCoefficients`."""
 
     B0: Scalar
     C0: Scalar
@@ -113,14 +113,35 @@ def quartic_generators(c: DarbouxCoefficients) -> Dict[str, Scalar]:
     k1, k2, k3 = (k_form(cc) for cc in orbit)
     l1, l2, l3 = (l_form(cc, inv) for cc in orbit)
     m1, m2, m3 = (m_form(cc, inv) for cc in orbit)
-    w14 = inv.W1 + 4 * c.f0
-    n1 = ((4 * inv.W1 + 12 * c.f0 - 3 * inv.C0 ** 2) * w14
-          - 2 * inv.C0 * (inv.W2 - inv.C0 * inv.W1 - 6 * inv.E0) - 4 * inv.W4)
-    big = inv.W2 + inv.C0 * inv.W1 + 8 * inv.C0 * c.f0 - 4 * inv.E0
-    n2 = 4 * (inv.W2 - inv.C0 * inv.W1 - 2 * inv.E0) * w14 + (inv.C0 ** 2 - 4 * c.f0) * big
-    n3 = big * big - 4 * w14 ** 3
+    n1, n2, n3 = _n_forms(c, inv)
     return {"K1": k1, "K2": k2, "K3": k3, "L1": l1, "L2": l2, "L3": l3,
             "M1": m1, "M2": m2, "M3": m3, "N1": n1, "N2": n2, "N3": n3}
+
+
+def quartic_generators_vanish(c: DarbouxCoefficients) -> bool:
+    """True iff all 12 generators of `quartic_generators` are exactly zero
+    at the normalized exact quartic c, decided lazily: the symmetric N1, N2,
+    N3 first, from the bundle of c alone, then K, L and M on the sigma-orbit
+    only when every N vanishes; it stops at the first nonzero generator.
+    N leads because K, L and M are linear in e, so at e = 0 only N can be
+    nonzero."""
+    _require_normalized(c)
+    inv = base_invariants(c)
+    if any(_n_forms(c, inv)):
+        return False
+    return not any(k_form(cc) or l_form(cc, inv) or m_form(cc, inv)
+                   for cc in sigma_orbit(c))
+
+
+def _n_forms(c: DarbouxCoefficients, inv: InvariantBundle):
+    """(N1, N2, N3), lazily: a generator that yields each in turn, so a
+    caller that stops at a nonzero N1 computes neither N2 nor N3."""
+    w14 = inv.W1 + 4 * c.f0
+    yield ((4 * inv.W1 + 12 * c.f0 - 3 * inv.C0 ** 2) * w14
+           - 2 * inv.C0 * (inv.W2 - inv.C0 * inv.W1 - 6 * inv.E0) - 4 * inv.W4)
+    big = inv.W2 + inv.C0 * inv.W1 + 8 * inv.C0 * c.f0 - 4 * inv.E0
+    yield 4 * (inv.W2 - inv.C0 * inv.W1 - 2 * inv.E0) * w14 + (inv.C0 ** 2 - 4 * c.f0) * big
+    yield big * big - 4 * w14 ** 3
 
 
 def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle

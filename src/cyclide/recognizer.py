@@ -2,13 +2,16 @@
 
 Dispatch by degree, then the complete-intersection case logic for quartics,
 the rational-target equalities for cubics, and the rotational-quadric test.
-A 12-generator oracle cross-checks every exact quartic case decision.
+The 12-generator ideal cross-checks every exact quartic case decision:
+`quartic_generators_vanish` tests the symmetric N1, N2, N3 first, then K, L
+and M on the sigma-orbit only when every N vanishes, and stops at the first
+nonzero generator; `recognize_quartic_oracle` reports all twelve.
 
 Every decision reads a {name: value} dict of residuals: `_verdict` is the
 one rule (Dupin iff `_first_witness` finds no nonzero residual, in the order
 the dict is reported), and `residuals_back` the one way a dict of named
 residuals is taken to the caller's scale, by the weights of
-`invariants.RESIDUAL_WEIGHTS`.
+`invariants.RESIDUAL_WEIGHTS` (an exact one as Fraction(v, lam**w)).
 
 `prepare` is the one place that decides an input's degree branch and gauges
 it, and `Prepared.scale_back` the one way back: every stage after it, here
@@ -19,10 +22,10 @@ is measured against.  The branch is the highest degree with a nonzero slot,
 measured in float mode against the largest coefficient, so it does not
 depend on the scale of the equation.  Exact mode refuses float coefficients
 and never converts one to float; `_lattice` puts every degree onto the
-integer lattice in one pass of int arithmetic from the parsed numerators and
+integer lattice in int arithmetic from the parsed numerators and
 denominators: every quantity is weighted-homogeneous, so a weighted rescale
 by lam multiplies it by a nonzero power of lam and leaves each zero test
-unchanged.  A quartic is divided by a0 slot by slot, lam is the lcm of the
+unchanged.  A quartic is divided by a0, lam is the lcm of the
 reduced denominators (doubled when a lattice b_i is odd) and the quartic
 copy is centred by `normalize_quartic`.  `_float_gauge` takes float inputs
 to unit weighted sup-norm, so one tolerance is scale-free; a quartic is
@@ -41,7 +44,8 @@ from .core import (SLOT_WEIGHTS, DarbouxCoefficients, normalize_quartic,
 from .errors import InternalCheckError, PreconditionError, ZeroInput
 from .invariants import (RESIDUAL_WEIGHTS, InvariantBundle, base_invariants,
                          cubic_forms, k_form, l_form, m_form, quadric_forms,
-                         quartic_generators, reduced_generators_e0)
+                         quartic_generators, quartic_generators_vanish,
+                         reduced_generators_e0)
 from .scalar import EXACT, Scalar
 
 DUPIN_QUARTIC = "DupinQuartic"
@@ -162,24 +166,27 @@ def _float_gauge(c: DarbouxCoefficients, branch: str):
 
 def _lattice(c: DarbouxCoefficients, branch: str):
     """(work, 1/lam, None) of exact c, in ints; see the module docstring.
-    Each slot is reduced to n/d by one gcd; a doubled lam makes the
+    Each slot is read once, as n/d.  c times D = lcm(d) is the same surface
+    in ints N; its slots are N_i/Q with Q = N_0 for a quartic (divided by
+    a0) and Q = D otherwise, so the lcm of their reduced denominators is
+    lam = |Q|/G with G = gcd(Q, N), and a slot of weight w >= 1 is
+    sign(Q) * N_i/G * lam^(w-1) on the lattice.  A doubled lam makes the
     centring shift -b/2 of a quartic integral too."""
+    ratios = [v.as_integer_ratio() for v in c]
+    den = math.lcm(*[d for _, d in ratios])
+    ints = [n * (den // d) for n, d in ratios]
     quartic = branch == QUARTIC
-    na, da = (c.a0.numerator, c.a0.denominator) if quartic else (1, 1)
-    if na < 0:
-        na, da = -na, -da
-    nums, dens = [], []
-    for v in c:
-        n, d = v.numerator * da, v.denominator * na
-        g = math.gcd(n, d)
-        nums.append(n // g)
-        dens.append(d // g)
-    lam = math.lcm(*dens)
-    if quartic and any(n * (lam // d) % 2 for n, d in zip(nums[1:4], dens[1:4])):
-        lam *= 2
+    q = ints[0] if quartic else den
+    g = math.gcd(q, *ints)
+    lam = abs(q) // g
+    unit = g if q > 0 else -g
+    base = [n // unit for n in ints[1:]]   # slots b..f0 divided by lam^(w-1)
+    k = 2 if quartic and any(v % 2 for v in base[:3]) else 1
+    lam *= k
     l2 = lam * lam
-    power = (1, lam, l2, l2 * lam, l2 * l2)
-    work = c._make(n * (power[w] // d) for n, d, w in zip(nums, dens, SLOT_WEIGHTS))
+    power = (k, k * lam, k * l2, k * l2 * lam)   # k * lam^(w-1), w = 1..4
+    work = c._make((int(quartic), *(v * power[w - 1]
+                                    for v, w in zip(base, SLOT_WEIGHTS[1:]))))
     return (normalize_quartic(work) if quartic else work), Fraction(1, lam), None
 
 
@@ -269,8 +276,10 @@ def residuals_back(res: Dict[str, Scalar], p: Prepared,
     at the gauge."""
     if not pol.exact:
         return res
-    # a zero residual is zero at every scale
-    return {name: v * p.scale_back(RESIDUAL_WEIGHTS[name]) if v else Fraction(0)
+    # an exact scale is 1/lam, so v * scale_back(w) is v / lam**w: one int
+    # power and one Fraction; a zero residual is zero at every scale
+    lam = p.scale.denominator
+    return {name: Fraction(v, lam ** RESIDUAL_WEIGHTS[name]) if v else Fraction(0)
             for name, v in res.items()}
 
 
@@ -294,13 +303,13 @@ def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
     verdict = _ungauge(_quartic_case_verdict(p.work, pol, p.inv), p, pol)
     # dispatch == oracle is a theorem of the exact ideal; float noise shifts
     # the two test families differently near the variety, so the automatic
-    # self-check runs in exact mode only
-    if pol.exact:
-        oracle = _oracle_verdict(p.work, pol)
-        if oracle.is_dupin != verdict.is_dupin:
-            raise InternalCheckError(
-                f"case dispatch says {verdict.kind} but 12-generator oracle says "
-                f"{oracle.kind} (case {verdict.case_label}, witness {verdict.witness})")
+    # self-check runs in exact mode only, on the lattice copy, and stops at
+    # the first generator that does not vanish
+    if pol.exact and quartic_generators_vanish(p.work) != verdict.is_dupin:
+        oracle = NOT_DUPIN if verdict.is_dupin else DUPIN_QUARTIC
+        raise InternalCheckError(
+            f"case dispatch says {verdict.kind} but 12-generator oracle says "
+            f"{oracle} (case {verdict.case_label}, witness {verdict.witness})")
     return verdict
 
 

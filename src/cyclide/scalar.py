@@ -26,6 +26,17 @@ def parse_scalar(value, mode: str) -> Scalar:
     mode returns only finite floats: NaN, an infinity, or a value beyond the
     float range raises ParseError.
     """
+    if mode == EXACT and type(value) is str and value.isascii():
+        # fast path for an unpadded ASCII integer or "p/q" (q > 0), same
+        # value as Fraction(text); anything else (padding, "+", "_",
+        # decimals, q = 0, digits beyond int()'s limit) falls through
+        num, slash, den = value.partition("/")
+        if (num.removeprefix("-").isdigit()
+                and (not slash or den.isdigit() and den.strip("0"))):
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except ValueError:
+                pass
     if isinstance(value, bool):
         raise ParseError(f"boolean is not a coefficient: {value!r}")
     if isinstance(value, int):
@@ -36,17 +47,8 @@ def parse_scalar(value, mode: str) -> Scalar:
                 f"float literal {value!r} in exact mode; pass a string like \"1/3\" or \"0.25\"")
         return _finite(value)
     if isinstance(value, str):
-        text = value.strip()
         try:
-            if mode == EXACT and text.isascii():
-                # fast path for an ASCII integer or "p/q", same value and
-                # errors as Fraction(text); anything else ("+", "_",
-                # decimals, q = 0) takes Fraction(text)
-                num, slash, den = text.partition("/")
-                if (num.removeprefix("-").isdigit()
-                        and (not slash or den.isdigit() and den.strip("0"))):
-                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            frac = Fraction(text)
+            frac = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot parse coefficient {value!r}: {exc}") from exc
         return frac if mode == EXACT else _finite(frac, value)

@@ -18,16 +18,18 @@ from .recognizer import Verdict
 from .scalar import EXACT, Scalar, format_scalar, parse_scalar
 
 
+_FIELD_SET = frozenset(COEFF_FIELDS)
+
+
 def parse_coefficients(obj, mode: str = EXACT) -> DarbouxCoefficients:
     """Parse a coefficient mapping (or a {"coefficients": ...} wrapper, as
-    emitted by the generator)."""
+    emitted by the generator, nested to any depth)."""
+    while isinstance(obj, dict) and "coefficients" in obj:
+        obj = obj["coefficients"]
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
-    if "coefficients" in obj:
-        inner = obj["coefficients"]
-        return parse_coefficients(inner, mode)
-    unknown = sorted(set(obj) - set(COEFF_FIELDS))
-    if unknown:
+    if not _FIELD_SET.issuperset(obj):
+        unknown = sorted(set(obj) - _FIELD_SET)
         raise ParseError(f"unknown coefficient key(s): {', '.join(unknown)}")
     values = []
     zero = Fraction(0) if mode == EXACT else 0.0  # a missing key: parse_scalar(0, mode)
@@ -68,8 +70,17 @@ CSV_HEADER = list(COEFF_FIELDS)
 
 
 def read_csv_coefficients(text: str, mode: str = EXACT) -> Iterable[DarbouxCoefficients]:
-    """14-column CSV with header a0,b1,...,f0 (spreadsheet interchange)."""
+    """14-column CSV with header a0,b1,...,f0 (spreadsheet interchange).
+    A line the csv module refuses (a field over its size limit) is a
+    ParseError."""
     reader = csv.reader(io.StringIO(text))
+    try:
+        yield from _csv_rows(reader, mode)
+    except csv.Error as exc:
+        raise ParseError(f"CSV line {reader.line_num}: {exc}") from None
+
+
+def _csv_rows(reader, mode: str) -> Iterable[DarbouxCoefficients]:
     try:
         header = next(reader)
     except StopIteration:

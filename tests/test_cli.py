@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cyclide.cli import main
+from cyclide.serialize import parse_coefficients
 
 TORUS_JSON = '{"a0":1,"c1":"-10","c2":"-10","c3":"6","f0":"9"}'
 
@@ -137,6 +138,40 @@ class TestExitCodes:
             assert list(row) == ["error"]
             assert row["error"].startswith("TooManyDigits: ")
             assert "--float" in row["error"]
+
+    # 1000 {"coefficients": ...} wrappers (18 KB) are deeper than the JSON
+    # decoder follows
+    NESTED = '{"coefficients": ' * 1000 + TORUS_JSON + "}" * 1000
+
+    @pytest.mark.parametrize("where", ["file", "inline"])
+    def test_json_nested_too_deeply(self, where, tmp_path, capsys):
+        arg = self.NESTED
+        if where == "file":
+            arg = str(tmp_path / "nested.jsonl")
+            Path(arg).write_text(self.NESTED + "\n")
+        assert main(["recognize", arg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cyclide: input error:")
+        assert "nested too deeply" in captured.err
+
+    def test_wrappers_unwrap_without_recursion(self):
+        obj = json.loads(TORUS_JSON)
+        for _ in range(5000):
+            obj = {"coefficients": obj}
+        assert parse_coefficients(obj) == parse_coefficients(json.loads(TORUS_JSON))
+
+    def test_csv_field_over_the_csv_limit(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        row = ["1", "0", "0", "0", "-10", "-10", "6", "0", "0", "0", "0", "0", "0",
+               "9" * 131073]
+        path.write_text("a0,b1,b2,b3,c1,c2,c3,d1,d2,d3,e1,e2,e3,f0\n"
+                        + ",".join(row) + "\n")
+        assert main(["recognize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cyclide: input error: CSV line 2: ")
+        assert "field limit" in captured.err
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_tol_flag(self, tol, capsys):

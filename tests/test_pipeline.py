@@ -67,6 +67,24 @@ def test_to_torus_prepares_each_quartic_once(mode, monkeypatch):
         assert len(bundles) == (2 if mode == EXACT else 1)
 
 
+def test_cross_check_stops_before_the_orbit(monkeypatch):
+    # a nonzero N1 decides the exact cross-check before K, L and M, so no
+    # sigma-orbit is built for it; at e = 0 the case dispatch builds none
+    # either, so a whole recognize builds none
+    pol = TolerancePolicy(EXACT)
+    c = DarbouxCoefficients.make(a0=1, c=(-10, -10, 6), f0=8)
+    work = prepare(c, pol).work
+    assert invariants.quartic_generators(work)["N1"] != 0
+    orbits = []
+    _record(monkeypatch, (core, invariants, recognizer), "sigma_orbit", orbits)
+    assert invariants.quartic_generators_vanish(work) is False
+    assert pipeline.analyze(c, pol, "recognize")["kind"] == "NotDupin"
+    assert orbits == []
+    moved = c.replace(e1=Fraction(1))
+    assert recognizer.quartic_generators_vanish(prepare(moved, pol).work) is False
+    assert orbits == []
+
+
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_to_torus_moves_each_input_at_most_once(mode, monkeypatch):
     # the benchmark's core.apply_motion.calls span counts these calls

@@ -15,15 +15,16 @@ from cyclide import (DarbouxCoefficients, EuclideanMotion, TolerancePolicy,
 from cyclide import recognizer
 from cyclide.canonical import _a1_system, _closure
 from cyclide.errors import InternalCheckError, PreconditionError, ZeroInput
-from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
-                            perturb_off_variety, random_motion,
-                            random_quartic_seed)
-from cyclide.invariants import base_invariants, quartic_generators
+from cyclide.genkit import (canonical_quartic_coefficients, generate_cubic_dupin,
+                            generate_quartic_dupin, perturb_off_variety,
+                            random_motion, random_quartic_seed)
+from cyclide.invariants import (base_invariants, quartic_generators,
+                                quartic_generators_vanish)
 from cyclide.recognizer import (CUBIC, DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC,
                                 NOT_DUPIN, QUADRIC, RESIDUAL_WEIGHTS, Prepared,
-                                Verdict, _axis_case_residuals,
-                                _e0_case_residuals, _oracle_verdict,
-                                _quartic_case_verdict)
+                                _axis_case_residuals, _e0_case_residuals,
+                                _oracle_verdict, _quartic_case_verdict,
+                                residuals_back)
 from cyclide.scalar import EXACT, FLOAT
 from cyclide.serialize import parse_coefficients
 
@@ -245,24 +246,96 @@ class TestIntegerGauge:
     def test_cross_check_runs_on_lattice(self, pol, monkeypatch):
         seen = []
 
-        def spy(c, p):
+        def spy(c):
             seen.append(c)
-            return _oracle_verdict(c, p)
+            return quartic_generators_vanish(c)
 
-        monkeypatch.setattr(recognizer, "_oracle_verdict", spy)
+        monkeypatch.setattr(recognizer, "quartic_generators_vanish", spy)
         assert recognize(weighted_rescale(TORUS21, Fraction(1, 3)), pol).is_dupin
         assert len(seen) == 1
         assert all(type(v) is int for v in seen[0].astuple())
 
     def test_cross_check_disagreement_raises(self, pol, monkeypatch):
-        monkeypatch.setattr(recognizer, "_oracle_verdict",
-                            lambda c, p: Verdict(kind=NOT_DUPIN))
-        with pytest.raises(InternalCheckError):
+        monkeypatch.setattr(recognizer, "quartic_generators_vanish", lambda c: False)
+        with pytest.raises(InternalCheckError,
+                           match="dispatch says DupinQuartic but .* oracle says NotDupin"):
             recognize(TORUS21, pol)
+
+    def test_cross_check_reverse_disagreement_raises(self, pol, monkeypatch):
+        monkeypatch.setattr(recognizer, "quartic_generators_vanish", lambda c: True)
+        with pytest.raises(InternalCheckError,
+                           match="dispatch says NotDupin but .* oracle says DupinQuartic"):
+            recognize(TORUS21.replace(f0=Fraction(8)), pol)
+
+    @pytest.mark.parametrize("lam", [1, Fraction(1, 3), Fraction(5, 2), 10 ** 40],
+                             ids=["1", "1/3", "5/2", "10^40"])
+    def test_exact_residuals_back_is_the_product(self, pol, rng, lam):
+        # residuals_back takes v to v / lam**w in one Fraction; the value is
+        # v * scale_back(w) for every weight of the table
+        p = prepare(weighted_rescale(random_coefficients(rng), lam), pol)
+        assert p.scale != 1
+        res = {name: rng.randint(-10 ** 6, 10 ** 6) * (i % 3 != 0)
+               for i, name in enumerate(RESIDUAL_WEIGHTS)}
+        back = residuals_back(res, p, pol)
+        assert list(back) == list(res)
+        for name, w in RESIDUAL_WEIGHTS.items():
+            assert type(back[name]) is Fraction
+            assert back[name] == res[name] * p.scale_back(w), name
 
     def test_float_coefficients_refused(self, pol):
         with pytest.raises(PreconditionError):
             recognize(TORUS21.to_float(), pol)
+
+
+class TestLazyCrossCheck:
+    """`quartic_generators_vanish`, the lazy exact cross-check, says what
+    `recognize_quartic_oracle` says."""
+
+    @staticmethod
+    def _generated(rng):
+        """Generated Dupin quartics of every case a-f, and their
+        perturbations off the variety."""
+        axis = (EuclideanMotion.identity(),
+                EuclideanMotion.rotation_by(((0, -1, 0), (1, 0, 0), (0, 0, 1))),
+                EuclideanMotion.rotation_by(((0, 0, -1), (0, 1, 0), (1, 0, 0))))
+        dupin = [generate_quartic_dupin(random_quartic_seed(
+                    rng, axis[i % 3] if i % 4 else random_motion(rng)))
+                 for i in range(60)]
+        # C0 = 0, W1 + 3 f0 = 0 and W2^2 = 4 f0^3 at e = 0: case (f)
+        dupin.append(DarbouxCoefficients.make(a0=1, c=(1, 1, -2), f0=1))
+        return dupin, [perturb_off_variety(c, rng) for c in dupin]
+
+    def _agrees(self, c, pol):
+        p = prepare(c, pol)
+        oracle = recognize_quartic_oracle(p, pol).is_dupin
+        assert quartic_generators_vanish(p.work) is oracle
+        return oracle
+
+    def test_generated_and_perturbed(self, pol, rng):
+        dupin, off = self._generated(rng)
+        labels = {recognize(c, pol).case_label for c in dupin}
+        assert labels == set("abcdef")
+        assert all(self._agrees(c, pol) for c in dupin)
+        assert not any(self._agrees(c, pol) for c in off)
+
+    def test_e_zero_non_dupin(self, pol, rng):
+        # K, L and M are linear in e: at e = 0 only N1, N2, N3 can witness
+        for _ in range(30):
+            c = random_coefficients(rng, a0=rand_fraction(rng, 1, 9, 7), with_e=False)
+            assert not self._agrees(c, pol)
+            g = quartic_generators(prepare(c, pol).work)
+            assert {name for name, v in g.items() if v} <= {"N1", "N2", "N3"}
+
+    def test_every_n_vanishes_but_k_does_not(self, pol):
+        # the canonical Dupin quartic with e = (3, 0, 0) moved to
+        # e = (1, 2, 2): |e|^2 and e^T C e are unchanged, so are the
+        # symmetric N1, N2, N3, and only K, L, M see the move
+        c = canonical_quartic_coefficients(-1, 1, Fraction(-9, 16), Fraction(3, 4))
+        assert c.e == (3, 0, 0) and self._agrees(c, pol)
+        moved = c.replace(e1=Fraction(1), e2=Fraction(2), e3=Fraction(2))
+        g = quartic_generators(moved)
+        assert g["N1"] == g["N2"] == g["N3"] == 0 and g["K1"] != 0
+        assert not self._agrees(moved, pol)
 
 
 class TestCubicRecognition:

@@ -10,8 +10,9 @@ from cyclide.scalar import EXACT, format_scalar, parse_scalar
 
 CASES = ["3/4", "-3/4", " 7 ", "+3/4", "3/04", "0/5", "-0", "3/0", "3/-4",
          "1_000/3", "١/٢", "0.25", "1e3", "", "/3", "3/",
-         # beyond int()'s default 4300-digit limit
-         "1" * 4301, "-2/" + "3" * 4301]
+         "007/010", "1/0", "1_0", "/2", "2/", "３", "-", "--3", "3/4/5",
+         # at and beyond int()'s default 4300-digit limit
+         "7" * 4300, "1" * 4301, "-2/" + "3" * 4301]
 
 
 def fraction_of(text):
@@ -32,6 +33,23 @@ def test_exact_parse_agrees_with_fraction(text):
     else:
         got = parse_scalar(text, EXACT)
         assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("value, want", [
+    (7, Fraction(7)),
+    (-10 ** 50, Fraction(-10 ** 50)),
+    (True, "boolean is not a coefficient: True"),
+    (0.5, "float literal 0.5 in exact mode"),
+    (None, "unsupported coefficient type NoneType"),
+], ids=["int", "long int", "bool", "float", "None"])
+def test_exact_non_string_cells(value, want):
+    """An int cell is its Fraction; bool, float and other cells are refused."""
+    if isinstance(want, Fraction):
+        got = parse_scalar(value, EXACT)
+        assert type(got) is Fraction and got == want
+    else:
+        with pytest.raises(ParseError, match=want):
+            parse_scalar(value, EXACT)
 
 
 @pytest.mark.parametrize("v, want", [
