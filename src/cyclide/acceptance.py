@@ -273,8 +273,7 @@ def criterion_8_moebius_calibration() -> Tuple[bool, str]:
     ratio_j0 = torus_radii(CanonicalQuartic(
         Fraction(4), Fraction(1), Fraction(2), Fraction(0))).j0()
     fpol = TolerancePolicy(FLOAT, 1e-9)
-    from .moebius import _cyclide_coefficients
-    cyc = prepare(_cyclide_coefficients(q_cyc), fpol)
+    cyc = prepare(q_cyc.coefficients(exact=False), fpol)
     j = j0_quartic(cyc, spectral_data(cyc, fpol), fpol)
     j0_ok = (ratio_j0 == Fraction(2, 9)
              and abs(float(j.value) - 2.0 / 9.0) <= 1e-9)

@@ -55,6 +55,16 @@ class CanonicalQuartic:
     delta_sq: Scalar
     agd: Scalar
 
+    def coefficients(self, exact: bool = True) -> DarbouxCoefficients:
+        """The canonical equation, translation-normalized: with (s, t, u) =
+        (alpha^2, gamma^2, delta^2), c = (-2(s+t+u), 2(t-s-u), 2(s-t-u)),
+        e1 = 4 agd and f0 = (s-t-u)^2 - 4tu.  Worked in the types of the
+        stored values, then made exact or float."""
+        s, t, u = self.alpha_sq, self.gamma_sq, self.delta_sq
+        return DarbouxCoefficients.make(
+            a0=1, c=(-2 * (s + t + u), 2 * (t - s - u), 2 * (s - t - u)),
+            e=(4 * self.agd, 0, 0), f0=(s - t - u) ** 2 - 4 * t * u, exact=exact)
+
 
 @dataclass(frozen=True)
 class CanonicalCubic:

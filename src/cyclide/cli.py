@@ -23,9 +23,6 @@ from .scalar import EXACT, FLOAT, format_scalar
 from .serialize import (coefficients_to_json, error_text, parse_coefficients,
                         read_csv_coefficients)
 
-VERBS = ("recognize", "classify", "canonicalize", "j0", "to-torus",
-         "generate", "selftest")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -78,25 +75,33 @@ def _tolerance(args) -> TolerancePolicy:
 
 def _parse_json(text: str, mode: str):
     """DarbouxCoefficients of one JSON object; an object nested deeper than
-    the JSON decoder can follow is a ParseError."""
+    the JSON decoder can follow, or an integer literal longer than the
+    int-to-str digit limit, is a ParseError."""
     try:
         obj = json.loads(text)
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"JSON integer literal too long: {exc}") from None
     return parse_coefficients(obj, mode)
 
 
 def _iter_inputs(raw: str, mode: str):
-    """Yield DarbouxCoefficients from inline JSON, stdin, or a file."""
-    text = None
-    if raw == "-":
-        text = sys.stdin.read()
-    elif raw.lstrip().startswith("{"):
+    """Yield DarbouxCoefficients from inline JSON, stdin, or a file;
+    input that is not UTF-8 text is a ParseError."""
+    if raw.lstrip().startswith("{"):
         yield _parse_json(raw, mode)
         return
-    else:
-        with open(raw, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if raw == "-":
+            text = sys.stdin.read()
+        else:
+            with open(raw, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from None
     stripped = text.lstrip()
     if not stripped:
         raise ParseError("empty input")

@@ -22,7 +22,7 @@ motion acts on the coefficients in closed form (`apply_motion`): a rotation
 turns b, M, e into R^T b, R^T M R, R^T e, and a translation updates them by
 polynomials in a0, b and the shift.  The sparse TriPoly expansion and its
 affine substitution are the reference those formulas are tested against, and
-the point evaluator of the generators and the Moebius map.
+the point evaluator of the generators and the Moebius map (`point_residual`).
 """
 from __future__ import annotations
 
@@ -270,6 +270,20 @@ def polynomial_from_coefficients(c: DarbouxCoefficients) -> TriPoly:
         (0, 0, 0): c.f0,
     })
     return p
+
+
+def point_residual(c: DarbouxCoefficients):
+    """point -> |F(point)| / (max|c_i| (1 + |point|^2)^2), F the surface of
+    c expanded once: the value of the equation relative to the largest
+    coefficient and to the size of the point, in the types of c and the
+    point (exactly 0 on the surface for exact ones)."""
+    poly = polynomial_from_coefficients(c)
+    scale = max(abs(v) for v in c)
+
+    def residual(point) -> Scalar:
+        return abs(poly.evaluate(point)) / (scale * (1 + sum(x * x for x in point)) ** 2)
+
+    return residual
 
 
 # monomials whose coefficient must equal a stated multiple of a named entry;

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .canonical import spectral_data
+from .canonical import CanonicalQuartic, _sqrt, spectral_data
 from .classify import SurfaceClass, classify_quartic
-from .core import (DarbouxCoefficients, EuclideanMotion, _dot, apply_motion,
-                   polynomial_from_coefficients, weighted_rescale)
+from .core import (DarbouxCoefficients, EuclideanMotion, TriPoly, _dot, apply_motion,
+                   point_residual, polynomial_from_coefficients, weighted_rescale)
 from .errors import (CyclideError, InternalCheckError, IrrationalSpectrum,
                      NoRealPoints, PreconditionError, SeedInvariantViolation)
 from .recognizer import TolerancePolicy, recognize
-from .scalar import EXACT, FLOAT, exact_sqrt
+from .scalar import EXACT, FLOAT
 
 # draws `perturb_off_variety` makes before giving up
 PERTURB_ATTEMPTS = 10
@@ -89,20 +89,9 @@ def random_motion(rng: random.Random, translate: bool = True,
     return EuclideanMotion(rot.rotation, t)
 
 
-def canonical_quartic_coefficients(s, t, u, m) -> DarbouxCoefficients:
-    """Translation-normalized coefficients of the canonical quartic:
-    c = (-2(s+t+u), 2(t-s-u), 2(s-t-u)), e1 = 4m, f0 = (s-t-u)^2 - 4tu."""
-    s, t, u, m = Fraction(s), Fraction(t), Fraction(u), Fraction(m)
-    return DarbouxCoefficients.make(
-        a0=1,
-        c=(-2 * (s + t + u), 2 * (t - s - u), 2 * (s - t - u)),
-        e=(4 * m, 0, 0),
-        f0=(s - t - u) ** 2 - 4 * t * u)
-
-
 def generate_quartic_dupin(seed: QuarticSeed) -> DarbouxCoefficients:
     """Guaranteed point of the quartic Dupin variety."""
-    c = canonical_quartic_coefficients(seed.s, seed.t, seed.u, seed.m)
+    c = CanonicalQuartic(seed.s, seed.t, seed.u, seed.m).coefficients()
     c = apply_motion(c, seed.motion)
     return weighted_rescale(c, seed.lam)
 
@@ -182,19 +171,9 @@ def _float_circle(rng: random.Random) -> Tuple[float, float]:
     return (math.cos(ang), math.sin(ang))
 
 
-def _residual_ok(c: DarbouxCoefficients, point, exact: bool) -> bool:
-    poly = polynomial_from_coefficients(c)
-    val = poly.evaluate(point)
-    if exact:
-        return val == 0
-    scale = max(abs(float(v)) for v in c)
-    norm = scale * (1.0 + sum(float(x) * float(x) for x in point)) ** 2
-    return abs(float(val)) <= 1e-12 * norm
-
-
-def _newton_polish(c: DarbouxCoefficients, point, steps: int = 3):
-    """One-dimensional Newton along the gradient to squeeze out float error."""
-    poly = polynomial_from_coefficients(c.to_float())
+def _newton_polish(poly: TriPoly, point, steps: int = 3):
+    """One-dimensional Newton along the gradient of the float polynomial
+    poly to squeeze out float error."""
     pt = [float(v) for v in point]
     h = 1e-6
     for _ in range(steps):
@@ -242,16 +221,6 @@ def _sphere_points(center_x, radius, n, rng, exact):
     return pts
 
 
-def _sqrt_mode(v, exact: bool):
-    if exact:
-        r = exact_sqrt(Fraction(v))
-        if r is None:
-            raise IrrationalSpectrum(
-                f"sqrt({v}) is irrational; exact sampling impossible, use float input")
-        return r
-    return math.sqrt(max(float(v), 0.0))
-
-
 def _canonical_points(sq, dsq, label, n, rng, exact):
     """Sample the canonical surface with squares sq = (s, t, u), linear
     coefficient D = +sqrt(dsq) >= 0."""
@@ -259,23 +228,23 @@ def _canonical_points(sq, dsq, label, n, rng, exact):
     if label == SurfaceClass.NO_REAL_POINTS:
         raise NoRealPoints("surface has no real points")
     if label in (SurfaceClass.SMOOTH_RING, SurfaceClass.SPINDLE, SurfaceClass.HORN):
-        alpha = _sqrt_mode(s, exact)
-        gamma = _sqrt_mode(t, exact)
-        delta = _sqrt_mode(u, exact)
-        beta = _sqrt_mode(s - t, exact)
+        alpha = _sqrt(s, exact, "alpha^2 =")
+        gamma = _sqrt(t, exact, "gamma^2 =")
+        delta = _sqrt(u, exact, "delta^2 =")
+        beta = _sqrt(s - t, exact, "alpha^2-gamma^2 =")
         return _ring_cyclide_points(alpha, beta, gamma, delta, n, rng, exact)
     if label == SurfaceClass.CIRCLE:
-        radius = _sqrt_mode(s, exact)
+        radius = _sqrt(s, exact, "alpha^2 =")
         out = []
         for _ in range(n):
             cu, su = _rational_circle(rng) if exact else _float_circle(rng)
             out.append((radius * cu, radius * su, 0 * radius))
         return out
     if label == SurfaceClass.DOUBLE_SPHERE:
-        return _sphere_points(0 * u, _sqrt_mode(u, exact), n, rng, exact)
+        return _sphere_points(0 * u, _sqrt(u, exact, "delta^2 ="), n, rng, exact)
     if label in (SurfaceClass.TWO_TOUCHING_SPHERES, SurfaceClass.SPHERE_AND_POINT):
-        alpha = _sqrt_mode(s, exact)
-        delta = _sqrt_mode(u, exact)
+        alpha = _sqrt(s, exact, "alpha^2 =")
+        delta = _sqrt(u, exact, "delta^2 =")
         half = max(1, n // 2)
         pts = []
         if alpha - delta != 0:
@@ -284,20 +253,19 @@ def _canonical_points(sq, dsq, label, n, rng, exact):
             pts.append((alpha, 0 * alpha, 0 * alpha))
         pts += _sphere_points(-alpha, abs(alpha + delta), n - len(pts), rng, exact)
         return pts
-    # point classes: complete the square on Amin
-    a1 = -2 * (s + t + u)
-    a2 = 2 * (t - s - u)
-    a3 = 2 * (s - t - u)
+    # point classes: complete the square on Amin, the c-diagonal of the
+    # canonical equation
+    a1, a2, a3 = CanonicalQuartic(s, t, u, 0).coefficients(exact).c
     if a1 == 0 and a2 == 0 and a3 == 0:
         return [(0 * s, 0 * s, 0 * s)]
     amin = min(a1, a2, a3)
-    d_lin = _sqrt_mode(dsq, exact)
+    d_lin = _sqrt(dsq, exact, "D^2 =")
     x0 = -d_lin / (2 * (a1 - amin)) if a1 != amin else 0 * s
     rho_sq = -amin / 2
     free_sq = rho_sq - x0 * x0
     if not exact:
         free_sq = max(float(free_sq), 0.0)
-    free = _sqrt_mode(free_sq, exact)
+    free = _sqrt(free_sq, exact, "rho^2-x0^2 =")
     if amin == a2:
         pts = [(x0, free, 0 * s), (x0, -free, 0 * s)]
     else:
@@ -422,6 +390,9 @@ def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):
         frame = [tuple(float(v) for v in row) for row in frame]
 
     shift = tuple(-(v / c.a0) / 2 for v in c.b)  # cn(x) = (c/a0)(x + shift)
+    residual = point_residual(c)
+    bound = 0 if exact else 1e-12
+    fpoly = polynomial_from_coefficients(c.to_float())
     out = []
     for X in canon_pts:
         # cn(x) = canonical(R x)  =>  x = R^T X; then undo the b shift
@@ -429,9 +400,9 @@ def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):
         pt = tuple(x[i] + shift[i] for i in range(3))
         if not exact:
             pt = tuple(float(v) for v in pt)
-            if not _residual_ok(c, pt, False):
-                pt = _newton_polish(c, pt)
-        if _residual_ok(c, pt, exact):
+            if not residual(pt) <= bound:
+                pt = _newton_polish(fpoly, pt)
+        if residual(pt) <= bound:
             out.append(pt)
     if not out:
         raise NoRealPoints("no sample points survived the residual filter")

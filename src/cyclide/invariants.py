@@ -118,15 +118,14 @@ def quartic_generators(c: DarbouxCoefficients) -> Dict[str, Scalar]:
             "M1": m1, "M2": m2, "M3": m3, "N1": n1, "N2": n2, "N3": n3}
 
 
-def quartic_generators_vanish(c: DarbouxCoefficients) -> bool:
+def quartic_generators_vanish(c: DarbouxCoefficients, inv: InvariantBundle) -> bool:
     """True iff all 12 generators of `quartic_generators` are exactly zero
     at the normalized exact quartic c, decided lazily: the symmetric N1, N2,
-    N3 first, from the bundle of c alone, then K, L and M on the sigma-orbit
-    only when every N vanishes; it stops at the first nonzero generator.
-    N leads because K, L and M are linear in e, so at e = 0 only N can be
-    nonzero."""
+    N3 first, from inv = base_invariants(c) alone, then K, L and M on the
+    sigma-orbit only when every N vanishes; it stops at the first nonzero
+    generator.  N leads because K, L and M are linear in e, so at e = 0 only
+    N can be nonzero."""
     _require_normalized(c)
-    inv = base_invariants(c)
     if any(_n_forms(c, inv)):
         return False
     return not any(k_form(cc) or l_form(cc, inv) or m_form(cc, inv)

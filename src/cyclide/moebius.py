@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .canonical import CanonicalQuartic
-from .core import DarbouxCoefficients, polynomial_from_coefficients
+from .core import DarbouxCoefficients, point_residual
 from .errors import CalibrationFailed, DegenerateRatio, NotRealOverR, PoleInput, PreconditionError
 from .scalar import Scalar
 
@@ -43,11 +43,9 @@ class TorusSpec:
         return rho * (1 - rho)
 
     def coefficients(self, exact: bool = False) -> DarbouxCoefficients:
-        """Implicit torus equation (x^2+y^2+z^2+R^2-r^2)^2 = 4R^2(x^2+y^2)."""
-        r2, R2 = self.r_sq, self.R_sq
-        return DarbouxCoefficients.make(
-            a0=1, c=(-2 * R2 - 2 * r2, -2 * R2 - 2 * r2, 2 * R2 - 2 * r2),
-            f0=(R2 - r2) ** 2, exact=exact)
+        """Implicit torus equation (x^2+y^2+z^2+R^2-r^2)^2 = 4R^2(x^2+y^2):
+        the canonical equation at (alpha^2, gamma^2, delta^2) = (R^2, 0, r^2)."""
+        return CanonicalQuartic(self.R_sq, 0, self.r_sq, 0).coefficients(exact)
 
 
 def torus_radii(q: CanonicalQuartic) -> TorusSpec:
@@ -200,22 +198,6 @@ class CalibrationReport:
     residual: float
 
 
-def _surface_residual(coeffs: DarbouxCoefficients, point) -> float:
-    poly = polynomial_from_coefficients(coeffs)
-    val = float(poly.evaluate(tuple(float(v) for v in point)))
-    scale = max(abs(float(v)) for v in coeffs)
-    norm = scale * (1.0 + sum(float(x) ** 2 for x in point)) ** 2
-    return abs(val) / norm
-
-
-def _cyclide_coefficients(q: CanonicalQuartic) -> DarbouxCoefficients:
-    s, t, u = float(q.alpha_sq), float(q.gamma_sq), float(q.delta_sq)
-    m = float(q.agd)
-    return DarbouxCoefficients.make(
-        a0=1, c=(-2 * (s + t + u), 2 * (t - s - u), 2 * (s - t - u)),
-        e=(4 * m, 0, 0), f0=(s - t - u) ** 2 - 4 * t * u, exact=False)
-
-
 def _torus_side_coefficients(q: CanonicalQuartic, variant: str) -> DarbouxCoefficients:
     if variant == MOBT2:
         # image torus has minor sqrt(R^2 - r^2), same major R
@@ -240,9 +222,8 @@ def calibrate_convention(q: CanonicalQuartic, variant: str,
     """
     if len(samples) < 10:
         raise PreconditionError("calibration needs at least 10 sample points")
-    cyc = _cyclide_coefficients(q)
-    tor = _torus_side_coefficients(q, variant)
-    sides = (("cyclide", cyc), ("torus", tor))
+    sides = (("cyclide", point_residual(q.coefficients(exact=False))),
+             ("torus", point_residual(_torus_side_coefficients(q, variant))))
 
     # canonical order: printed signs, printed swap, forward first; the first
     # convention meeting the bound wins, so ties on rounding noise between
@@ -263,9 +244,8 @@ def calibrate_convention(q: CanonicalQuartic, variant: str,
                     images = [mapped.apply(p) for p in samples]
                 except PoleInput:
                     continue
-                for side_name, side_coeffs in sides:
-                    res = max(_surface_residual(side_coeffs, img)
-                              for img in images)
+                for side_name, residual in sides:
+                    res = max(residual(img) for img in images)
                     if res <= CALIBRATION_BOUND:
                         return mapped, CalibrationReport((s1, s2), swap,
                                                          direction, side_name, res)

@@ -305,7 +305,7 @@ def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
     # the two test families differently near the variety, so the automatic
     # self-check runs in exact mode only, on the lattice copy, and stops at
     # the first generator that does not vanish
-    if pol.exact and quartic_generators_vanish(p.work) != verdict.is_dupin:
+    if pol.exact and quartic_generators_vanish(p.work, p.inv) != verdict.is_dupin:
         oracle = NOT_DUPIN if verdict.is_dupin else DUPIN_QUARTIC
         raise InternalCheckError(
             f"case dispatch says {verdict.kind} but 12-generator oracle says "

@@ -50,7 +50,8 @@ def parse_scalar(value, mode: str) -> Scalar:
         try:
             frac = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot parse coefficient {value!r}: {exc}") from exc
+            raise ParseError(
+                f"cannot parse coefficient {value!r:.40}: {exc!s:.160}") from exc
         return frac if mode == EXACT else _finite(frac, value)
     raise ParseError(f"unsupported coefficient type {type(value).__name__}: {value!r}")
 

@@ -89,7 +89,8 @@ def _csv_rows(reader, mode: str) -> Iterable[DarbouxCoefficients]:
     if header != CSV_HEADER:
         raise ParseError(
             f"CSV header must be {','.join(CSV_HEADER)}, got {','.join(header)}")
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the row's last line; a quoted cell may span lines
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 14:

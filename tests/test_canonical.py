@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import CUBIC22, TORUS21, rand_fraction
-from cyclide import (DarbouxCoefficients, EuclideanMotion, apply_motion,
-                     canonical_cubic_params, canonical_quartic_params,
-                     normalize_quartic, prepare, spectral_data,
-                     weighted_rescale)
+from cyclide import (CanonicalQuartic, DarbouxCoefficients, EuclideanMotion,
+                     TorusSpec, TriPoly, apply_motion, canonical_cubic_params,
+                     canonical_quartic_params, coefficients_from_polynomial,
+                     normalize_quartic, prepare, spectral_data, weighted_rescale)
 from cyclide.errors import Inconsistent, IrrationalSpectrum, TooManyDigits
 from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed, random_rotation)
@@ -122,6 +122,72 @@ class TestCanonicalQuartic:
             assert q.delta_sq == k * seed.u
             assert q.agd * q.agd == k ** 3 * seed.s * seed.t * seed.u
             assert q.agd >= 0
+
+
+def generator_formula(s, t, u, m) -> DarbouxCoefficients:
+    """The canonical quartic as the generator kit wrote it, the parameters
+    taken to Fractions first."""
+    s, t, u, m = Fraction(s), Fraction(t), Fraction(u), Fraction(m)
+    return DarbouxCoefficients.make(
+        a0=1, c=(-2 * (s + t + u), 2 * (t - s - u), 2 * (s - t - u)),
+        e=(4 * m, 0, 0), f0=(s - t - u) ** 2 - 4 * t * u)
+
+
+def float_formula(q: CanonicalQuartic) -> DarbouxCoefficients:
+    """The canonical quartic as the Moebius calibration wrote it, the
+    parameters taken to floats first."""
+    s, t, u, m = (float(v) for v in (q.alpha_sq, q.gamma_sq, q.delta_sq, q.agd))
+    return DarbouxCoefficients.make(
+        a0=1, c=(-2 * (s + t + u), 2 * (t - s - u), 2 * (s - t - u)),
+        e=(4 * m, 0, 0), f0=(s - t - u) ** 2 - 4 * t * u, exact=False)
+
+
+class TestCanonicalEquation:
+    """`CanonicalQuartic.coefficients` is the one canonical equation, and
+    `spectral_data` with `SpectralData.squares` is its inverse."""
+
+    def test_exact_equals_the_generator_formula(self, rng):
+        for _ in range(200):
+            params = [rand_fraction(rng) for _ in range(4)]
+            if rng.getrandbits(1):
+                params = [rng.randint(-9, 9) for _ in range(4)]
+            c = CanonicalQuartic(*params).coefficients()
+            assert c == generator_formula(*params)
+            assert all(type(v) is Fraction for v in c)
+
+    def test_float_equals_the_calibration_formula(self, rng):
+        for _ in range(200):
+            q = CanonicalQuartic(*(rng.uniform(-10, 10) for _ in range(4)))
+            c = q.coefficients(exact=False)
+            assert c == float_formula(q)
+            assert all(type(v) is float for v in c)
+
+    def test_torus_is_the_gamma_zero_case(self):
+        # (rho^2 + R^2 - r^2)^2 - 4 R^2 (x^2 + y^2), expanded as a TriPoly
+        for r2 in (-4, 0, 1, Fraction(9, 4), 16):
+            for R2 in (-1, 0, Fraction(1, 3), 4, 9):
+                r2, R2 = Fraction(r2), Fraction(R2)
+                rho2 = TriPoly({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+                inner = rho2 + TriPoly.constant(R2 - r2)
+                ring = TriPoly({(2, 0, 0): -4 * R2, (0, 2, 0): -4 * R2})
+                want = coefficients_from_polynomial(inner * inner + ring)
+                assert TorusSpec(r2, R2).coefficients(exact=True) == want
+                assert TorusSpec(r2, R2).coefficients() == want.to_float()
+
+    def test_spectral_data_inverts_the_equation(self, pol, rng):
+        # e1 = 4m != 0 pins A1 = c1, and gamma^2 <= alpha^2 orders c2 <= c3
+        done = 0
+        while done < 40:
+            seed = random_quartic_seed(rng)
+            s, t, u, m = seed.s, seed.t, seed.u, seed.m
+            if m == 0 or t > s:
+                continue
+            c = CanonicalQuartic(s, t, u, m).coefficients()
+            sd = spectral(c, pol)
+            assert (sd.A1, sd.A2, sd.A3) == c.c
+            assert sd.squares() == (s, t, u)
+            assert canonical_quartic_params(sd) == CanonicalQuartic(s, t, u, abs(m))
+            done += 1
 
 
 class TestCanonicalCubic:

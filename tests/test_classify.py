@@ -10,10 +10,9 @@ from cyclide import (DarbouxCoefficients, EuclideanMotion, SurfaceClass,
                      apply_motion, classify_cubic, classify_quartic, j0_cubic,
                      j0_quartic, prepare, spectral_data,
                      weighted_rescale, willmore_energy)
-from cyclide.canonical import SpectralData
+from cyclide.canonical import CanonicalQuartic, SpectralData
 from cyclide.classify import J0Value
-from cyclide.genkit import (canonical_quartic_coefficients,
-                            generate_cubic_dupin, generate_quartic_dupin,
+from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed)
 from cyclide.pipeline import analyze
 
@@ -137,7 +136,7 @@ class TestJ0Quartic:
         assert j.kind == "finite" and j.value == 0
 
     def test_sphere_and_point_undefined(self, pol):
-        j = j0_of(canonical_quartic_coefficients(1, 1, 1, 1), pol)
+        j = j0_of(CanonicalQuartic(1, 1, 1, 1).coefficients(), pol)
         assert j.kind == "undefined"
 
     def test_three_formulas_agree_smooth(self, pol, rng):

@@ -173,6 +173,53 @@ class TestExitCodes:
         assert captured.err.startswith("cyclide: input error: CSV line 2: ")
         assert "field limit" in captured.err
 
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(TORUS_JSON.replace("9", "\xff9").encode("latin-1") + b"\n")
+        assert main(["recognize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cyclide: input error: input is not UTF-8")
+
+    # a JSON integer literal beyond int()'s 4300-digit limit
+    LONG_INT = '{"a0":1,"c1":-10,"c2":-10,"c3":6,"f0":%s}' % ("9" * 4301)
+
+    @pytest.mark.parametrize("where", ["file", "inline"])
+    def test_json_integer_literal_too_long(self, where, tmp_path, capsys):
+        arg = self.LONG_INT
+        if where == "file":
+            arg = str(tmp_path / "long.jsonl")
+            Path(arg).write_text(TORUS_JSON + "\n" + self.LONG_INT + "\n")
+        assert main(["recognize", arg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "line 2: " if where == "file" else ""
+        assert captured.err.startswith(
+            f"cyclide: input error: {prefix}JSON integer literal too long")
+
+    def test_csv_line_after_a_multi_line_cell(self, tmp_path, capsys):
+        # the quoted cell of the first row spans file lines 2 and 3, so the
+        # bad row is file line 4
+        path = tmp_path / "multi.csv"
+        path.write_text("a0,b1,b2,b3,c1,c2,c3,d1,d2,d3,e1,e2,e3,f0\n"
+                        '1,0,0,0,-10,-10,6,0,0,0,0,0,0,"9\n"\n'
+                        "1,0,0,0,-10,-10,6,0,0,0,0,0,x,9\n")
+        assert main(["recognize", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "cyclide: input error: CSV line 4, column e3: ")
+
+    def test_csv_long_cell_message_is_cut(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        row = ["1", "0", "0", "0", "-10", "-10", "6", "0", "0", "0", "0", "0", "0",
+               "9" * 5001]
+        path.write_text("a0,b1,b2,b3,c1,c2,c3,d1,d2,d3,e1,e2,e3,f0\n"
+                        + ",".join(row) + "\n")
+        assert main(["recognize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cyclide: input error: CSV line 2, column f0: "
+                              "cannot parse coefficient '" + "9" * 39 + ": ")
+        assert "Exceeds the limit" in err and len(err) < 300
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_tol_flag(self, tol, capsys):
         assert main(["recognize", "--float", "--tol", tol, TORUS_JSON]) == 2

@@ -9,9 +9,10 @@ from conftest import TORUS21
 from cyclide import (DarbouxCoefficients, EuclideanMotion, SurfaceClass,
                      classify_quartic, polynomial_from_coefficients,
                      prepare, recognize, spectral_data)
+from cyclide.canonical import CanonicalQuartic
+from cyclide.core import point_residual
 from cyclide.errors import NoRealPoints, SeedInvariantViolation
-from cyclide.genkit import (QuarticSeed, canonical_quartic_coefficients,
-                            generate_cubic_dupin, generate_quartic_dupin,
+from cyclide.genkit import (QuarticSeed, generate_cubic_dupin, generate_quartic_dupin,
                             perturb_off_variety, random_motion,
                             random_quartic_seed, sample_surface_points)
 
@@ -111,26 +112,26 @@ class TestSampling:
         assert poly.evaluate((Fraction(2), Fraction(0), Fraction(1))) == 0
 
     def test_circle_class(self, rng, pol):
-        c = canonical_quartic_coefficients(4, 0, 0, 0)
+        c = CanonicalQuartic(4, 0, 0, 0).coefficients()
         pts = sample_surface_points(c, 12, rng)
         for x, y, z in pts:
             assert x * x + y * y == 4 and z == 0
 
     def test_no_real_points(self, rng):
-        c = canonical_quartic_coefficients(4, -1, -9, 6)
+        c = CanonicalQuartic(4, -1, -9, 6).coefficients()
         with pytest.raises(NoRealPoints):
             sample_surface_points(c, 5, rng)
 
     def test_point_class_exact(self, rng):
         # one real point at (-1, 0, 0), exactly representable
-        c = canonical_quartic_coefficients(1, -1, -1, 1)
+        c = CanonicalQuartic(1, -1, -1, 1).coefficients()
         pts = sample_surface_points(c, 5, rng)
         assert pts == [(-1, 0, 0)]
         assert polynomial_from_coefficients(c).evaluate(pts[0]) == 0
 
     def test_point_class_irrational_falls_to_float(self, rng):
         # two real points (-2/3, +-sqrt(104)/3, 0): float fallback
-        c = canonical_quartic_coefficients(4, -9, -1, 6)
+        c = CanonicalQuartic(4, -9, -1, 6).coefficients()
         pts = sample_surface_points(c, 5, rng)
         assert len(pts) == 2
         poly = polynomial_from_coefficients(c)
@@ -165,7 +166,35 @@ class TestSampling:
                 assert abs(poly.evaluate(p)) <= 1e-12 * norm
 
     def test_touching_spheres_sampling(self, rng):
-        c = canonical_quartic_coefficients(1, 1, 4, 2)
+        c = CanonicalQuartic(1, 1, 4, 2).coefficients()
         pts = sample_surface_points(c, 16, rng)
         poly = polynomial_from_coefficients(c)
         assert pts and all(poly.evaluate(p) == 0 for p in pts)
+
+
+def normalized_residual(c, point) -> float:
+    """|F(p)| / (max|c_i| (1 + |p|^2)^2) in floats, as the sampler and the
+    Moebius calibration each wrote it."""
+    val = float(polynomial_from_coefficients(c).evaluate(tuple(float(v) for v in point)))
+    scale = max(abs(float(v)) for v in c)
+    return abs(val) / (scale * (1.0 + sum(float(x) ** 2 for x in point)) ** 2)
+
+
+class TestPointResidual:
+    def test_equals_the_normalized_residual_on_samples(self, rng):
+        for _ in range(5):
+            c = generate_quartic_dupin(random_quartic_seed(rng, smooth=True)).to_float()
+            residual = point_residual(c)
+            pts = sample_surface_points(c, 10, rng)
+            # off the surface too, where the residual is far from rounding
+            pts += [tuple(2 * x + 1 for x in p) for p in pts]
+            for p in pts:
+                assert residual(p) == normalized_residual(c, p)
+
+    def test_exactly_zero_on_exact_samples(self, rng):
+        residual = point_residual(TORUS21)
+        for p in sample_surface_points(TORUS21, 10, rng):
+            assert type(residual(p)) is Fraction and residual(p) == 0
+        off = (Fraction(1), Fraction(2), Fraction(3))
+        value = polynomial_from_coefficients(TORUS21).evaluate(off)
+        assert residual(off) == abs(value) / (10 * (1 + 14) ** 2) != 0

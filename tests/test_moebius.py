@@ -12,8 +12,7 @@ from cyclide.classify import SurfaceClass
 from cyclide.errors import (CalibrationFailed, DegenerateRatio, NotRealOverR,
                             PoleInput, PreconditionError)
 from cyclide.genkit import sample_surface_points
-from cyclide.moebius import (MOBT, MOBT2, MOBT2A, TorusSpec,
-                             _cyclide_coefficients)
+from cyclide.moebius import MOBT, MOBT2, MOBT2A, TorusSpec
 
 SQ3 = math.sqrt(3.0)
 
@@ -110,7 +109,7 @@ class TestCalibration:
 
     def test_cyclide_mobt2a(self, rng):
         q = cq(4.0, 1.0, 2.0, math.sqrt(8.0))
-        pts = sample_surface_points(_cyclide_coefficients(q), 40, rng)
+        pts = sample_surface_points(q.coefficients(exact=False), 40, rng)
         m, report = calibrate_convention(q, MOBT2A, pts)
         assert report.residual <= 1e-9
         assert report.target_side == "torus"
@@ -146,7 +145,7 @@ class TestDualityProperties:
         # spectral route on the exact cyclide with agd^2 = 8 is irrational;
         # use the float pipeline for the surface itself
         fpol = TolerancePolicy("float", 1e-9)
-        prep = prepare(_cyclide_coefficients(cq(4.0, 1.0, 2.0, math.sqrt(8.0))), fpol)
+        prep = prepare(cq(4.0, 1.0, 2.0, math.sqrt(8.0)).coefficients(exact=False), fpol)
         j = j0_quartic(prep, spectral_data(prep, fpol), fpol)
         assert float(j.value) == pytest.approx(2.0 / 9.0, rel=1e-9)
 

@@ -60,11 +60,10 @@ def test_to_torus_prepares_each_quartic_once(mode, monkeypatch):
         assert report["kind"] == "DupinQuartic" and "canonical" in report
         assert len(normalized) == 1
         work = prepared[-1].work
-        # exact mode: the 12-generator cross-check is an independent oracle
-        # and computes its own bundle of the same copy; no stage computes
-        # one of a permuted copy
-        assert sum(b is work for b in bundles) == (2 if mode == EXACT else 1)
-        assert len(bundles) == (2 if mode == EXACT else 1)
+        # one bundle, of the gauged copy: the exact 12-generator cross-check
+        # evaluates every generator itself from the bundle `prepare` made,
+        # and no stage computes one of a permuted copy
+        assert len(bundles) == 1 and bundles[0] is work
 
 
 def test_cross_check_stops_before_the_orbit(monkeypatch):
@@ -73,15 +72,16 @@ def test_cross_check_stops_before_the_orbit(monkeypatch):
     # either, so a whole recognize builds none
     pol = TolerancePolicy(EXACT)
     c = DarbouxCoefficients.make(a0=1, c=(-10, -10, 6), f0=8)
-    work = prepare(c, pol).work
-    assert invariants.quartic_generators(work)["N1"] != 0
+    p = prepare(c, pol)
+    assert invariants.quartic_generators(p.work)["N1"] != 0
     orbits = []
     _record(monkeypatch, (core, invariants, recognizer), "sigma_orbit", orbits)
-    assert invariants.quartic_generators_vanish(work) is False
+    assert invariants.quartic_generators_vanish(p.work, p.inv) is False
     assert pipeline.analyze(c, pol, "recognize")["kind"] == "NotDupin"
     assert orbits == []
     moved = c.replace(e1=Fraction(1))
-    assert recognizer.quartic_generators_vanish(prepare(moved, pol).work) is False
+    p = prepare(moved, pol)
+    assert recognizer.quartic_generators_vanish(p.work, p.inv) is False
     assert orbits == []
 
 

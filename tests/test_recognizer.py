@@ -13,11 +13,10 @@ from cyclide import (DarbouxCoefficients, EuclideanMotion, TolerancePolicy,
                      recognize_quartic_cases, recognize_quartic_oracle,
                      weighted_rescale)
 from cyclide import recognizer
-from cyclide.canonical import _a1_system, _closure
+from cyclide.canonical import CanonicalQuartic, _a1_system, _closure
 from cyclide.errors import InternalCheckError, PreconditionError, ZeroInput
-from cyclide.genkit import (canonical_quartic_coefficients, generate_cubic_dupin,
-                            generate_quartic_dupin, perturb_off_variety,
-                            random_motion, random_quartic_seed)
+from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
+                            perturb_off_variety, random_motion, random_quartic_seed)
 from cyclide.invariants import (base_invariants, quartic_generators,
                                 quartic_generators_vanish)
 from cyclide.recognizer import (CUBIC, DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC,
@@ -70,8 +69,7 @@ class TestQuarticCases:
 
     def test_axis_cases_b_c(self, pol):
         # rotate a generated e1-active Dupin so e sits on the y then z axis
-        from cyclide.genkit import QuarticSeed, canonical_quartic_coefficients
-        base = canonical_quartic_coefficients(9, 1, 4, 6)
+        base = CanonicalQuartic(9, 1, 4, 6).coefficients()
         assert base.e1 != 0
         rot_xy = EuclideanMotion.rotation_by(
             ((Fraction(0), Fraction(-1), Fraction(0)),
@@ -246,9 +244,9 @@ class TestIntegerGauge:
     def test_cross_check_runs_on_lattice(self, pol, monkeypatch):
         seen = []
 
-        def spy(c):
+        def spy(c, inv):
             seen.append(c)
-            return quartic_generators_vanish(c)
+            return quartic_generators_vanish(c, inv)
 
         monkeypatch.setattr(recognizer, "quartic_generators_vanish", spy)
         assert recognize(weighted_rescale(TORUS21, Fraction(1, 3)), pol).is_dupin
@@ -256,13 +254,13 @@ class TestIntegerGauge:
         assert all(type(v) is int for v in seen[0].astuple())
 
     def test_cross_check_disagreement_raises(self, pol, monkeypatch):
-        monkeypatch.setattr(recognizer, "quartic_generators_vanish", lambda c: False)
+        monkeypatch.setattr(recognizer, "quartic_generators_vanish", lambda c, inv: False)
         with pytest.raises(InternalCheckError,
                            match="dispatch says DupinQuartic but .* oracle says NotDupin"):
             recognize(TORUS21, pol)
 
     def test_cross_check_reverse_disagreement_raises(self, pol, monkeypatch):
-        monkeypatch.setattr(recognizer, "quartic_generators_vanish", lambda c: True)
+        monkeypatch.setattr(recognizer, "quartic_generators_vanish", lambda c, inv: True)
         with pytest.raises(InternalCheckError,
                            match="dispatch says NotDupin but .* oracle says DupinQuartic"):
             recognize(TORUS21.replace(f0=Fraction(8)), pol)
@@ -308,7 +306,7 @@ class TestLazyCrossCheck:
     def _agrees(self, c, pol):
         p = prepare(c, pol)
         oracle = recognize_quartic_oracle(p, pol).is_dupin
-        assert quartic_generators_vanish(p.work) is oracle
+        assert quartic_generators_vanish(p.work, p.inv) is oracle
         return oracle
 
     def test_generated_and_perturbed(self, pol, rng):
@@ -330,7 +328,7 @@ class TestLazyCrossCheck:
         # the canonical Dupin quartic with e = (3, 0, 0) moved to
         # e = (1, 2, 2): |e|^2 and e^T C e are unchanged, so are the
         # symmetric N1, N2, N3, and only K, L, M see the move
-        c = canonical_quartic_coefficients(-1, 1, Fraction(-9, 16), Fraction(3, 4))
+        c = CanonicalQuartic(-1, 1, Fraction(-9, 16), Fraction(3, 4)).coefficients()
         assert c.e == (3, 0, 0) and self._agrees(c, pol)
         moved = c.replace(e1=Fraction(1), e2=Fraction(2), e3=Fraction(2))
         g = quartic_generators(moved)

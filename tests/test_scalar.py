@@ -20,7 +20,7 @@ def fraction_of(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        return ParseError(f"cannot parse coefficient {text!r}: {exc}")
+        return ParseError(f"cannot parse coefficient {text!r:.40}: {exc!s:.160}")
 
 
 @pytest.mark.parametrize("text", CASES, ids=lambda text: repr(text)[:12])
@@ -33,6 +33,15 @@ def test_exact_parse_agrees_with_fraction(text):
     else:
         got = parse_scalar(text, EXACT)
         assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("text", ["9" * 5001, "x" * 5001], ids=["digits", "junk"])
+def test_long_cell_message_is_cut(text):
+    """The message shows 40 characters of the cell, not all of it."""
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text, EXACT)
+    assert str(err.value).startswith(f"cannot parse coefficient '{text[:39]}: ")
+    assert len(str(err.value)) < 250
 
 
 @pytest.mark.parametrize("value, want", [
