@@ -15,9 +15,8 @@ closed over the rationals and demands perfect-square discriminants
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .core import DarbouxCoefficients, EuclideanMotion, apply_motion, sigma_orbit
 from .errors import ComplexRoots, Inconsistent, IrrationalSpectrum
@@ -26,8 +25,7 @@ from .recognizer import Prepared, TolerancePolicy, residuals_back
 from .scalar import Scalar, exact_sqrt, format_scalar
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Eigenvalue triple of the canonical diagonal form plus D^2 and F.
 
     A1 is the eigenvalue whose eigenvector carries the linear part; the pair
@@ -46,8 +44,7 @@ class SpectralData:
                 -(self.A2 + self.A3) / 4)
 
 
-@dataclass(frozen=True)
-class CanonicalQuartic:
+class CanonicalQuartic(NamedTuple):
     """Squared canonical parameters; agd = alpha*gamma*delta >= 0."""
 
     alpha_sq: Scalar
@@ -66,8 +63,7 @@ class CanonicalQuartic:
             e=(4 * self.agd, 0, 0), f0=(s - t - u) ** 2 - 4 * t * u, exact=exact)
 
 
-@dataclass(frozen=True)
-class CanonicalCubic:
+class CanonicalCubic(NamedTuple):
     """Parameter pair p <= q and the recentering translation.
 
     Applying a pure translation by `shift` to the input coefficients yields

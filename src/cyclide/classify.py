@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .canonical import SpectralData
 from .errors import FormulaDisagreement, PreconditionError
@@ -50,8 +49,7 @@ J0_MINUS_INF = "minus_infinity"
 J0_UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class J0Value:
+class J0Value(NamedTuple):
     kind: str
     value: Optional[Scalar] = None
 

@@ -90,7 +90,8 @@ def _parse_json(text: str, mode: str):
 
 def _iter_inputs(raw: str, mode: str):
     """Yield DarbouxCoefficients from inline JSON, stdin, or a file;
-    input that is not UTF-8 text is a ParseError."""
+    input that is not UTF-8 text is a ParseError, and a leading byte-order
+    mark is dropped."""
     if raw.lstrip().startswith("{"):
         yield _parse_json(raw, mode)
         return
@@ -102,6 +103,7 @@ def _iter_inputs(raw: str, mode: str):
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
+    text = text.removeprefix("\ufeff")
     stripped = text.lstrip()
     if not stripped:
         raise ParseError("empty input")

@@ -26,7 +26,6 @@ the point evaluator of the generators and the Moebius map (`point_residual`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, NamedTuple, Tuple
@@ -202,8 +201,7 @@ class TriPoly:
         return out
 
 
-@dataclass(frozen=True)
-class EuclideanMotion:
+class EuclideanMotion(NamedTuple):
     """Rigid (or improper-orthogonal) motion: x -> R x + t."""
 
     rotation: Tuple[Tuple[Scalar, ...], ...]
@@ -217,8 +215,8 @@ class EuclideanMotion:
 
     @classmethod
     def translation_by(cls, t) -> "EuclideanMotion":
-        m = cls.identity()
-        return cls(m.rotation, tuple(t))
+        """x -> x + t on the int `_IDENTITY`, which `apply_motion` skips."""
+        return cls(_IDENTITY, tuple(t))
 
     @classmethod
     def rotation_by(cls, rows) -> "EuclideanMotion":

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .canonical import CanonicalQuartic
 from .core import DarbouxCoefficients, point_residual
@@ -25,8 +24,7 @@ INVERSE = "inverse"
 CALIBRATION_BOUND = 1e-9
 
 
-@dataclass(frozen=True)
-class TorusSpec:
+class TorusSpec(NamedTuple):
     """Squared minor/major radii; negative values encode the degenerate and
     empty families."""
 
@@ -82,8 +80,7 @@ MOBT2A = "mobt2a"
 MOBT2 = "mobt2"
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(NamedTuple):
     """Inversion composed with a similarity:
     P -> translation + factor * swap(P - center)/|P - center|^2.
 
@@ -99,13 +96,8 @@ class MoebiusMap:
     signs: Tuple[int, int] = (1, 1)
     variant: str = MOBT
 
-    def with_direction(self, direction: str) -> "MoebiusMap":
-        return MoebiusMap(self.center, self.translation, self.factor,
-                          self.axis_swap, direction, self.signs, self.variant)
-
     def inverse(self) -> "MoebiusMap":
-        flipped = INVERSE if self.direction == FORWARD else FORWARD
-        return self.with_direction(flipped)
+        return self._replace(direction=INVERSE if self.direction == FORWARD else FORWARD)
 
     def apply(self, point) -> Tuple[float, float, float]:
         src, dst = self.center, self.translation
@@ -189,8 +181,7 @@ def build_map(q: CanonicalQuartic, variant: str,
     raise PreconditionError(f"unknown variant {variant!r}")
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     signs: Tuple[int, int]
     axis_swap: bool
     direction: str
@@ -236,10 +227,8 @@ def calibrate_convention(q: CanonicalQuartic, variant: str,
         except (NotRealOverR, PreconditionError):
             continue
         for swap in (base.axis_swap, not base.axis_swap):
-            candidate = MoebiusMap(base.center, base.translation, base.factor,
-                                   swap, FORWARD, (s1, s2), variant)
             for direction in (FORWARD, INVERSE):
-                mapped = candidate.with_direction(direction)
+                mapped = base._replace(axis_swap=swap, direction=direction)
                 try:
                     images = [mapped.apply(p) for p in samples]
                 except PoleInput:

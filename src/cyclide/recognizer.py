@@ -37,7 +37,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (SLOT_WEIGHTS, DarbouxCoefficients, normalize_quartic,
                    sigma_orbit, weighted_rescale)
@@ -71,10 +71,10 @@ class TolerancePolicy:
 
     mode: str = EXACT
     tau_rel: float = 1e-9
+    exact: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def exact(self) -> bool:
-        return self.mode == EXACT
+    def __post_init__(self):
+        object.__setattr__(self, "exact", self.mode == EXACT)
 
     def is_zero(self, value: Scalar, scale: Scalar = 1) -> bool:
         if self.exact:
@@ -82,22 +82,24 @@ class TolerancePolicy:
         return abs(value) <= self.tau_rel * scale
 
     def nonzero(self, value: Scalar, scale: Scalar = 1) -> bool:
-        return not self.is_zero(value, scale)
+        if self.exact:
+            return value != 0
+        return not abs(value) <= self.tau_rel * scale
 
     def div(self, num: Scalar, den: Scalar) -> Scalar:
         """num / den, as rationals in exact mode (int operands stay exact)."""
         return Fraction(num, den) if self.exact else num / den
 
 
-@dataclass(frozen=True)
-class Prepared:
+class Prepared(NamedTuple):
     """One input, prepared once by `prepare` for every stage: `raw` is the
     input, `work` the gauged copy every stage runs on and `inv` its
-    invariant bundle.  A quantity of weighted degree w is its value on work
-    times `scale_back(w)`, the one way back: on `normalized` for a quartic;
-    on `raw` for an exact cubic or quadric, and on `raw` divided by max |b|
-    or max |c, d| for a float one.  An exact work is on the integer lattice
-    with scale = 1/lam."""
+    invariant bundle; `zero_point` marks a float quartic that cancels to
+    rounding noise at its own scale (`_is_zero_point`).  A quantity of
+    weighted degree w is its value on work times `scale_back(w)`, the one
+    way back: on `normalized` for a quartic; on `raw` for an exact cubic
+    or quadric, and on `raw` divided by max |b| or max |c, d| for a float
+    one.  An exact work is on the integer lattice with scale = 1/lam."""
 
     raw: DarbouxCoefficients
     branch: str
@@ -106,6 +108,7 @@ class Prepared:
     inv: Optional[InvariantBundle] = None
     # normalize_quartic(raw) of a float quartic; exact mode derives it
     float_normalized: Optional[DarbouxCoefficients] = None
+    zero_point: bool = False
 
     def scale_back(self, w: int) -> Scalar:
         """scale**w, the factor taking a value of weight w at the gauge back
@@ -140,32 +143,39 @@ class Verdict:
 
 def weighted_sup_norm(c: DarbouxCoefficients) -> float:
     """max |slot|^(1/w) over the slots of weight w > 0 (`SLOT_WEIGHTS`):
-    |b_i|, |c_i|^1/2, |d_i|^1/2, |e_i|^1/3, |f0|^1/4."""
-    return max(abs(float(v)) ** (1.0 / w) for v, w in zip(c, SLOT_WEIGHTS) if w)
+    |b_i|, |c_i|^1/2, |d_i|^1/2, |e_i|^1/3, |f0|^1/4.  One root per weight,
+    of its largest |slot|: pow is monotone in its base, so that is the
+    same float as the largest of the roots."""
+    size = list(map(abs, map(float, c)))
+    return max(max(size[1:4]), max(size[4:10]) ** 0.5,
+               max(size[10:13]) ** (1.0 / 3), size[13] ** 0.25)
 
 
-def _float_gauge(c: DarbouxCoefficients, branch: str):
-    """(work, scale, normalize_quartic(c)) of a float quartic, (work, scale,
-    None) of a cubic or quadric; see the module docstring.  A cubic or
-    quadric scale omits the first division."""
-    zeroed, cn = {}, None
+def _float_gauge(c: DarbouxCoefficients, branch: str, pol: TolerancePolicy):
+    """(work, scale, normalize_quartic(c), zero point?) of a float quartic,
+    (work, scale, None, False) of a cubic or quadric; see the module
+    docstring.  A quartic is divided by a0 once, for its normalization and
+    its zero-point test; a cubic or quadric scale omits that division."""
+    # the leading slots above the input's degree, zeroed at the gauge
+    zeroed, cn, zero_point = 0, None, False
     if branch == QUARTIC:
-        c = cn = normalize_quartic(c)
+        a0 = float(c.a0)
+        divided = c._make([float(v) / a0 for v in c])
+        c = cn = normalize_quartic(divided)
+        zero_point = _is_zero_point(cn, divided, pol)
     else:
-        cubic = branch == CUBIC
-        top = max(abs(float(v)) for v in (c.b if cubic else (*c.c, *c.d)))
-        c = c._make(float(v) / top for v in c)
-        # the slots above the input's degree are zero within tolerance
-        zeroed = dict.fromkeys(("a0",) if cubic else ("a0", "b1", "b2", "b3"), 0.0)
+        zeroed = 1 if branch == CUBIC else 4
+        top = max(map(abs, map(float, c[1:4] if zeroed == 1 else c[4:10])))
+        c = c._make([float(v) / top for v in c])
     s = weighted_sup_norm(c)
     if s == 0:
-        return c, 1.0, cn
+        return c, 1.0, cn, zero_point
     work = weighted_rescale(c, 1.0 / s)
-    return (work.replace(**zeroed) if zeroed else work), s, cn
+    return work._make((0.0,) * zeroed + work[zeroed:]), s, cn, zero_point
 
 
 def _lattice(c: DarbouxCoefficients, branch: str):
-    """(work, 1/lam, None) of exact c, in ints; see the module docstring.
+    """(work, 1/lam) of exact c, in ints; see the module docstring.
     Each slot is read once, as n/d.  c times D = lcm(d) is the same surface
     in ints N; its slots are N_i/Q with Q = N_0 for a quartic (divided by
     a0) and Q = D otherwise, so the lcm of their reduced denominators is
@@ -187,17 +197,17 @@ def _lattice(c: DarbouxCoefficients, branch: str):
     power = (k, k * lam, k * l2, k * l2 * lam)   # k * lam^(w-1), w = 1..4
     work = c._make((int(quartic), *(v * power[w - 1]
                                     for v, w in zip(base, SLOT_WEIGHTS[1:]))))
-    return (normalize_quartic(work) if quartic else work), Fraction(1, lam), None
+    return (normalize_quartic(work) if quartic else work), Fraction(1, lam)
 
 
 def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
     """Degree branch, normalization, gauge and invariant bundle of one input;
     see the module docstring."""
-    if all(v == 0 for v in c):
+    if not any(c):
         raise ZeroInput("all fourteen coefficients vanish")
     if pol.exact and not c.is_exact():
         raise PreconditionError("exact mode requires int or Fraction coefficients")
-    sup = 1 if pol.exact else max(abs(float(v)) for v in c)
+    sup = 1 if pol.exact else max(map(abs, map(float, c)))
     zero = lambda v: pol.is_zero(v, sup)
     if not zero(c.a0):
         branch = QUARTIC
@@ -207,16 +217,17 @@ def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
         branch = QUADRIC
     else:
         return Prepared(c, LINEAR)
-    work, scale, cn = (_lattice if pol.exact else _float_gauge)(c, branch)
+    work, scale, cn, zero_point = ((*_lattice(c, branch), None, False) if pol.exact
+                                   else _float_gauge(c, branch, pol))
     inv = None if branch == QUADRIC else base_invariants(work)
-    return Prepared(c, branch, work, scale, inv, cn)
+    return Prepared(c, branch, work, scale, inv, cn, zero_point)
 
 
 def recognize(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
     """Dispatch: quartic / cubic / quadric / degenerate, then decide.  The
     verdict carries the prepared input for the later stages."""
     p = prepare(c, pol)
-    if p.branch == QUARTIC and not pol.exact and _is_zero_point(p.normalized, p.raw, pol):
+    if p.zero_point:
         # everything cancelled to rounding noise at the input's own
         # scale: the surface is the double point rho^4 = 0 within
         # tolerance, and the gauged leftovers would only amplify noise
@@ -236,16 +247,14 @@ def recognize(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
     return verdict
 
 
-def _is_zero_point(cn: DarbouxCoefficients, original: DarbouxCoefficients,
+def _is_zero_point(cn: DarbouxCoefficients, divided: DarbouxCoefficients,
                    pol: TolerancePolicy) -> bool:
-    """Every normalized coefficient below tolerance at the weighted scale of
-    the a0-divided input (b included, weight 1)."""
-    a0 = float(original.a0)
-    divided = original._make(float(v) / a0 for v in original)
+    """Every normalized coefficient cn below tolerance at the weighted scale
+    of the a0-divided float input (b included, weight 1)."""
     s = max(weighted_sup_norm(divided), 1.0)
-    return (all(pol.is_zero(float(v), s * s) for v in (*cn.c, *cn.d))
-            and all(pol.is_zero(float(v), s ** 3) for v in cn.e)
-            and pol.is_zero(float(cn.f0), s ** 4))
+    return (all(pol.is_zero(v, s * s) for v in (*cn.c, *cn.d))
+            and all(pol.is_zero(v, s ** 3) for v in cn.e)
+            and pol.is_zero(cn.f0, s ** 4))
 
 
 def _first_witness(res: Dict[str, Scalar], pol: TolerancePolicy,

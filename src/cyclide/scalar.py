@@ -26,17 +26,22 @@ def parse_scalar(value, mode: str) -> Scalar:
     mode returns only finite floats: NaN, an infinity, or a value beyond the
     float range raises ParseError.
     """
-    if mode == EXACT and type(value) is str and value.isascii():
+    if type(value) is str and value.isascii():
         # fast path for an unpadded ASCII integer or "p/q" (q > 0), same
-        # value as Fraction(text); anything else (padding, "+", "_",
+        # value as Fraction(text), or in float mode as float(Fraction(text)):
+        # the int quotient, rounded once; anything else (padding, "+", "_",
         # decimals, q = 0, digits beyond int()'s limit) falls through
         num, slash, den = value.partition("/")
         if (num.removeprefix("-").isdigit()
                 and (not slash or den.isdigit() and den.strip("0"))):
             try:
+                if mode != EXACT:
+                    return _finite(int(num), int(den) if slash else 1, value)
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             except ValueError:
                 pass
+    if type(value) is float and mode != EXACT and math.isfinite(value):
+        return value
     if isinstance(value, bool):
         raise ParseError(f"boolean is not a coefficient: {value!r}")
     if isinstance(value, int):
@@ -52,14 +57,15 @@ def parse_scalar(value, mode: str) -> Scalar:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(
                 f"cannot parse coefficient {value!r:.40}: {exc!s:.160}") from exc
-        return frac if mode == EXACT else _finite(frac, value)
+        return frac if mode == EXACT else _finite(frac, 1, value)
     raise ParseError(f"unsupported coefficient type {type(value).__name__}: {value!r}")
 
 
-def _finite(value, raw=None) -> float:
-    """value as a finite float, or ParseError naming the cell raw."""
+def _finite(value, den: int = 1, raw=None) -> float:
+    """value / den as a finite float (an int quotient rounded once), or
+    ParseError naming the cell raw."""
     try:
-        v = float(value)
+        v = float(value) if den == 1 else value / den
     except OverflowError:
         v = math.inf
     if not math.isfinite(v):
@@ -77,6 +83,8 @@ def format_scalar(v: Scalar):
     """JSON-friendly form: Fractions as int or "p/q" string, floats as floats.
     TooManyDigits when a Fraction has a part too long to convert to str
     (an int would otherwise fail only later, in json.dumps)."""
+    if type(v) is float:
+        return v
     if isinstance(v, Fraction):
         num, den = v.numerator, v.denominator
         if num.bit_length() > _SHORT_BITS or den.bit_length() > _SHORT_BITS:

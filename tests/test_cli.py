@@ -1,4 +1,5 @@
 """Batch front end: verbs, formats, exit codes."""
+import io
 import json
 import os
 import subprocess
@@ -245,6 +246,24 @@ class TestBatch:
         path.write_text(header + "\n1,0,0,0,-10,-10,6,0,0,0,0,0,0,9\n")
         code, rows = run_cli(["recognize", str(path)], capsys)
         assert code == 0 and rows[0]["kind"] == "DupinQuartic"
+
+    CSV_TORUS = ("a0,b1,b2,b3,c1,c2,c3,d1,d2,d3,e1,e2,e3,f0\n"
+                 "1,0,0,0,-10,-10,6,0,0,0,0,0,0,9\n")
+
+    @pytest.mark.parametrize("where", ["file", "stdin"])
+    @pytest.mark.parametrize("text", [TORUS_JSON + "\n", CSV_TORUS], ids=["jsonl", "csv"])
+    def test_byte_order_mark_is_dropped(self, text, where, tmp_path, monkeypatch, capsys):
+        # spreadsheet "CSV UTF-8" exports and some editors start the file
+        # with the UTF-8 byte-order mark EF BB BF
+        data = b"\xef\xbb\xbf" + text.encode()
+        if where == "file":
+            arg = str(tmp_path / "bom.txt")
+            Path(arg).write_bytes(data)
+        else:
+            arg = "-"
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+        code, rows = run_cli(["recognize", arg], capsys)
+        assert code == 0 and [r["kind"] for r in rows] == ["DupinQuartic"]
 
     def test_bad_csv_header(self, tmp_path, capsys):
         path = tmp_path / "batch.csv"

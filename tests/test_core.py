@@ -9,14 +9,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import TORUS21, rand_fraction, random_coefficients
+from conftest import CUBIC22, TORUS21, rand_fraction, random_coefficients
 from cyclide import (SIGMA12, SIGMA13, SIGMA23, DarbouxCoefficients,
-                     EuclideanMotion, TriPoly, apply_motion, apply_permutation,
-                     coefficients_from_polynomial, normalize_quartic,
-                     polynomial_from_coefficients, sigma_orbit, weighted_rescale)
+                     EuclideanMotion, TolerancePolicy, TriPoly, apply_motion,
+                     apply_permutation, coefficients_from_polynomial,
+                     normalize_quartic, polynomial_from_coefficients, prepare,
+                     sigma_orbit, weighted_rescale)
+from cyclide.canonical import (canonical_cubic_params, canonical_quartic_params,
+                               spectral_data)
+from cyclide.classify import j0_quartic
 from cyclide.errors import NotQuartic, ShapeError, ZeroScale
 from cyclide.genkit import quaternion_rotation, random_motion, random_rotation
 from cyclide.invariants import base_invariants
+from cyclide.moebius import MOBT2, build_map, torus_radii
 
 
 def frac(v):
@@ -300,3 +305,40 @@ class TestNormalizeQuartic:
             c = random_coefficients(rng, a0=rand_fraction(rng, 1, 5), with_b=True)
             n = normalize_quartic(c)
             assert n.a0 == 1 and n.b == (0, 0, 0)
+
+
+class TestRecords:
+    """The per-input value records are NamedTuples: immutable, with the
+    field types their builders give them."""
+
+    @staticmethod
+    def _records():
+        pol = TolerancePolicy()
+        prep = prepare(TORUS21, pol)
+        sd = spectral_data(prep, pol)
+        q = canonical_quartic_params(sd)
+        return (EuclideanMotion.identity(), prep, sd, q,
+                canonical_cubic_params(prepare(CUBIC22, pol), pol),
+                j0_quartic(prep, sd, pol), torus_radii(q), build_map(q, MOBT2))
+
+    def test_fields_cannot_be_set(self):
+        for record in self._records():
+            name = record._fields[0]
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                record.unknown_field = None
+
+    def test_identity_motion_holds_fractions(self):
+        m = EuclideanMotion.identity()
+        assert all(type(v) is Fraction for row in m.rotation for v in row)
+        assert all(type(v) is Fraction for v in m.translation)
+        assert m.rotation == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_translating_a_float_surface_gives_floats(self, rng):
+        for _ in range(10):
+            c = random_coefficients(rng, a0=rand_fraction(rng, 1, 5), with_b=True).to_float()
+            shift = tuple(float(rand_fraction(rng)) for _ in range(3))
+            moved = apply_motion(c, EuclideanMotion.translation_by(shift))
+            assert all(type(v) is float for v in moved)
+            assert all(type(v) is float for v in normalize_quartic(c))

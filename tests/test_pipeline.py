@@ -3,21 +3,24 @@ quartic, at most one Euclidean motion per input, one invariant bundle of the
 gauged copy shared by every stage, and one degree decision that depends
 neither on the scale of the equation nor, in exact mode, on whether the
 coefficients are ints or Fractions."""
+import fractions
 import importlib.util
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cyclide import (DarbouxCoefficients, EuclideanMotion, canonical, classify, core,
-                     invariants, pipeline, recognizer)
+from cyclide import (DarbouxCoefficients, EuclideanMotion, canonical, classify, cli,
+                     core, invariants, pipeline, recognizer)
 from cyclide.errors import PreconditionError
 from cyclide.genkit import (QuarticSeed, generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed)
 from cyclide.recognizer import CUBIC, LINEAR, QUADRIC, QUARTIC, TolerancePolicy, prepare
 from cyclide.scalar import EXACT, FLOAT
+from cyclide.serialize import coefficients_to_json
 
 
 def _record(monkeypatch, modules, name, calls):
@@ -140,6 +143,41 @@ def test_degree_branch_is_scale_free(branch):
     pol = TolerancePolicy(FLOAT)
     assert [prepare(BY_BRANCH[branch].scale(k), pol).branch for k in SCALES] \
         == [branch] * len(SCALES)
+
+
+def _fractions_calls(run):
+    """Python calls into fractions.py while run() runs."""
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_float_mode_never_touches_fractions(tmp_path, capsys):
+    # float inputs, and a generated corpus of ints and "p/q" strings, go
+    # through every verb with no Fraction made, compared or printed
+    assert cli.main(["generate", "--seed", "7", "--count", "60", "--kind", "mixed"]) == 0
+    corpus = tmp_path / "mixed.jsonl"
+    corpus.write_text(capsys.readouterr().out)
+    branches = tmp_path / "branches.jsonl"
+    branches.write_text("".join(json.dumps(coefficients_to_json(c)) + "\n"
+                                for c in BY_BRANCH.values()))
+    for path, rows in ((corpus, 60), (branches, len(BY_BRANCH))):
+        for verb in ("recognize", "classify", "canonicalize", "j0", "to-torus"):
+            codes = []
+            calls = _fractions_calls(
+                lambda: codes.append(cli.main([verb, "--float", str(path)])))
+            out = capsys.readouterr().out.splitlines()
+            assert codes == [0] and len(out) == rows
+            assert calls == [], (verb, path.name, sorted(set(calls)))
 
 
 EXACT_BY_BRANCH = {

@@ -14,6 +14,7 @@ from cyclide import (DarbouxCoefficients, EuclideanMotion, TolerancePolicy,
                      weighted_rescale)
 from cyclide import recognizer
 from cyclide.canonical import CanonicalQuartic, _a1_system, _closure
+from cyclide.core import SLOT_WEIGHTS
 from cyclide.errors import InternalCheckError, PreconditionError, ZeroInput
 from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             perturb_off_variety, random_motion, random_quartic_seed)
@@ -469,3 +470,34 @@ class TestFloatPolicy:
                                  random_motion(rng))
         noisy = self._noisy(c, rng, 1e-13)
         assert recognize(noisy, fpol).kind == DUPIN_CUBIC
+
+
+class TestWeightedSupNorm:
+    @staticmethod
+    def _per_slot(c):
+        """The definition: the largest root |slot|^(1/w) over the slots."""
+        return max(abs(float(v)) ** (1.0 / w)
+                   for v, w in zip(c, SLOT_WEIGHTS) if w)
+
+    @staticmethod
+    def _slot(rng, near):
+        """A float in [1e-300, 1e300] with either sign, a signed zero, a
+        subnormal, or a neighbour of `near` (ties inside a weight group)."""
+        pick = rng.random()
+        if pick < 0.1:
+            return rng.choice((0.0, -0.0))
+        if pick < 0.2:
+            return rng.choice((-1, 1)) * rng.randint(1, 2 ** 52) * 5e-324
+        if pick < 0.35:
+            return rng.choice((-1.0, 1.0)) * math.nextafter(
+                abs(near), rng.choice((0.0, math.inf)))
+        return rng.choice((-1, 1)) * rng.uniform(1, 10) * 10.0 ** rng.randint(-300, 299)
+
+    def test_grouped_roots_are_the_per_slot_definition_bit_for_bit(self):
+        rng = random.Random(1616)
+        for _ in range(20000):
+            slots = [0.0] * 14
+            for i in range(1, 14):
+                slots[i] = self._slot(rng, slots[i - 1])
+            c = DarbouxCoefficients._make(slots)
+            assert recognizer.weighted_sup_norm(c).hex() == self._per_slot(c).hex(), c

@@ -1,12 +1,17 @@
-"""Exact parsing: the fast path for ASCII integers and "p/q" strings gives
-the value and type of `Fraction(text)`, and every other text keeps its
-`Fraction(text)` result or error."""
+"""Parsing and formatting: the fast path for ASCII integers and "p/q"
+strings gives the value and type of `Fraction(text)` in exact mode and of
+`float(Fraction(text))` in float mode, and every other text keeps its
+`Fraction(text)` result or error; the float fast paths of `parse_scalar`
+and `format_scalar` keep every refusal of the general path."""
+import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from cyclide.errors import ParseError, TooManyDigits
-from cyclide.scalar import EXACT, format_scalar, parse_scalar
+from cyclide.scalar import EXACT, FLOAT, format_scalar, parse_scalar
 
 CASES = ["3/4", "-3/4", " 7 ", "+3/4", "3/04", "0/5", "-0", "3/0", "3/-4",
          "1_000/3", "١/٢", "0.25", "1e3", "", "/3", "3/",
@@ -76,3 +81,86 @@ def test_format_scalar_refuses_what_cannot_be_printed(v, want):
             format_scalar(v)
     else:
         assert format_scalar(v) == want
+
+
+def float_of(text):
+    """The float parse by Fraction(text) alone: its float, or the ParseError."""
+    want = fraction_of(text)
+    if isinstance(want, ParseError):
+        return want
+    try:
+        return float(want)
+    except OverflowError:
+        return ParseError(f"coefficient {text!r:.40} is not a finite float")
+
+
+@pytest.mark.parametrize("text", CASES + ["9" * 400, "-1/" + "3" * 400, "2" * 400 + "/3"],
+                         ids=lambda text: repr(text)[:12])
+def test_float_parse_agrees_with_fraction(text):
+    want = float_of(text)
+    if isinstance(want, ParseError):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text, FLOAT)
+        assert str(err.value) == str(want)
+    else:
+        got = parse_scalar(text, FLOAT)
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def test_float_parse_of_p_over_q_is_rounded_once():
+    """The int quotient of the fast path is float(Fraction(p, q)) to the bit,
+    for quotients near and far from a rounding boundary."""
+    rng = random.Random(16)
+    for _ in range(2000):
+        num = rng.randrange(-10 ** rng.randint(1, 40), 10 ** rng.randint(1, 40))
+        den = rng.randrange(1, 10 ** rng.randint(1, 40))
+        if rng.random() < 0.3:
+            den = 3 ** rng.randint(1, 60)
+            num = den * rng.randint(-2 ** 53, 2 ** 53) + rng.choice((-1, 1))
+        got = parse_scalar(f"{num}/{den}", FLOAT)
+        assert got.hex() == float(Fraction(num, den)).hex(), (num, den)
+
+
+@pytest.mark.parametrize("value, want", [
+    (math.nan, "coefficient nan is not a finite float"),
+    (math.inf, "coefficient inf is not a finite float"),
+    (-math.inf, "coefficient -inf is not a finite float"),
+    (json.loads("1e400"), "coefficient inf is not a finite float"),
+    (json.loads("-1e400"), "coefficient -inf is not a finite float"),
+    (10 ** 400, "is not a finite float"),
+    (True, "boolean is not a coefficient: True"),
+    (False, "boolean is not a coefficient: False"),
+    (None, "unsupported coefficient type NoneType"),
+    ([1.0], "unsupported coefficient type list"),
+    (1j, "unsupported coefficient type complex"),
+], ids=["nan", "inf", "-inf", "json 1e400", "json -1e400", "long int", "True",
+        "False", "None", "list", "complex"])
+def test_float_mode_refusals(value, want):
+    """The float fast path returns finite floats only: NaN, an infinity (a
+    JSON 1e400 parses to one), booleans and other types are refused."""
+    with pytest.raises(ParseError, match=want):
+        parse_scalar(value, FLOAT)
+
+
+@pytest.mark.parametrize("value", [0.5, -0.0, 1e-320, 1.7976931348623157e308, 3.0])
+def test_exact_mode_refuses_float_literals(value):
+    with pytest.raises(ParseError) as err:
+        parse_scalar(value, EXACT)
+    assert str(err.value) == (f"float literal {value!r} in exact mode; "
+                              "pass a string like \"1/3\" or \"0.25\"")
+
+
+@pytest.mark.parametrize("value", [0.5, -0.0, 1e-320, -1.7976931348623157e308, 3.0])
+def test_float_cells_and_reports_keep_their_float(value):
+    got = parse_scalar(value, FLOAT)
+    assert type(got) is float and got.hex() == value.hex()
+    out = format_scalar(got)
+    assert type(out) is float and out.hex() == value.hex()
+
+
+def test_float_subclass_cells_and_reports_are_plain_floats():
+    class Half(float):
+        pass
+
+    for got in (parse_scalar(Half(0.5), FLOAT), format_scalar(Half(0.5))):
+        assert type(got) is float and got == 0.5
