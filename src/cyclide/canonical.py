@@ -225,12 +225,10 @@ def cubic_shift(c: DarbouxCoefficients, inv: InvariantBundle,
     this vector removes the shift the surface carries (B0-homogenized closed
     form of the per-axis solution, taken on the sigma-orbit of c).
     inv = base_invariants(c); it serves the whole orbit."""
-    def t_formula(cc: DarbouxCoefficients) -> Scalar:
-        return (pol.div(-cc.b1 * cc.c2 - cc.b1 * cc.c3 + cc.b2 * cc.d3 + cc.b3 * cc.d2,
-                        2 * inv.B0)
-                + pol.div(cc.b1 * inv.W3, 2 * inv.B0 ** 2))
-
-    return tuple(-t_formula(cc) for cc in sigma_orbit(c))
+    b0x2, b0sqx2, w3 = 2 * inv.B0, 2 * inv.B0 ** 2, inv.W3
+    return tuple(-(pol.div(-cc.b1 * cc.c2 - cc.b1 * cc.c3 + cc.b2 * cc.d3 + cc.b3 * cc.d2, b0x2)
+                   + pol.div(cc.b1 * w3, b0sqx2))
+                 for cc in sigma_orbit(c))
 
 
 def canonical_cubic_params(prep: Prepared,

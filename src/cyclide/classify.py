@@ -74,58 +74,64 @@ def classify_quartic(sd: SpectralData, pol: TolerancePolicy) -> SurfaceClass:
 def classify_quartic_report(sd: SpectralData,
                             pol: TolerancePolicy) -> Tuple[SurfaceClass, bool]:
     """(label, ambiguous): ambiguous flags a float equality decided within
-    tolerance, i.e. the input sits on (or hugs) a stratification boundary."""
+    tolerance, i.e. the input sits on (or hugs) a stratification boundary.
+
+    Each of the six signs the diagram reads, of s - t, u - s, u - t, s, t
+    and u, is one zero test against max(1, |s|, |t|, |u|), and ambiguous is
+    read off the same tests: a nonzero value taken as zero (exact zero tests
+    are literal, so only float mode can be ambiguous).  With m1 <= m2 the
+    pair (s, t) sorted, u - m1 and u - m2 are u - s and u - t in some order.
+    """
     s, t, u = sd.squares()
     scale = max(1.0, abs(s), abs(t), abs(u))
-
-    def sgn(v):
-        return 0 if pol.is_zero(v, scale) else (v > 0) - (v < 0)
-
-    # exact is_zero is literal, so only float mode can be ambiguous
-    ambiguous = any(v != 0 and pol.is_zero(v, scale)
-                    for v in (s - t, u - s, u - t, s, t, u))
-
-    m1, m2 = (s, t) if sgn(s - t) <= 0 else (t, s)  # m1 = min, m2 = max
-    if sgn(s) * sgn(t) * sgn(u) < 0:
+    signs = []
+    ambiguous = False
+    for v in (s - t, u - s, u - t, s, t, u):
+        if pol.is_zero(v, scale):
+            signs.append(0)
+            ambiguous = ambiguous or v != 0
+        else:
+            signs.append((v > 0) - (v < 0))
+    sgn_st, sgn_us, sgn_ut, sgn_s, sgn_t, sgn_u = signs
+    if sgn_s * sgn_t * sgn_u < 0:
         raise PreconditionError(
             f"inadmissible parameters (s,t,u)=({s},{t},{u}): product < 0 means "
             "the implicit equation is not real")
+    # m1 = min(s, t), m2 = max(s, t)
+    sgn_m1, sgn_m2, sgn_um1, sgn_um2 = ((sgn_s, sgn_t, sgn_us, sgn_ut) if sgn_st <= 0
+                                        else (sgn_t, sgn_s, sgn_ut, sgn_us))
 
-    if sgn(s - t) == 0:
-        if sgn(u - s) == 0:
-            if sgn(s) > 0:
-                return SurfaceClass.SPHERE_AND_POINT, ambiguous
-            return SurfaceClass.ONE_POINT, ambiguous  # origin
-        if sgn(s) > 0:
-            return SurfaceClass.TWO_TOUCHING_SPHERES, ambiguous
-        if sgn(s) == 0:
-            if sgn(u) > 0:
-                return SurfaceClass.DOUBLE_SPHERE, ambiguous
-            return SurfaceClass.NO_REAL_POINTS, ambiguous  # (0,0,u<0)
-        return SurfaceClass.ONE_POINT, ambiguous  # s = t < 0 <= u
-
-    if sgn(u - m2) == 0:
-        if sgn(m2) > 0:
-            return SurfaceClass.HORN, ambiguous  # includes horn torus m1 = 0
-        return SurfaceClass.TWO_POINTS, ambiguous  # u = m2 = 0 > m1
-    if sgn(u - m1) == 0:
-        if sgn(m1) > 0:
-            return SurfaceClass.HORN, ambiguous
-        if sgn(m1) == 0:
-            return SurfaceClass.CIRCLE, ambiguous
-        return SurfaceClass.ONE_POINT, ambiguous  # u = m1 < 0 <= m2
-    if sgn(u - m1) > 0 and sgn(u - m2) < 0:
-        if sgn(m1) >= 0:
-            return SurfaceClass.SMOOTH_RING, ambiguous
-        return SurfaceClass.TWO_POINTS, ambiguous  # m1 < u <= 0 <= m2
-    if sgn(u - m1) < 0:
-        if sgn(m1) > 0:
-            return SurfaceClass.SPINDLE, ambiguous
-        return SurfaceClass.NO_REAL_POINTS, ambiguous  # u < m1 <= 0
-    # u > m2
-    if sgn(m1) >= 0:
-        return SurfaceClass.SPINDLE, ambiguous
-    return SurfaceClass.TWO_POINTS, ambiguous  # m1 < m2 <= 0 <= u
+    if sgn_st == 0:
+        if sgn_us == 0:
+            # the origin unless s > 0
+            label = SurfaceClass.SPHERE_AND_POINT if sgn_s > 0 else SurfaceClass.ONE_POINT
+        elif sgn_s > 0:
+            label = SurfaceClass.TWO_TOUCHING_SPHERES
+        elif sgn_s == 0:
+            # (0, 0, u < 0) has no real points
+            label = SurfaceClass.DOUBLE_SPHERE if sgn_u > 0 else SurfaceClass.NO_REAL_POINTS
+        else:
+            label = SurfaceClass.ONE_POINT  # s = t < 0 <= u
+    elif sgn_um2 == 0:
+        # horn includes the horn torus m1 = 0; two points: u = m2 = 0 > m1
+        label = SurfaceClass.HORN if sgn_m2 > 0 else SurfaceClass.TWO_POINTS
+    elif sgn_um1 == 0:
+        if sgn_m1 > 0:
+            label = SurfaceClass.HORN
+        elif sgn_m1 == 0:
+            label = SurfaceClass.CIRCLE
+        else:
+            label = SurfaceClass.ONE_POINT  # u = m1 < 0 <= m2
+    elif sgn_um1 > 0 and sgn_um2 < 0:
+        # two points: m1 < u <= 0 <= m2
+        label = SurfaceClass.SMOOTH_RING if sgn_m1 >= 0 else SurfaceClass.TWO_POINTS
+    elif sgn_um1 < 0:
+        # no real points: u < m1 <= 0
+        label = SurfaceClass.SPINDLE if sgn_m1 > 0 else SurfaceClass.NO_REAL_POINTS
+    else:
+        # u > m2; two points: m1 < m2 <= 0 <= u
+        label = SurfaceClass.SPINDLE if sgn_m1 >= 0 else SurfaceClass.TWO_POINTS
+    return label, ambiguous
 
 
 def classify_cubic(p: Scalar, q: Scalar, pol: TolerancePolicy) -> SurfaceClass:
@@ -182,14 +188,16 @@ def j0_quartic(prep: Prepared, sd: SpectralData,
             - 8 * C0 * (W2 - 2 * E0), pol),
     ]
 
-    kinds = {v.kind for v in votes}
-    if kinds == {J0_FINITE}:
-        vals = [v.value for v in votes]
-        ref = vals[0]
+    first, second, third = votes
+    if first.kind == second.kind == third.kind == J0_FINITE:
+        ref = first.value
         # an int constant: no float conversion of an exact J0
-        if any(pol.nonzero(v - ref, 10_000 * max(1.0, abs(ref))) for v in vals[1:]):
-            raise FormulaDisagreement(f"J0 formulas disagree: {vals}")
-        return J0Value.finite(ref)
+        size = 10_000 * max(1.0, abs(ref))
+        if pol.nonzero(second.value - ref, size) or pol.nonzero(third.value - ref, size):
+            raise FormulaDisagreement(
+                f"J0 formulas disagree: {[first.value, second.value, third.value]}")
+        return first
+    kinds = {v.kind for v in votes}
     if len(kinds) != 1:
         # degenerate strata may zero one fraction's numerator and denominator
         # while another stays decisive; a decisive vote wins, but finite and

@@ -20,9 +20,13 @@ L, M and the cubic targets).  The symmetric invariants agree on the orbit.
 With M the symmetric matrix [[c1,d3,d2],[d3,c2,d1],[d2,d1,c3]], an orthogonal
 motion acts on the coefficients in closed form (`apply_motion`): a rotation
 turns b, M, e into R^T b, R^T M R, R^T e, and a translation updates them by
-polynomials in a0, b and the shift.  The sparse TriPoly expansion and its
-affine substitution are the reference those formulas are tested against, and
-the point evaluator of the generators and the Moebius map (`point_residual`).
+polynomials in a0, b and the shift.  That translation is written out once,
+slot by slot over locals, for both modes, as is `weighted_rescale`: exact
+for rationals, and in float mode each slot comes from one fixed order of
+operations, so the floats it rounds are the same on every run and every
+caller.  The sparse TriPoly expansion and its affine substitution are the
+reference those formulas are tested against, and the point evaluator of the
+generators and the Moebius map (`point_residual`).
 """
 from __future__ import annotations
 
@@ -342,32 +346,45 @@ def apply_motion(c: DarbouxCoefficients, m: EuclideanMotion) -> DarbouxCoefficie
     R must be orthogonal, exactly so for rational R (ShapeError otherwise).
     Then p(R y + t) is p rotated by R, a step skipped when R is the identity,
     and translated by u = R^T t, each in closed form and exact for rationals.
+    The translation is written out once, slot by slot, for both modes; its
+    operation order fixes the float rounding.
     """
-    a0, b, e, u = c.a0, c.b, c.e, m.translation
-    M = ((c.c1, c.d3, c.d2), (c.d3, c.c2, c.d1), (c.d2, c.d1, c.c3))
+    a0, b1, b2, b3, c1, c2, c3, d1, d2, d3, e1, e2, e3, f0 = c
+    u1, u2, u3 = m.translation
+    # M = [[m11, m12, m13], [m21, m22, m23], [m31, m32, m33]], symmetric
+    # before a rotation; a float rotation may leave it asymmetric by rounding
+    m11, m12, m13, m21, m22, m23, m31, m32, m33 = c1, d3, d2, d3, c2, d1, d2, d1, c3
     if m.rotation != _IDENTITY:
         if m.orthogonality_defect() != 0:
             raise ShapeError("rotation part of the motion is not orthogonal")
         Rt = tuple(zip(*m.rotation))
-        b, e, u = (tuple(_dot(r, v) for r in Rt) for v in (b, e, u))
+        M = ((m11, m12, m13), (m21, m22, m23), (m31, m32, m33))
+        (b1, b2, b3), (e1, e2, e3), (u1, u2, u3) = (
+            tuple(_dot(r, v) for r in Rt) for v in ((b1, b2, b3), (e1, e2, e3), (u1, u2, u3)))
         RtM = tuple(tuple(_dot(r, row) for row in M) for r in Rt)  # M symmetric
-        M = tuple(tuple(_dot(row, r) for r in Rt) for row in RtM)
-    # p(y + u), with rho^2 -> rho^2 + 2 u.y + T; this operation order fixes
-    # the float rounding
-    T = _dot(u, u)
-    bu = _dot(b, u)
-    Mu = tuple(_dot(row, u) for row in M)
-    k = 2 * a0 * T + 2 * bu
-    f0 = a0 * T * T + 2 * T * bu + _dot(u, Mu) + 2 * _dot(e, u) + c.f0
-    e = tuple(e[i] + k * u[i] + T * b[i] + Mu[i] for i in range(3))
-
-    def quad(i, j):
-        diag = M[i][j] + k if i == j else M[i][j]
-        return diag + 4 * a0 * u[i] * u[j] + 2 * (b[i] * u[j] + u[i] * b[j])
-
-    cd = (quad(0, 0), quad(1, 1), quad(2, 2), quad(1, 2), quad(0, 2), quad(0, 1))
-    b = tuple(b[i] + 2 * a0 * u[i] for i in range(3))
-    return DarbouxCoefficients(a0, *b, *cd, *e, f0)
+        (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = (
+            tuple(_dot(row, r) for r in Rt) for row in RtM)
+    # p(y + u), with rho^2 -> rho^2 + 2 u.y + T and Mu = M u
+    a2, a4 = 2 * a0, 4 * a0
+    T = u1 * u1 + u2 * u2 + u3 * u3
+    bu = b1 * u1 + b2 * u2 + b3 * u3
+    mu1 = m11 * u1 + m12 * u2 + m13 * u3
+    mu2 = m21 * u1 + m22 * u2 + m23 * u3
+    mu3 = m31 * u1 + m32 * u2 + m33 * u3
+    k = a2 * T + 2 * bu
+    return c._make((
+        a0, b1 + a2 * u1, b2 + a2 * u2, b3 + a2 * u3,
+        m11 + k + a4 * u1 * u1 + 2 * (b1 * u1 + u1 * b1),
+        m22 + k + a4 * u2 * u2 + 2 * (b2 * u2 + u2 * b2),
+        m33 + k + a4 * u3 * u3 + 2 * (b3 * u3 + u3 * b3),
+        m23 + a4 * u2 * u3 + 2 * (b2 * u3 + u2 * b3),
+        m13 + a4 * u1 * u3 + 2 * (b1 * u3 + u1 * b3),
+        m12 + a4 * u1 * u2 + 2 * (b1 * u2 + u1 * b2),
+        e1 + k * u1 + T * b1 + mu1,
+        e2 + k * u2 + T * b2 + mu2,
+        e3 + k * u3 + T * b3 + mu3,
+        a0 * T * T + 2 * T * bu + (u1 * mu1 + u2 * mu2 + u3 * mu3)
+        + 2 * (e1 * u1 + e2 * u2 + e3 * u3) + f0))
 
 
 def apply_permutation(c: DarbouxCoefficients, which: str) -> DarbouxCoefficients:
@@ -388,8 +405,10 @@ def weighted_rescale(c: DarbouxCoefficients, lam: Scalar) -> DarbouxCoefficients
     if lam == 0:
         raise ZeroScale("weighted rescale requires lambda != 0")
     l2 = lam * lam
-    power = (1, lam, l2, l2 * lam, l2 * l2)
-    return c._make((c.a0, *(v * power[w] for v, w in zip(c[1:], SLOT_WEIGHTS[1:]))))
+    l3, l4 = l2 * lam, l2 * l2
+    a0, b1, b2, b3, c1, c2, c3, d1, d2, d3, e1, e2, e3, f0 = c
+    return c._make((a0, b1 * lam, b2 * lam, b3 * lam, c1 * l2, c2 * l2, c3 * l2,
+                    d1 * l2, d2 * l2, d3 * l2, e1 * l3, e2 * l3, e3 * l3, f0 * l4))
 
 
 def normalize_quartic(c: DarbouxCoefficients) -> DarbouxCoefficients:
@@ -408,9 +427,10 @@ def normalize_quartic(c: DarbouxCoefficients) -> DarbouxCoefficients:
         # an int a0 divides as a Fraction, so exact input stays exact
         a0 = Fraction(c.a0) if isinstance(c.a0, int) else c.a0
         scaled = c._make(v / a0 for v in c)
-    if all(v == 0 for v in scaled.b):
+    b1, b2, b3 = scaled.b
+    if b1 == 0 and b2 == 0 and b3 == 0:
         return scaled
-    shift = tuple(-_half(v) for v in scaled.b)
+    shift = (-_half(b1), -_half(b2), -_half(b3))
     return apply_motion(scaled, EuclideanMotion.translation_by(shift))
 
 

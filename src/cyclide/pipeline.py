@@ -11,7 +11,8 @@ from .core import DarbouxCoefficients, normalize_quartic  # noqa: F401  (traced 
 from .errors import CyclideError
 from .recognizer import (DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC,
                          TolerancePolicy, recognize)
-from .serialize import error_text, scalar_json, verdict_to_json
+from .scalar import format_scalar
+from .serialize import error_text, verdict_to_json
 
 
 def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
@@ -27,28 +28,28 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
     prep = verdict.prepared
     if verdict.kind == DUPIN_QUARTIC:
         sd = spectral_data(prep, pol)
-        report["spectral"] = {"A1": scalar_json(sd.A1), "A2": scalar_json(sd.A2),
-                              "A3": scalar_json(sd.A3), "Dsq": scalar_json(sd.Dsq),
-                              "F": scalar_json(sd.F)}
+        report["spectral"] = {"A1": format_scalar(sd.A1), "A2": format_scalar(sd.A2),
+                              "A3": format_scalar(sd.A3), "Dsq": format_scalar(sd.Dsq),
+                              "F": format_scalar(sd.F)}
         label, ambiguous = classify_quartic_report(sd, pol)
         report["class"] = label.code
         if ambiguous:
             report["class_ambiguous"] = True
         j0 = j0_quartic(prep, sd, pol)
-        report["J0"] = scalar_json(j0.value) if j0.kind == "finite" else j0.kind
+        report["J0"] = format_scalar(j0.value) if j0.kind == "finite" else j0.kind
         report["willmore"] = willmore_energy(j0, pol)
         if want in ("canonicalize", "to-torus"):
             params = canonical_quartic_params(sd)
             report["canonical"] = {
-                "alpha_sq": scalar_json(params.alpha_sq),
-                "gamma_sq": scalar_json(params.gamma_sq),
-                "delta_sq": scalar_json(params.delta_sq),
-                "agd": scalar_json(params.agd)}
+                "alpha_sq": format_scalar(params.alpha_sq),
+                "gamma_sq": format_scalar(params.gamma_sq),
+                "delta_sq": format_scalar(params.delta_sq),
+                "agd": format_scalar(params.agd)}
             if want == "to-torus":
                 try:
                     spec = moebius.torus_radii(params)
-                    report["torus"] = {"r_sq": scalar_json(spec.r_sq),
-                                       "R_sq": scalar_json(spec.R_sq)}
+                    report["torus"] = {"r_sq": format_scalar(spec.r_sq),
+                                       "R_sq": format_scalar(spec.R_sq)}
                 except CyclideError as exc:
                     report["torus"] = {"error": error_text(exc)}
                 try:
@@ -62,10 +63,10 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
         params = canonical_cubic_params(prep, pol)
         label = classify_cubic(params.p, params.q, pol)
         report["class"] = label.code
-        report["canonical"] = {"p": scalar_json(params.p), "q": scalar_json(params.q),
-                               "shift": [scalar_json(v) for v in params.shift]}
+        report["canonical"] = {"p": format_scalar(params.p), "q": format_scalar(params.q),
+                               "shift": [format_scalar(v) for v in params.shift]}
         j0 = j0_cubic(prep, pol)
-        report["J0"] = scalar_json(j0.value) if j0.kind == "finite" else j0.kind
+        report["J0"] = format_scalar(j0.value) if j0.kind == "finite" else j0.kind
         report["willmore"] = willmore_energy(j0, pol)
         return report
 

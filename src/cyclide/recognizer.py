@@ -171,7 +171,9 @@ def _float_gauge(c: DarbouxCoefficients, branch: str, pol: TolerancePolicy):
     if s == 0:
         return c, 1.0, cn, zero_point
     work = weighted_rescale(c, 1.0 / s)
-    return work._make((0.0,) * zeroed + work[zeroed:]), s, cn, zero_point
+    if zeroed:
+        work = work._make((0.0,) * zeroed + work[zeroed:])
+    return work, s, cn, zero_point
 
 
 def _lattice(c: DarbouxCoefficients, branch: str):

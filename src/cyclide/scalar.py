@@ -7,6 +7,8 @@ tuple, decided when the input is parsed.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -18,13 +20,22 @@ EXACT = "exact"
 FLOAT = "float"
 
 
+# a strict ASCII decimal literal, and the exponent of any text Fraction reads
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]([+-]?[0-9]+))?")
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+# no part of a text this short exceeds int()'s digit limit (640 at the least)
+_SHORT_TEXT = 640
+
+
 def parse_scalar(value, mode: str) -> Scalar:
     """Parse one JSON/CSV cell: int, "p/q" string, decimal string, or float.
 
     Floats (JSON numbers with a fractional part) are rejected in exact mode;
     a decimal *string* like "0.25" is exact and allowed in either mode.  Float
     mode returns only finite floats: NaN, an infinity, or a value beyond the
-    float range raises ParseError.
+    float range raises ParseError.  A decimal exponent of magnitude beyond
+    the int-to-str digit limit raises ParseError in either mode, as a longer
+    integer does, before any power of ten is built.
     """
     if type(value) is str and value.isascii():
         # fast path for an unpadded ASCII integer or "p/q" (q > 0), same
@@ -40,6 +51,18 @@ def parse_scalar(value, mode: str) -> Scalar:
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             except ValueError:
                 pass
+        # float mode: a short unpadded decimal literal is float(text), the
+        # same correctly rounded float as float(Fraction(text)), except that
+        # an exact zero is +0.0 whatever its sign, as Fraction has no -0 (an
+        # underflow keeps its sign in both)
+        match = (_DECIMAL.fullmatch(value)
+                 if mode != EXACT and len(value) <= _SHORT_TEXT else None)
+        if match:
+            mantissa, exponent = match.groups()
+            if exponent:
+                _check_exponent(exponent, value)
+            v = _finite(float(value), 1, value)
+            return v if v or mantissa.strip("0.") else 0.0
     if type(value) is float and mode != EXACT and math.isfinite(value):
         return value
     if isinstance(value, bool):
@@ -52,13 +75,32 @@ def parse_scalar(value, mode: str) -> Scalar:
                 f"float literal {value!r} in exact mode; pass a string like \"1/3\" or \"0.25\"")
         return _finite(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent:
+            _check_exponent(exponent.group(1), value)
         try:
-            frac = Fraction(value.strip())
+            frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(
                 f"cannot parse coefficient {value!r:.40}: {exc!s:.160}") from exc
         return frac if mode == EXACT else _finite(frac, 1, value)
     raise ParseError(f"unsupported coefficient type {type(value).__name__}: {value!r}")
+
+
+def _check_exponent(exponent: str, raw) -> None:
+    """ParseError naming the cell raw when the decimal exponent's magnitude
+    exceeds the int-to-str digit limit (none when the limit is off): the
+    power of ten Fraction(text) builds would take seconds.  An exponent
+    int() cannot read is left to Fraction, which refuses it at once."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        beyond = limit and abs(int(exponent)) > limit
+    except ValueError:
+        beyond = False
+    if beyond:
+        raise ParseError(f"cannot parse coefficient {raw!r:.40}: decimal exponent "
+                         f"beyond the int-to-str digit limit ({limit})")
 
 
 def _finite(value, den: int = 1, raw=None) -> float:

@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import COEFF_FIELDS, DarbouxCoefficients
 from .errors import ParseError
 from .recognizer import Verdict
-from .scalar import EXACT, Scalar, format_scalar, parse_scalar
+from .scalar import EXACT, format_scalar, parse_scalar
 
 
 _FIELD_SET = frozenset(COEFF_FIELDS)
@@ -50,17 +50,11 @@ def error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def scalar_json(v: Optional[Scalar]):
-    if v is None:
-        return None
-    return format_scalar(v)
-
-
 def verdict_to_json(v: Verdict) -> dict:
     out = {"kind": v.kind, "case": v.case_label or "none"}
     if v.witness is not None:
-        out["witness"] = {"name": v.witness[0], "value": scalar_json(v.witness[1])}
-    out["residuals"] = {k: scalar_json(val) for k, val in v.residuals.items()}
+        out["witness"] = {"name": v.witness[0], "value": format_scalar(v.witness[1])}
+    out["residuals"] = {k: format_scalar(val) for k, val in v.residuals.items()}
     if v.notes:
         out["notes"] = list(v.notes)
     return out

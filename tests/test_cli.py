@@ -82,6 +82,14 @@ class TestExitCodes:
         assert captured.err.startswith("cyclide: input error:")
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("mode", ["--exact", "--float"])
+    def test_huge_decimal_exponent_is_an_input_error(self, mode, capsys):
+        code = main(["classify", mode, '{"a0":1,"c1":"-10","c2":-10,"f0":"1e4000000"}'])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("cyclide: input error: key 'f0': ")
+        assert "decimal exponent beyond the int-to-str digit limit" in captured.err
+
     # huge and tiny finite cubics: a huge b over a quartic remainder below
     # tolerance (1e100, 1e200), and the 1e200 and 1e-200 multiples of
     # CUBIC22, whose recentering at their own scale overflows or underflows;

@@ -1,13 +1,17 @@
 """Source hygiene without a linter: every module of the package uses each
-name it imports.  An import line marked `# noqa: F401` is kept on purpose
-(a module attribute that bench/tracing.py wraps) and is exempt."""
+name it imports, and every module-level function or class of the package
+is read somewhere in src/, tests/ or bench/.  An import line marked
+`# noqa: F401` is kept on purpose (a module attribute that bench/tracing.py
+wraps) and is exempt from the first check."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cyclide"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cyclide"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str):
@@ -41,3 +45,41 @@ def test_an_unused_import_is_caught():
            "def f(x):\n"
            "    return hypot(x, x)\n")
     assert unused_imports(src) == [(1, "sqrt")]
+
+
+def unread_definitions(package_sources, reader_sources):
+    """Names of the module-level functions and classes defined in
+    package_sources that no source in reader_sources reads: as a name
+    loaded, an attribute, or a name imported from a module."""
+    defined = set()
+    for source in package_sources:
+        defined.update(node.name for node in ast.parse(source).body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                            ast.ClassDef)))
+    read = set()
+    for source in reader_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(defined - read)
+
+
+def test_every_function_and_class_is_read():
+    sources = {p: p.read_text(encoding="utf-8") for p in READERS}
+    package = [text for p, text in sources.items() if p.parent == PACKAGE]
+    assert package and unread_definitions(package, sources.values()) == []
+
+
+def test_an_unread_helper_is_caught():
+    package = ("def used(x):\n    return x\n"
+               "def orphan(x):\n    return used(x)\n"
+               "class Kept:\n    pass\n"
+               "class Lost:\n    pass\n")
+    reader = ("from pkg import Kept\n"
+              "import pkg\n"
+              "pkg.used(1)\n")
+    assert unread_definitions([package], [package, reader]) == ["Lost", "orphan"]
