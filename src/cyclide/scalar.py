@@ -20,11 +20,8 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-# a strict ASCII decimal literal, and the exponent of any text Fraction reads
-_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]([+-]?[0-9]+))?")
+# the decimal exponent of any text Fraction reads
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
-# no part of a text this short exceeds int()'s digit limit (640 at the least)
-_SHORT_TEXT = 640
 
 
 def parse_scalar(value, mode: str) -> Scalar:
@@ -51,18 +48,6 @@ def parse_scalar(value, mode: str) -> Scalar:
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             except ValueError:
                 pass
-        # float mode: a short unpadded decimal literal is float(text), the
-        # same correctly rounded float as float(Fraction(text)), except that
-        # an exact zero is +0.0 whatever its sign, as Fraction has no -0 (an
-        # underflow keeps its sign in both)
-        match = (_DECIMAL.fullmatch(value)
-                 if mode != EXACT and len(value) <= _SHORT_TEXT else None)
-        if match:
-            mantissa, exponent = match.groups()
-            if exponent:
-                _check_exponent(exponent, value)
-            v = _finite(float(value), 1, value)
-            return v if v or mantissa.strip("0.") else 0.0
     if type(value) is float and mode != EXACT and math.isfinite(value):
         return value
     if isinstance(value, bool):
@@ -90,10 +75,11 @@ def parse_scalar(value, mode: str) -> Scalar:
 
 def _check_exponent(exponent: str, raw) -> None:
     """ParseError naming the cell raw when the decimal exponent's magnitude
-    exceeds the int-to-str digit limit (none when the limit is off): the
-    power of ten Fraction(text) builds would take seconds.  An exponent
-    int() cannot read is left to Fraction, which refuses it at once."""
-    limit = sys.get_int_max_str_digits()
+    exceeds the int-to-str digit limit (none when the limit is off, or on a
+    Python before 3.10.7, which has none): the power of ten Fraction(text)
+    builds would take seconds.  An exponent int() cannot read is left to
+    Fraction, which refuses it at once."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         beyond = limit and abs(int(exponent)) > limit
     except ValueError:
