@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .core import DarbouxCoefficients, EuclideanMotion, apply_motion, sigma_orbit
+from .core import DarbouxCoefficients, EuclideanMotion, apply_motion, sigma_images
 from .errors import ComplexRoots, Inconsistent, IrrationalSpectrum
 from .invariants import InvariantBundle, base_invariants
 from .recognizer import Prepared, TolerancePolicy, residuals_back
@@ -223,12 +223,12 @@ def cubic_shift(c: DarbouxCoefficients, inv: InvariantBundle,
                 pol: TolerancePolicy) -> Tuple[Scalar, Scalar, Scalar]:
     """Recentering translation for a cubic: applying a pure translation by
     this vector removes the shift the surface carries (B0-homogenized closed
-    form of the per-axis solution, taken on the sigma-orbit of c).
-    inv = base_invariants(c); it serves the whole orbit."""
+    form of the per-axis solution, taken on the sigma-images of c).
+    inv = base_invariants(c); it serves every image."""
     b0x2, b0sqx2, w3 = 2 * inv.B0, 2 * inv.B0 ** 2, inv.W3
-    return tuple(-(pol.div(-cc.b1 * cc.c2 - cc.b1 * cc.c3 + cc.b2 * cc.d3 + cc.b3 * cc.d2, b0x2)
-                   + pol.div(cc.b1 * w3, b0sqx2))
-                 for cc in sigma_orbit(c))
+    return tuple(-(pol.div(-b1 * c2 - b1 * c3 + b2 * d3 + b3 * d2, b0x2)
+                   + pol.div(b1 * w3, b0sqx2))
+                 for _, b1, b2, b3, _, c2, c3, _, d2, d3, _, _, _, _ in sigma_images(c))
 
 
 def canonical_cubic_params(prep: Prepared,

@@ -12,10 +12,12 @@ the slots is written once, here.  `SLOT_WEIGHTS` is the weighted degree of
 each slot under (x,y,z) -> lam*(x,y,z) (0 for a0, 1 b, 2 c and d, 3 e, 4 f0):
 `weighted_rescale` and the float gauge read it, and every residual is
 weighted-homogeneous in it.  An index swap sigma_ij exchanges subscripts i
-and j in b, c, d and e at once; `apply_permutation` applies it as a table
-of slot indices, and `sigma_orbit(c) = (c, sigma12 c, sigma13 c)` is the one
-place the index 2 and 3 images of a formula are taken (K2, K3 of K1, likewise
-L, M and the cubic targets).  The symmetric invariants agree on the orbit.
+and j in b, c, d and e at once, by one table of slot indices.
+`sigma_images(c) = (c, sigma12 c, sigma13 c)`, the images as plain 14-tuples,
+is where the index 2 and 3 images of a formula are taken (K2, K3 of K1,
+likewise L, M, the cubic targets, the quadric forms and the cubic shift);
+`apply_permutation` and `sigma_orbit` give the same images as
+`DarbouxCoefficients`.  The symmetric invariants agree on the orbit.
 
 With M the symmetric matrix [[c1,d3,d2],[d3,c2,d1],[d2,d1,c3]], an orthogonal
 motion acts on the coefficients in closed form (`apply_motion`): a rotation
@@ -96,6 +98,7 @@ _PERMS = {SIGMA12: (1, 0, 2), SIGMA13: (2, 1, 0), SIGMA23: (0, 2, 1)}
 # as slot index tables: a0 and f0 stay, each 3-slot group is permuted
 _SLOT_TABLES = {which: itemgetter(0, *(g + i for g in (1, 4, 7, 10) for i in perm), 13)
                 for which, perm in _PERMS.items()}
+_SIGMA12_SLOTS, _SIGMA13_SLOTS = _SLOT_TABLES[SIGMA12], _SLOT_TABLES[SIGMA13]
 
 
 Monomial = Tuple[int, int, int]
@@ -396,6 +399,13 @@ def sigma_orbit(c: DarbouxCoefficients) -> Tuple[DarbouxCoefficients, ...]:
     """(c, sigma12 c, sigma13 c): the copies on which a formula written for
     index 1 gives its index 2 and index 3 images."""
     return (c, apply_permutation(c, SIGMA12), apply_permutation(c, SIGMA13))
+
+
+def sigma_images(c: DarbouxCoefficients) -> Tuple[Tuple[Scalar, ...], ...]:
+    """(c, sigma12 c, sigma13 c), the images as plain 14-tuples in slot
+    order: the slots on which a formula written for index 1 gives its index
+    2 and index 3 images, with no `DarbouxCoefficients` copy made."""
+    return (c, _SIGMA12_SLOTS(c), _SIGMA13_SLOTS(c))
 
 
 def weighted_rescale(c: DarbouxCoefficients, lam: Scalar) -> DarbouxCoefficients:

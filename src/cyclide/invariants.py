@@ -5,20 +5,27 @@ the rotational-quadric forms.
 Each family of named residuals is a plain {name: value} dict, keyed and
 ordered as it is reported (the cubic targets as their cleared (lhs, rhs)
 pairs), and `RESIDUAL_WEIGHTS` is the one table of their weighted degrees,
-including the residuals `recognizer` and `canonical` build themselves."""
+including the residuals `recognizer` and `canonical` build themselves.
+
+A formula written for index 1 is one kernel over a slot tuple (`k_form`,
+`l_form`, `m_form`, `_e_numerator`, `_s1`, `_t1`), unpacked once per call;
+its index 2 and 3 images are the same kernel on the plain tuples of
+`core.sigma_images`.  The symmetric scalars a kernel reads (C0, W1 + 4 f0,
+W2 - C0 W1 - 4 E0, B0, W3) are passed in, computed once by its caller."""
 from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from .core import DarbouxCoefficients, sigma_orbit
+from .core import DarbouxCoefficients, sigma_images
 from .errors import NotNormalized, PreconditionError, ZeroCubicPart
 from .scalar import Scalar
 
 
 class InvariantBundle(NamedTuple):
     """Symmetric abbreviations, invariant under all index permutations, as a
-    named 7-tuple: one is built per `base_invariants` call, twice per exact
-    quartic, so it is as cheap to make as `DarbouxCoefficients`."""
+    named 7-tuple: `prepare` builds the one bundle of a quartic or cubic
+    that every later stage reads (a cubic's canonical form one more, of
+    its recentred copy), so it is as cheap to make as `DarbouxCoefficients`."""
 
     B0: Scalar
     C0: Scalar
@@ -30,10 +37,7 @@ class InvariantBundle(NamedTuple):
 
 
 def base_invariants(c: DarbouxCoefficients) -> InvariantBundle:
-    b1, b2, b3 = c.b
-    c1, c2, c3 = c.c
-    d1, d2, d3 = c.d
-    e1, e2, e3 = c.e
+    _, b1, b2, b3, c1, c2, c3, d1, d2, d3, e1, e2, e3, _ = c
     return InvariantBundle(
         B0=b1 * b1 + b2 * b2 + b3 * b3,
         C0=c1 + c2 + c3,
@@ -47,34 +51,33 @@ def base_invariants(c: DarbouxCoefficients) -> InvariantBundle:
     )
 
 
-def k_form(c: DarbouxCoefficients) -> Scalar:
-    """K1 = (c3-c2)e2e3 + d1(e2^2-e3^2) + (d2e2-d3e3)e1."""
-    c1, c2, c3 = c.c
-    d1, d2, d3 = c.d
-    e1, e2, e3 = c.e
+def k_form(s) -> Scalar:
+    """K1 = (c3-c2)e2e3 + d1(e2^2-e3^2) + (d2e2-d3e3)e1 at the 14 slots s."""
+    _, _, _, _, _, c2, c3, d1, d2, d3, e1, e2, e3, _ = s
     return (c3 - c2) * e2 * e3 + d1 * (e2 * e2 - e3 * e3) + (d2 * e2 - d3 * e3) * e1
 
 
-def l_form(c: DarbouxCoefficients, inv: InvariantBundle) -> Scalar:
-    """L1; the leading bracket uses the symmetric W1 + 4 f0;
-    inv = base_invariants(c), or of any sigma-image of c (it is symmetric)."""
-    c1, c2, c3 = c.c
-    d1, d2, d3 = c.d
-    e1, e2, e3 = c.e
-    w14 = inv.W1 + 4 * c.f0
+def l_form(s, C0: Scalar, w14: Scalar) -> Scalar:
+    """L1 at the 14 slots s, with the symmetric C0 and w14 = W1 + 4 f0 of
+    base_invariants(c), c being s or any sigma-image of it."""
+    _, _, _, _, _, c2, c3, d1, d2, d3, e1, e2, e3, _ = s
     return ((w14 - (c2 + c3) ** 2 - d2 * d2 - d3 * d3) * e1
-            + (inv.C0 * d3 + c3 * d3 - d1 * d2) * e2
-            + (inv.C0 * d2 + c2 * d2 - d1 * d3) * e3)
+            + (C0 * d3 + c3 * d3 - d1 * d2) * e2
+            + (C0 * d2 + c2 * d2 - d1 * d3) * e3)
 
 
-def m_form(c: DarbouxCoefficients, inv: InvariantBundle) -> Scalar:
-    """M1 = 2(c1e1+d3e2+d2e3)(W1+4f0) + e1(W2 - C0 W1 - 4 E0);
-    inv = base_invariants(c), or of any sigma-image of c."""
-    c1 = c.c1
-    d2, d3 = c.d2, c.d3
-    e1, e2, e3 = c.e
-    return (2 * (c1 * e1 + d3 * e2 + d2 * e3) * (inv.W1 + 4 * c.f0)
-            + e1 * (inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0))
+def m_form(s, w14: Scalar, h: Scalar) -> Scalar:
+    """M1 = 2(c1e1+d3e2+d2e3)(W1+4f0) + e1(W2 - C0 W1 - 4 E0) at the 14
+    slots s, with the symmetric w14 = W1 + 4 f0 and h = W2 - C0 W1 - 4 E0."""
+    _, _, _, _, c1, _, _, _, d2, d3, e1, e2, e3, _ = s
+    return 2 * (c1 * e1 + d3 * e2 + d2 * e3) * w14 + e1 * h
+
+
+def lm_scalars(c: DarbouxCoefficients, inv: InvariantBundle
+               ) -> Tuple[Scalar, Scalar, Scalar]:
+    """(C0, W1 + 4 f0, W2 - C0 W1 - 4 E0): the symmetric scalars `l_form`
+    and `m_form` read, from inv = base_invariants(c)."""
+    return inv.C0, inv.W1 + 4 * c.f0, inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0
 
 
 # weighted degree of every named residual, under the slot weights of
@@ -98,38 +101,42 @@ RESIDUAL_WEIGHTS = {
 
 
 def _require_normalized(c: DarbouxCoefficients):
-    if c.a0 != 1 or any(v != 0 for v in c.b):
+    if c[0] != 1 or c[1] != 0 or c[2] != 0 or c[3] != 0:
         raise NotNormalized("requires a0 = 1 and b = 0 (run normalize_quartic)")
 
 
 def quartic_generators(c: DarbouxCoefficients) -> Dict[str, Scalar]:
     """The 12 generators K1..N3 at a normalized quartic c, by name: K, L and
-    M on the sigma-orbit of c, every L and M with the one bundle of c (it is
-    sigma-invariant), and the symmetric N1, N2, N3.  All twelve vanish
-    exactly when the surface is a Dupin cyclide."""
+    M on the sigma-images of c, every L and M with the symmetric scalars of
+    the one bundle of c (it is sigma-invariant), and the symmetric N1, N2,
+    N3.  All twelve vanish exactly when the surface is a Dupin cyclide."""
     _require_normalized(c)
     inv = base_invariants(c)
-    orbit = sigma_orbit(c)
-    k1, k2, k3 = (k_form(cc) for cc in orbit)
-    l1, l2, l3 = (l_form(cc, inv) for cc in orbit)
-    m1, m2, m3 = (m_form(cc, inv) for cc in orbit)
+    C0, w14, h = lm_scalars(c, inv)
+    s1, s2, s3 = sigma_images(c)
     n1, n2, n3 = _n_forms(c, inv)
-    return {"K1": k1, "K2": k2, "K3": k3, "L1": l1, "L2": l2, "L3": l3,
-            "M1": m1, "M2": m2, "M3": m3, "N1": n1, "N2": n2, "N3": n3}
+    return {"K1": k_form(s1), "K2": k_form(s2), "K3": k_form(s3),
+            "L1": l_form(s1, C0, w14), "L2": l_form(s2, C0, w14),
+            "L3": l_form(s3, C0, w14), "M1": m_form(s1, w14, h),
+            "M2": m_form(s2, w14, h), "M3": m_form(s3, w14, h),
+            "N1": n1, "N2": n2, "N3": n3}
 
 
 def quartic_generators_vanish(c: DarbouxCoefficients, inv: InvariantBundle) -> bool:
     """True iff all 12 generators of `quartic_generators` are exactly zero
     at the normalized exact quartic c, decided lazily: the symmetric N1, N2,
     N3 first, from inv = base_invariants(c) alone, then K, L and M on the
-    sigma-orbit only when every N vanishes; it stops at the first nonzero
+    sigma-images only when every N vanishes; it stops at the first nonzero
     generator.  N leads because K, L and M are linear in e, so at e = 0 only
     N can be nonzero."""
     _require_normalized(c)
     if any(_n_forms(c, inv)):
         return False
-    return not any(k_form(cc) or l_form(cc, inv) or m_form(cc, inv)
-                   for cc in sigma_orbit(c))
+    C0, w14, h = lm_scalars(c, inv)
+    for s in sigma_images(c):
+        if k_form(s) or l_form(s, C0, w14) or m_form(s, w14, h):
+            return False
+    return True
 
 
 def _n_forms(c: DarbouxCoefficients, inv: InvariantBundle):
@@ -158,12 +165,10 @@ def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle
     return (y0, y1, y2, y3)
 
 
-def _e_numerator(c: DarbouxCoefficients, B0: Scalar, W3: Scalar) -> Scalar:
-    """B0^3 * E1 as a polynomial (division-free); B0 and W3 are symmetric,
-    so the bundle of c serves every sigma-image of c."""
-    b1, b2, b3 = c.b
-    c1, c2, c3 = c.c
-    d1, d2, d3 = c.d
+def _e_numerator(s, B0: Scalar, W3: Scalar) -> Scalar:
+    """B0^3 * E1 as a polynomial (division-free) at the 14 slots s; B0 and
+    W3 are symmetric, so the bundle of c serves every sigma-image of c."""
+    _, b1, b2, b3, c1, c2, c3, d1, d2, d3, _, _, _, _ = s
     return (-b1 * (W3 - B0 * (c2 + c3)) ** 2
             + 2 * b1 * b1 * B0 * (b3 * c3 * d2 + b2 * c2 * d3)
             - 4 * b1 * B0 * (b3 * d2 + b2 * d3) ** 2
@@ -180,13 +185,13 @@ def cubic_forms(c: DarbouxCoefficients,
     Each equality is kept cleared of its B0 power, as the pair (lhs, rhs) =
     (4*e_i*B0^3, P_i) or (4*f0*B0^4, Q), so no division is made; the pairs
     are keyed by the name of their residual lhs - rhs.  P1 is taken on the
-    sigma-orbit of c for P2, P3; inv = base_invariants(c)."""
+    sigma-images of c for P2, P3; inv = base_invariants(c)."""
     if c.a0 != 0:
         raise PreconditionError("cubic forms require a0 = 0")
     if inv.B0 == 0:
         raise ZeroCubicPart("B0 = 0: no cubic part")
     B0 = inv.B0
-    p1, p2, p3 = (_e_numerator(cc, B0, inv.W3) for cc in sigma_orbit(c))
+    p1, p2, p3 = (_e_numerator(s, B0, inv.W3) for s in sigma_images(c))
     q = (inv.W3 * (inv.W3 - B0 * inv.C0) ** 2 + B0 * B0 * inv.W3 * inv.W1
          + B0 ** 3 * (inv.W2 - inv.C0 * inv.W1))
     B3 = B0 ** 3
@@ -195,16 +200,14 @@ def cubic_forms(c: DarbouxCoefficients,
             "4e3*B0^3-P3": (4 * c.e3 * B3, p3), "4f0*B0^4-Q": (4 * c.f0 * B4, q)}
 
 
-def _s1(c: DarbouxCoefficients) -> Scalar:
-    c1, c2, c3 = c.c
-    d1, d2, d3 = c.d
+def _s1(s) -> Scalar:
+    _, _, _, _, c1, c2, c3, d1, d2, d3, _, _, _, _ = s
     return (d1 * (d2 * d2 + d3 * d3 - 2 * d1 * d1)
             + (c2 + c3 - 2 * c1) * d2 * d3 + 2 * (c2 - c1) * (c3 - c1) * d1)
 
 
-def _t1(c: DarbouxCoefficients) -> Scalar:
-    c1, c2, c3 = c.c
-    d1, d2, d3 = c.d
+def _t1(s) -> Scalar:
+    _, _, _, _, _, c2, c3, d1, d2, d3, _, _, _, _ = s
     return d1 * (d2 * d2 - d3 * d3) + (c2 - c3) * d2 * d3
 
 
@@ -220,9 +223,9 @@ def quadric_forms(c: DarbouxCoefficients) -> Dict[str, Scalar]:
     e1, e2, e3 = c.e
     s0 = ((c3 - c2) * d1 * d1 + (c1 - c3) * d2 * d2 + (c2 - c1) * d3 * d3
           + (c1 - c2) * (c1 - c3) * (c2 - c3))
-    orbit = sigma_orbit(c)
-    s1, s12, s13 = map(_s1, orbit)
-    t1, t12, t13 = map(_t1, orbit)
+    images = sigma_images(c)
+    s1, s12, s13 = map(_s1, images)
+    t1, t12, t13 = map(_t1, images)
     # 4x4 determinant of [[c1,d3,d2,e1],[d3,c2,d1,e2],[d2,d1,c3,e3],[e1,e2,e3,f0]]
     m = ((c1, d3, d2, e1), (d3, c2, d1, e2), (d2, d1, c3, e3), (e1, e2, e3, c.f0))
     return {"S0": s0, "S1": s1, "S12": s12, "S13": s13,

@@ -4,8 +4,10 @@ Dispatch by degree, then the complete-intersection case logic for quartics,
 the rational-target equalities for cubics, and the rotational-quadric test.
 The 12-generator ideal cross-checks every exact quartic case decision:
 `quartic_generators_vanish` tests the symmetric N1, N2, N3 first, then K, L
-and M on the sigma-orbit only when every N vanishes, and stops at the first
-nonzero generator; `recognize_quartic_oracle` reports all twelve.
+and M on the sigma-images (`core.sigma_images`, plain slot tuples) only when
+every N vanishes, and stops at the first nonzero generator;
+`recognize_quartic_oracle` reports all twelve.  The axis cases (a)-(c) take
+their K, L and M on the same plain tuples, so no stage copies the input.
 
 Every decision reads a {name: value} dict of residuals: `_verdict` is the
 one rule (Dupin iff `_first_witness` finds no nonzero residual, in the order
@@ -40,13 +42,13 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (SLOT_WEIGHTS, DarbouxCoefficients, normalize_quartic,
-                   sigma_orbit, weighted_rescale)
+                   sigma_images, weighted_rescale)
 from .errors import InternalCheckError, PreconditionError, ZeroInput
 from .invariants import (RESIDUAL_WEIGHTS, InvariantBundle, base_invariants,
-                         cubic_forms, k_form, l_form, m_form, quadric_forms,
-                         quartic_generators, quartic_generators_vanish,
-                         reduced_generators_e0)
-from .scalar import EXACT, Scalar
+                         cubic_forms, k_form, l_form, lm_scalars, m_form,
+                         quadric_forms, quartic_generators,
+                         quartic_generators_vanish, reduced_generators_e0)
+from .scalar import EXACT, EXACT_ZERO, Scalar
 
 DUPIN_QUARTIC = "DupinQuartic"
 DUPIN_CUBIC = "DupinCubic"
@@ -192,13 +194,15 @@ def _lattice(c: DarbouxCoefficients, branch: str):
     g = math.gcd(q, *ints)
     lam = abs(q) // g
     unit = g if q > 0 else -g
-    base = [n // unit for n in ints[1:]]   # slots b..f0 divided by lam^(w-1)
-    k = 2 if quartic and any(v % 2 for v in base[:3]) else 1
+    # the slots b..f0 divided by lam^(w-1), w their weight
+    _, b1, b2, b3, c1, c2, c3, d1, d2, d3, e1, e2, e3, f0 = [n // unit for n in ints]
+    k = 2 if quartic and (b1 % 2 or b2 % 2 or b3 % 2) else 1
     lam *= k
-    l2 = lam * lam
-    power = (k, k * lam, k * l2, k * l2 * lam)   # k * lam^(w-1), w = 1..4
-    work = c._make((int(quartic), *(v * power[w - 1]
-                                    for v, w in zip(base, SLOT_WEIGHTS[1:]))))
+    p2 = k * lam                 # k * lam^(w-1) for w = 2, 3, 4
+    p3 = p2 * lam
+    p4 = p3 * lam
+    work = c._make((int(quartic), b1 * k, b2 * k, b3 * k, c1 * p2, c2 * p2, c3 * p2,
+                    d1 * p2, d2 * p2, d3 * p2, e1 * p3, e2 * p3, e3 * p3, f0 * p4))
     return (normalize_quartic(work) if quartic else work), Fraction(1, lam)
 
 
@@ -290,7 +294,7 @@ def residuals_back(res: Dict[str, Scalar], p: Prepared,
     # an exact scale is 1/lam, so v * scale_back(w) is v / lam**w: one int
     # power and one Fraction; a zero residual is zero at every scale
     lam = p.scale.denominator
-    return {name: Fraction(v, lam ** RESIDUAL_WEIGHTS[name]) if v else Fraction(0)
+    return {name: Fraction(v, lam ** RESIDUAL_WEIGHTS[name]) if v else EXACT_ZERO
             for name, v in res.items()}
 
 
@@ -324,17 +328,24 @@ def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
     return verdict
 
 
+# axis case label -> (axis i, the other two axes j < k, the names of the
+# residuals K_j, K_k, L_i, M_i), axes counted from 0
+_AXIS_CASES = {"a": (0, 1, 2, ("K2", "K3", "L1", "M1")),
+               "b": (1, 0, 2, ("K1", "K3", "L2", "M2")),
+               "c": (2, 0, 1, ("K1", "K2", "L3", "M3"))}
+
+
 def _axis_case_residuals(c: DarbouxCoefficients, label: str,
                          inv: InvariantBundle) -> Dict[str, Scalar]:
     """Residuals of the axis case i = 1, 2, 3 (label a, b, c): the K forms of
-    the other two axes, then L_i and M_i, each on the sigma-orbit of c;
-    inv = base_invariants(c), which serves the whole orbit."""
-    i = "abc".index(label)
-    orbit = sigma_orbit(c)
-    res = {f"K{j + 1}": k_form(cc) for j, cc in enumerate(orbit) if j != i}
-    res[f"L{i + 1}"] = l_form(orbit[i], inv)
-    res[f"M{i + 1}"] = m_form(orbit[i], inv)
-    return res
+    the other two axes, then L_i and M_i, each on the sigma-image of c that
+    `core.sigma_images` gives for its axis; inv = base_invariants(c), whose
+    symmetric scalars serve every image."""
+    i, j, k, names = _AXIS_CASES[label]
+    images = sigma_images(c)
+    C0, w14, h = lm_scalars(c, inv)
+    return dict(zip(names, (k_form(images[j]), k_form(images[k]),
+                            l_form(images[i], C0, w14), m_form(images[i], w14, h))))
 
 
 def _e0_case_residuals(c: DarbouxCoefficients, label: str,

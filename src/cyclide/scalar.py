@@ -19,6 +19,9 @@ Scalar = Union[Fraction, float]
 EXACT = "exact"
 FLOAT = "float"
 
+# exact zero, shared: a Fraction is immutable
+EXACT_ZERO = Fraction(0)
+
 
 # the decimal exponent of any text Fraction reads
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
-from fractions import Fraction
 from typing import Iterable
 
 from .core import COEFF_FIELDS, DarbouxCoefficients
 from .errors import ParseError
 from .recognizer import Verdict
-from .scalar import EXACT, format_scalar, parse_scalar
+from .scalar import EXACT, EXACT_ZERO, format_scalar, parse_scalar
 
 
 _FIELD_SET = frozenset(COEFF_FIELDS)
+# the default of a key's lookup: no JSON value is this object
+_MISSING = object()
 
 
 def parse_coefficients(obj, mode: str = EXACT) -> DarbouxCoefficients:
@@ -32,10 +33,12 @@ def parse_coefficients(obj, mode: str = EXACT) -> DarbouxCoefficients:
         unknown = sorted(set(obj) - _FIELD_SET)
         raise ParseError(f"unknown coefficient key(s): {', '.join(unknown)}")
     values = []
-    zero = Fraction(0) if mode == EXACT else 0.0  # a missing key: parse_scalar(0, mode)
+    zero = EXACT_ZERO if mode == EXACT else 0.0  # a missing key: parse_scalar(0, mode)
+    get = obj.get
     for key in COEFF_FIELDS:
+        value = get(key, _MISSING)
         try:
-            values.append(parse_scalar(obj[key], mode) if key in obj else zero)
+            values.append(zero if value is _MISSING else parse_scalar(value, mode))
         except ParseError as exc:
             raise ParseError(f"key {key!r}: {exc}") from exc
     return DarbouxCoefficients._make(values)

@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cyclide import serialize
 from cyclide.cli import main
+from cyclide.errors import ParseError
 from cyclide.serialize import parse_coefficients
 
 TORUS_JSON = '{"a0":1,"c1":"-10","c2":"-10","c3":"6","f0":"9"}'
@@ -296,6 +299,41 @@ class TestBatch:
         code, rows = run_cli(["recognize", "--float", "--tol", "1e-15", noisy],
                              capsys)
         assert code == 0 and rows[0]["kind"] == "NotDupin"
+
+
+class TestParseCoefficients:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_error_names_the_first_bad_key_in_field_order(self, mode):
+        # dict order puts f0 first; c2 comes first in COEFF_FIELDS
+        with pytest.raises(ParseError, match=r"^key 'c2': cannot parse"):
+            parse_coefficients({"f0": "x", "a0": 1, "c2": "1/0"}, mode)
+
+    @pytest.mark.parametrize("mode, zero", [("exact", Fraction(0)), ("float", 0.0)])
+    def test_a_missing_key_is_zero(self, mode, zero):
+        c = parse_coefficients({"a0": 1}, mode)
+        assert [(type(v), v) for v in c[1:]] == [(type(zero), zero)] * 13
+        if mode == "float":
+            assert {v.hex() for v in c[1:]} == {"0x0.0p+0"}
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_a_present_zero_goes_through_parse_scalar(self, mode, monkeypatch):
+        calls = []
+
+        def recorded(value, m):
+            calls.append(value)
+            return parse_scalar(value, m)
+
+        parse_scalar = serialize.parse_scalar
+        monkeypatch.setattr(serialize, "parse_scalar", recorded)
+        assert parse_coefficients({"e2": 0, "a0": 1}, mode).e2 == 0
+        assert calls == [1, 0]
+        # null and false are present values, and refused
+        for value in (None, False):
+            with pytest.raises(ParseError, match=r"^key 'e2': "):
+                parse_coefficients({"a0": 1, "e2": value}, mode)
+
+    def test_a_present_float_zero_keeps_its_sign(self):
+        assert parse_coefficients({"a0": 1, "e2": -0.0}, "float").e2.hex() == "-0x0.0p+0"
 
 
 class TestSubprocessEntry:

@@ -4,7 +4,10 @@ corpus and on a small hand corpus, pinned by sha256, and the decisions of
 
 A refactor that changes any byte of `generate`, `recognize`,
 `canonicalize` (which carries the class and J0 fields) or `to-torus` fails
-here.  The hand corpus holds exact forms the generator never emits.  Float
+here.  The hand corpus holds exact forms the generator never emits.  The
+witness corpus pins the NotDupin witnesses of quartics, which the generated
+corpus, all Dupin, never shows: generated Dupin quartics with a0 != 1 and
+their copies moved off the variety, over every case a-f.  Float
 values are left out: their `weighted_sup_norm` powers and map values come
 from libm and may differ across platforms.  Float decisions are pinned
 instead: per row the kind, case, class, `class_ambiguous`, the type of a
@@ -16,11 +19,17 @@ decision is meant to change, state the change and re-pin its digest.
 """
 import hashlib
 import json
+import random
 import re
+from fractions import Fraction
 
 import pytest
 
+from cyclide import DarbouxCoefficients, EuclideanMotion
 from cyclide.cli import main
+from cyclide.genkit import (generate_quartic_dupin, perturb_off_variety, random_motion,
+                            random_quartic_seed)
+from cyclide.serialize import coefficients_to_json
 
 CORPUS = ["generate", "--seed", "7", "--count", "400", "--kind", "mixed"]
 
@@ -87,6 +96,50 @@ def test_exact_stdout_of_hand_corpus_is_pinned(verb, capsys, tmp_path):
     out = stdout_of([verb, "--exact", str(path)], capsys)
     assert len(out.splitlines()) == len(HAND_CORPUS)
     assert sha256(out) == HAND_DIGESTS[verb]
+
+
+# rotations taking the canonical axis x to x, y and z: e of a centred
+# canonical quartic then lies on one axis, cases a, b and c
+AXES = (EuclideanMotion.identity(),
+        EuclideanMotion.rotation_by(((0, -1, 0), (1, 0, 0), (0, 0, 1))),
+        EuclideanMotion.rotation_by(((0, 0, -1), (0, 1, 0), (1, 0, 0))))
+
+
+def witness_corpus():
+    """60 generated Dupin quartics, every fourth in a random motion, the
+    others centred on an axis, and a case (f) quartic, each times a
+    projective factor k with a0 = k != 1; then each moved off the variety
+    by `perturb_off_variety`."""
+    rng = random.Random(18)
+    dupin = [generate_quartic_dupin(random_quartic_seed(
+                rng, AXES[i % 3] if i % 4 else random_motion(rng)))
+             for i in range(59)]
+    # C0 = 0, W1 + 3 f0 = 0 and W2^2 = 4 f0^3 at e = 0: case (f)
+    dupin.append(DarbouxCoefficients.make(a0=1, c=(1, 1, -2), f0=1))
+    dupin = [c.scale(Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 3, 7))))
+             for c in dupin]
+    dupin = [c if c.a0 != 1 else c.scale(2) for c in dupin]
+    return dupin + [perturb_off_variety(c, rng) for c in dupin]
+
+
+WITNESS_DIGEST = "dcd64b29eb20c2dad47d6cbf3aecc8b5809cfb478fbb52e9c0d545713e84edf2"
+
+
+def test_exact_witnesses_of_quartics_are_pinned(capsys, tmp_path):
+    rows = witness_corpus()
+    assert all(c.a0 != 1 for c in rows)
+    path = tmp_path / "witness.jsonl"
+    path.write_text("".join(json.dumps(coefficients_to_json(c)) + "\n" for c in rows),
+                    encoding="utf-8")
+    out = stdout_of(["recognize", "--exact", str(path)], capsys)
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 120
+    # a NotDupin quartic at e = 0 is reported on the last stratum tried,
+    # (e) or (f), never (d)
+    for kind in ("DupinQuartic", "NotDupin"):
+        cases = {r["case"] for r in reports if r["kind"] == kind}
+        assert cases == set("abcdef") - ({"d"} if kind == "NotDupin" else set())
+    assert sha256(out) == WITNESS_DIGEST
 
 
 FLOAT_DECISIONS = "d91289fec985fa3f415350d91292639b70d0e9b7f67272112fe55f38dd9d5bfb"

@@ -69,23 +69,53 @@ def test_to_torus_prepares_each_quartic_once(mode, monkeypatch):
         assert len(bundles) == 1 and bundles[0] is work
 
 
+SIGMA_USERS = (core, invariants, recognizer, canonical, classify, pipeline)
+
+
 def test_cross_check_stops_before_the_orbit(monkeypatch):
     # a nonzero N1 decides the exact cross-check before K, L and M, so no
-    # sigma-orbit is built for it; at e = 0 the case dispatch builds none
-    # either, so a whole recognize builds none
+    # sigma-image is taken for it; at e = 0 the case dispatch takes none
+    # either, so a whole recognize takes none
     pol = TolerancePolicy(EXACT)
     c = DarbouxCoefficients.make(a0=1, c=(-10, -10, 6), f0=8)
     p = prepare(c, pol)
     assert invariants.quartic_generators(p.work)["N1"] != 0
-    orbits = []
-    _record(monkeypatch, (core, invariants, recognizer), "sigma_orbit", orbits)
+    images = []
+    _record(monkeypatch, SIGMA_USERS, "sigma_images", images)
     assert invariants.quartic_generators_vanish(p.work, p.inv) is False
     assert pipeline.analyze(c, pol, "recognize")["kind"] == "NotDupin"
-    assert orbits == []
+    assert images == []
     moved = c.replace(e1=Fraction(1))
     p = prepare(moved, pol)
     assert recognizer.quartic_generators_vanish(p.work, p.inv) is False
-    assert orbits == []
+    assert images == []
+    # every N vanishes on the Dupin torus: K, L and M are then evaluated,
+    # on the images of one call
+    torus = prepare(c.replace(f0=Fraction(9)), pol)
+    assert recognizer.quartic_generators_vanish(torus.work, torus.inv) is True
+    assert images == [torus.work]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_to_torus_makes_no_permuted_copy(mode, monkeypatch):
+    # every index 2 and 3 image is taken as plain slots by sigma_images;
+    # no stage builds a DarbouxCoefficients copy by apply_permutation
+    rng = random.Random(18)
+    seed = random_quartic_seed(rng, smooth=True)
+    while seed.m == 0:  # e = 0 at the centre: no axis case
+        seed = random_quartic_seed(rng, smooth=True)
+    quartic = generate_quartic_dupin(seed)
+    cubic = generate_cubic_dupin(-2, 2, random_motion(rng))
+    copies, images = [], []
+    for name in ("apply_permutation", "sigma_orbit"):
+        _record(monkeypatch, SIGMA_USERS, name, copies)
+    _record(monkeypatch, SIGMA_USERS, "sigma_images", images)
+    for c in (quartic, cubic):
+        images.clear()
+        report = pipeline.analyze(c if mode == EXACT else c.to_float(),
+                                  TolerancePolicy(mode), "to-torus")
+        assert report["kind"].startswith("Dupin") and "canonical" in report
+        assert copies == [] and images
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
