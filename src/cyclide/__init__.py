@@ -17,7 +17,10 @@ from .moebius import (MoebiusMap, TorusSpec, build_map,
 from .recognizer import (Prepared, TolerancePolicy, Verdict, prepare, recognize,
                          recognize_cubic, recognize_quadric,
                          recognize_quartic_cases, recognize_quartic_oracle)
-from . import errors, genkit
+from . import errors
+
+# the generator kit is left out of the analysis path: `from cyclide import
+# genkit`, `import cyclide.genkit` and `from cyclide import *` import it
 
 __all__ = [
     "CanonicalCubic", "CanonicalQuartic", "SpectralData", "DarbouxCoefficients",

@@ -15,8 +15,8 @@ closed over the rationals and demands perfect-square discriminants
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Tuple
 
 from .core import DarbouxCoefficients, EuclideanMotion, apply_motion, sigma_images
 from .errors import ComplexRoots, Inconsistent, IrrationalSpectrum
@@ -25,32 +25,25 @@ from .recognizer import Prepared, TolerancePolicy, residuals_back
 from .scalar import Scalar, exact_sqrt, format_scalar
 
 
-class SpectralData(NamedTuple):
+class SpectralData(namedtuple("SpectralData", "A1 A2 A3 Dsq F")):
     """Eigenvalue triple of the canonical diagonal form plus D^2 and F.
 
     A1 is the eigenvalue whose eigenvector carries the linear part; the pair
     A2 <= A3 is an artifact ordering convention.
     """
 
-    A1: Scalar
-    A2: Scalar
-    A3: Scalar
-    Dsq: Scalar
-    F: Scalar
+    __slots__ = ()
 
-    def squares(self) -> Tuple[Scalar, Scalar, Scalar]:
+    def squares(self) -> tuple[Scalar, Scalar, Scalar]:
         """(alpha^2, gamma^2, delta^2) = ((A3-A1)/4, (A2-A1)/4, -(A2+A3)/4)."""
         return ((self.A3 - self.A1) / 4, (self.A2 - self.A1) / 4,
                 -(self.A2 + self.A3) / 4)
 
 
-class CanonicalQuartic(NamedTuple):
+class CanonicalQuartic(namedtuple("CanonicalQuartic", "alpha_sq gamma_sq delta_sq agd")):
     """Squared canonical parameters; agd = alpha*gamma*delta >= 0."""
 
-    alpha_sq: Scalar
-    gamma_sq: Scalar
-    delta_sq: Scalar
-    agd: Scalar
+    __slots__ = ()
 
     def coefficients(self, exact: bool = True) -> DarbouxCoefficients:
         """The canonical equation, translation-normalized: with (s, t, u) =
@@ -63,19 +56,17 @@ class CanonicalQuartic(NamedTuple):
             e=(4 * self.agd, 0, 0), f0=(s - t - u) ** 2 - 4 * t * u, exact=exact)
 
 
-class CanonicalCubic(NamedTuple):
-    """Parameter pair p <= q and the recentering translation.
+class CanonicalCubic(namedtuple("CanonicalCubic", "p q shift")):
+    """Parameter pair p <= q and the recentering translation, a 3-tuple.
 
     Applying a pure translation by `shift` to the input coefficients yields
     the rotated-canonical form (no residual translation terms).
     """
 
-    p: Scalar
-    q: Scalar
-    shift: Tuple[Scalar, Scalar, Scalar]
+    __slots__ = ()
 
 
-def _sqrt(v: Scalar, exact: bool, name: str, prep: Optional[Prepared] = None,
+def _sqrt(v: Scalar, exact: bool, name: str, prep: Prepared | None = None,
           w: int = 0) -> Scalar:
     """sqrt(v): a rational root in exact mode, or IrrationalSpectrum naming
     `name` and v when there is none, v taken back by prep.scale_back(w) when
@@ -91,45 +82,48 @@ def _sqrt(v: Scalar, exact: bool, name: str, prep: Optional[Prepared] = None,
     return root
 
 
-def _check(res: Dict[str, Scalar], prep: Prepared, pol: TolerancePolicy,
-           what: str) -> None:
-    """Inconsistent naming `what` and every residual of res that is nonzero
-    at prep's gauge, printed at the caller's scale by `residuals_back`.  At
-    unit gauge a loose constant absorbs the division noise of the A_i."""
-    bad = {k: v for k, v in res.items() if pol.nonzero(v, 100)}
-    if bad:
-        shown = {k: format_scalar(v) for k, v in residuals_back(bad, prep, pol).items()}
-        raise Inconsistent(f"{what}: {shown}")
+def _check(names: tuple[str, ...], values: tuple[Scalar, ...], prep: Prepared,
+           pol: TolerancePolicy, what: str) -> None:
+    """Inconsistent naming `what` and every value that is nonzero at prep's
+    gauge, by its name in names, printed at the caller's scale by
+    `residuals_back`; the names are read only then.  At unit gauge a loose
+    constant absorbs the division noise of the A_i."""
+    for value in values:
+        if pol.nonzero(value, 100):
+            bad = {k: v for k, v in zip(names, values) if pol.nonzero(v, 100)}
+            shown = {k: format_scalar(v) for k, v in residuals_back(bad, prep, pol).items()}
+            raise Inconsistent(f"{what}: {shown}")
+
+
+# the names of the values `_a1_system` and `_closure` give, in order
+_A1_NAMES = ("G1", "G2", "G3", "H1", "H2", "H3", "charpoly")
+_CLOSURE_NAMES = ("Dsq-4E0", "F-f0", "sym1", "sym2", "sym3")
 
 
 def _a1_system(c: DarbouxCoefficients, inv: InvariantBundle,
-               a1: Scalar) -> Dict[str, Scalar]:
-    """The linear system {G1,G2,G3,H1,H2,H3} and the characteristic
+               a1: Scalar) -> tuple[Scalar, ...]:
+    """The linear system G1, G2, G3, H1, H2, H3 and the characteristic
     polynomial at the candidate a1; inv = base_invariants(c)."""
     c1, c2, c3 = c.c
     d1, d2, d3 = c.d
     e1, e2, e3 = c.e
     f0 = c.f0
-    return {
-        "G1": -e1 * a1 + c1 * e1 + d3 * e2 + d2 * e3,
-        "G2": -e2 * a1 + d3 * e1 + c2 * e2 + d1 * e3,
-        "G3": -e3 * a1 + d2 * e1 + d1 * e2 + c3 * e3,
-        "H1": 2 * (inv.W1 + 4 * f0) * a1 + inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0,
-        "H2": ((inv.C0 ** 2 + 4 * inv.W1 + 12 * f0) * a1
-               - inv.C0 ** 3 + 4 * inv.C0 * f0 - 4 * inv.E0),
-        "H3": a1 * a1 - 2 * inv.C0 * a1 + inv.C0 ** 2 - inv.W1 - 4 * f0,
-        "charpoly": a1 ** 3 - inv.C0 * a1 ** 2 + inv.W1 * a1 - inv.W2,
-    }
+    return (-e1 * a1 + c1 * e1 + d3 * e2 + d2 * e3,
+            -e2 * a1 + d3 * e1 + c2 * e2 + d1 * e3,
+            -e3 * a1 + d2 * e1 + d1 * e2 + c3 * e3,
+            2 * (inv.W1 + 4 * f0) * a1 + inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0,
+            ((inv.C0 ** 2 + 4 * inv.W1 + 12 * f0) * a1
+             - inv.C0 ** 3 + 4 * inv.C0 * f0 - 4 * inv.E0),
+            a1 * a1 - 2 * inv.C0 * a1 + inv.C0 ** 2 - inv.W1 - 4 * f0,
+            a1 ** 3 - inv.C0 * a1 ** 2 + inv.W1 * a1 - inv.W2)
 
 
 def _closure(c: DarbouxCoefficients, inv: InvariantBundle, a1: Scalar, a2: Scalar,
-             a3: Scalar, dsq: Scalar, f: Scalar) -> Dict[str, Scalar]:
-    """The spectral closure checks: elementary symmetric functions of the
-    A_i against C0, W1, W2; Dsq against 4 E0; F against f0."""
-    return {"Dsq-4E0": dsq - 4 * inv.E0, "F-f0": f - c.f0,
-            "sym1": a1 + a2 + a3 - inv.C0,
-            "sym2": a1 * a2 + a1 * a3 + a2 * a3 - inv.W1,
-            "sym3": a1 * a2 * a3 - inv.W2}
+             a3: Scalar, dsq: Scalar, f: Scalar) -> tuple[Scalar, ...]:
+    """The spectral closure checks: Dsq against 4 E0, F against f0, and the
+    elementary symmetric functions of the A_i against C0, W1, W2."""
+    return (dsq - 4 * inv.E0, f - c.f0, a1 + a2 + a3 - inv.C0,
+            a1 * a2 + a1 * a3 + a2 * a3 - inv.W1, a1 * a2 * a3 - inv.W2)
 
 
 def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
@@ -162,12 +156,13 @@ def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
     else:
         # on this stratum H3 = (A1 - C0)^2: double root
         a1 = inv.C0
-    _check(_a1_system(work, inv, a1), prep, pol, "A1 system has no common solution")
+    _check(_A1_NAMES, _a1_system(work, inv, a1), prep, pol,
+           "A1 system has no common solution")
     return a1
 
 
 def _a23_at_scale(prep: Prepared, a1: Scalar,
-                  pol: TolerancePolicy) -> Tuple[Scalar, Scalar]:
+                  pol: TolerancePolicy) -> tuple[Scalar, Scalar]:
     """The other two eigenvalues: roots of X^2 + (A1-C0) X + W1 - C0 A1 + A1^2,
     ordered A2 <= A3; float roots use the stabilized quadratic formula and a
     slightly-negative discriminant snaps to zero (boundary double roots)."""
@@ -202,7 +197,8 @@ def spectral_data(prep: Prepared, pol: TolerancePolicy) -> SpectralData:
     a2, a3 = _a23_at_scale(prep, a1, pol)
     dsq = -(a2 + a3) * (a1 - a2) * (a1 - a3)
     f = (a2 * a2 + a3 * a3 + a2 * a3 - a1 * a2 - a1 * a3) / 4
-    _check(_closure(work, inv, a1, a2, a3, dsq, f), prep, pol, "spectral closure failed")
+    _check(_CLOSURE_NAMES, _closure(work, inv, a1, a2, a3, dsq, f), prep, pol,
+           "spectral closure failed")
     k2 = prep.scale_back(2)
     return SpectralData(A1=a1 * k2, A2=a2 * k2, A3=a3 * k2,
                         Dsq=dsq * prep.scale_back(6), F=f * prep.scale_back(4))
@@ -220,7 +216,7 @@ def canonical_quartic_params(s: SpectralData) -> CanonicalQuartic:
 
 
 def cubic_shift(c: DarbouxCoefficients, inv: InvariantBundle,
-                pol: TolerancePolicy) -> Tuple[Scalar, Scalar, Scalar]:
+                pol: TolerancePolicy) -> tuple[Scalar, Scalar, Scalar]:
     """Recentering translation for a cubic: applying a pure translation by
     this vector removes the shift the surface carries (B0-homogenized closed
     form of the per-axis solution, taken on the sigma-images of c).

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple, Optional, Tuple
+from collections import namedtuple
 
 from .canonical import SpectralData
 from .errors import FormulaDisagreement, PreconditionError
@@ -49,9 +49,10 @@ J0_MINUS_INF = "minus_infinity"
 J0_UNDEFINED = "undefined"
 
 
-class J0Value(NamedTuple):
-    kind: str
-    value: Optional[Scalar] = None
+class J0Value(namedtuple("J0Value", "kind value", defaults=(None,))):
+    """J0 of a surface: kind J0_FINITE with its value, or a kind alone."""
+
+    __slots__ = ()
 
     @classmethod
     def finite(cls, v: Scalar) -> "J0Value":
@@ -72,7 +73,7 @@ def classify_quartic(sd: SpectralData, pol: TolerancePolicy) -> SurfaceClass:
 
 
 def classify_quartic_report(sd: SpectralData,
-                            pol: TolerancePolicy) -> Tuple[SurfaceClass, bool]:
+                            pol: TolerancePolicy) -> tuple[SurfaceClass, bool]:
     """(label, ambiguous): ambiguous flags a float equality decided within
     tolerance, i.e. the input sits on (or hugs) a stratification boundary.
 

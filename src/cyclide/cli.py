@@ -11,12 +11,10 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 
 from .errors import CyclideError, InternalCheckError, ParseError, ZeroInput
-from .genkit import generate_cubic_dupin, generate_quartic_dupin, random_motion, random_quartic_seed
 from .pipeline import analyze
 from .recognizer import TolerancePolicy
 from .scalar import EXACT, FLOAT, format_scalar
@@ -163,6 +161,9 @@ def _run_analysis(args) -> int:
 
 
 def _run_generate(args) -> int:
+    import random
+    from .genkit import (generate_cubic_dupin, generate_quartic_dupin, random_motion,
+                         random_quartic_seed)
     rng = random.Random(args.seed)
     for i in range(args.count):
         kind = args.kind

@@ -32,29 +32,19 @@ generators and the Moebius map (`point_residual`).
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, NamedTuple, Tuple
 
 from .errors import NotQuartic, ShapeError, ZeroScale
 from .scalar import Scalar
 
 
-class DarbouxCoefficients(NamedTuple):
-    a0: Scalar
-    b1: Scalar
-    b2: Scalar
-    b3: Scalar
-    c1: Scalar
-    c2: Scalar
-    c3: Scalar
-    d1: Scalar
-    d2: Scalar
-    d3: Scalar
-    e1: Scalar
-    e2: Scalar
-    e3: Scalar
-    f0: Scalar
+class DarbouxCoefficients(namedtuple(
+        "DarbouxCoefficients", "a0 b1 b2 b3 c1 c2 c3 d1 d2 d3 e1 e2 e3 f0")):
+    """The fourteen slots, all Fractions or ints (exact) or all floats."""
+
+    __slots__ = ()
 
     @classmethod
     def make(cls, a0=0, b=(0, 0, 0), c=(0, 0, 0), d=(0, 0, 0), e=(0, 0, 0), f0=0,
@@ -62,7 +52,7 @@ class DarbouxCoefficients(NamedTuple):
         conv = Fraction if exact else float
         return cls._make(map(conv, (a0, *b, *c, *d, *e, f0)))
 
-    def astuple(self) -> Tuple[Scalar, ...]:
+    def astuple(self) -> tuple[Scalar, ...]:
         return tuple(self)
 
     # the 3-slot groups, as plain tuples
@@ -101,7 +91,7 @@ _SLOT_TABLES = {which: itemgetter(0, *(g + i for g in (1, 4, 7, 10) for i in per
 _SIGMA12_SLOTS, _SIGMA13_SLOTS = _SLOT_TABLES[SIGMA12], _SLOT_TABLES[SIGMA13]
 
 
-Monomial = Tuple[int, int, int]
+Monomial = tuple[int, int, int]
 
 
 class TriPoly:
@@ -114,8 +104,8 @@ class TriPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Monomial, Scalar] | None = None):
-        self.terms: Dict[Monomial, Scalar] = {}
+    def __init__(self, terms: dict[Monomial, Scalar] | None = None):
+        self.terms: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
                 if coeff != 0:
@@ -143,7 +133,7 @@ class TriPoly:
         return res
 
     def __mul__(self, other: "TriPoly") -> "TriPoly":
-        out: Dict[Monomial, Scalar] = {}
+        out: dict[Monomial, Scalar] = {}
         for (i1, j1, k1), v1 in self.terms.items():
             for (i2, j2, k2), v2 in other.terms.items():
                 mono = (i1 + i2, j1 + j2, k1 + k2)
@@ -183,7 +173,7 @@ class TriPoly:
         """
         lin = []
         for r in range(3):
-            t: Dict[Monomial, Scalar] = {}
+            t: dict[Monomial, Scalar] = {}
             coeffs = (rows[r][0], rows[r][1], rows[r][2])
             for axis, cval in enumerate(coeffs):
                 if cval != 0:
@@ -208,11 +198,11 @@ class TriPoly:
         return out
 
 
-class EuclideanMotion(NamedTuple):
-    """Rigid (or improper-orthogonal) motion: x -> R x + t."""
+class EuclideanMotion(namedtuple("EuclideanMotion", "rotation translation")):
+    """Rigid (or improper-orthogonal) motion: x -> R x + t, with the
+    rotation R a 3-tuple of 3-tuple rows and the translation t a 3-tuple."""
 
-    rotation: Tuple[Tuple[Scalar, ...], ...]
-    translation: Tuple[Scalar, ...]
+    __slots__ = ()
 
     @classmethod
     def identity(cls) -> "EuclideanMotion":
@@ -395,13 +385,13 @@ def apply_permutation(c: DarbouxCoefficients, which: str) -> DarbouxCoefficients
     return DarbouxCoefficients._make(_SLOT_TABLES[which](c))
 
 
-def sigma_orbit(c: DarbouxCoefficients) -> Tuple[DarbouxCoefficients, ...]:
+def sigma_orbit(c: DarbouxCoefficients) -> tuple[DarbouxCoefficients, ...]:
     """(c, sigma12 c, sigma13 c): the copies on which a formula written for
     index 1 gives its index 2 and index 3 images."""
     return (c, apply_permutation(c, SIGMA12), apply_permutation(c, SIGMA13))
 
 
-def sigma_images(c: DarbouxCoefficients) -> Tuple[Tuple[Scalar, ...], ...]:
+def sigma_images(c: DarbouxCoefficients) -> tuple[tuple[Scalar, ...], ...]:
     """(c, sigma12 c, sigma13 c), the images as plain 14-tuples in slot
     order: the slots on which a formula written for index 1 gives its index
     2 and index 3 images, with no `DarbouxCoefficients` copy made."""

@@ -14,26 +14,20 @@ its index 2 and 3 images are the same kernel on the plain tuples of
 W2 - C0 W1 - 4 E0, B0, W3) are passed in, computed once by its caller."""
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+from collections import namedtuple
 
 from .core import DarbouxCoefficients, sigma_images
 from .errors import NotNormalized, PreconditionError, ZeroCubicPart
 from .scalar import Scalar
 
 
-class InvariantBundle(NamedTuple):
+class InvariantBundle(namedtuple("InvariantBundle", "B0 C0 E0 W1 W2 W3 W4")):
     """Symmetric abbreviations, invariant under all index permutations, as a
     named 7-tuple: `prepare` builds the one bundle of a quartic or cubic
     that every later stage reads (a cubic's canonical form one more, of
     its recentred copy), so it is as cheap to make as `DarbouxCoefficients`."""
 
-    B0: Scalar
-    C0: Scalar
-    E0: Scalar
-    W1: Scalar
-    W2: Scalar
-    W3: Scalar
-    W4: Scalar
+    __slots__ = ()
 
 
 def base_invariants(c: DarbouxCoefficients) -> InvariantBundle:
@@ -74,7 +68,7 @@ def m_form(s, w14: Scalar, h: Scalar) -> Scalar:
 
 
 def lm_scalars(c: DarbouxCoefficients, inv: InvariantBundle
-               ) -> Tuple[Scalar, Scalar, Scalar]:
+               ) -> tuple[Scalar, Scalar, Scalar]:
     """(C0, W1 + 4 f0, W2 - C0 W1 - 4 E0): the symmetric scalars `l_form`
     and `m_form` read, from inv = base_invariants(c)."""
     return inv.C0, inv.W1 + 4 * c.f0, inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0
@@ -105,7 +99,7 @@ def _require_normalized(c: DarbouxCoefficients):
         raise NotNormalized("requires a0 = 1 and b = 0 (run normalize_quartic)")
 
 
-def quartic_generators(c: DarbouxCoefficients) -> Dict[str, Scalar]:
+def quartic_generators(c: DarbouxCoefficients) -> dict[str, Scalar]:
     """The 12 generators K1..N3 at a normalized quartic c, by name: K, L and
     M on the sigma-images of c, every L and M with the symmetric scalars of
     the one bundle of c (it is sigma-invariant), and the symmetric N1, N2,
@@ -151,7 +145,7 @@ def _n_forms(c: DarbouxCoefficients, inv: InvariantBundle):
 
 
 def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle
-                          ) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
+                          ) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     """(Y0, Y1, Y2, Y3) of the e = 0 reduction; precondition e1 = e2 = e3 = 0.
     Only C0, W1 and W2 of inv are read, so the bundle of c with any e serves."""
     if any(v != 0 for v in c.e):
@@ -179,7 +173,7 @@ def _e_numerator(s, B0: Scalar, W3: Scalar) -> Scalar:
 
 
 def cubic_forms(c: DarbouxCoefficients,
-                inv: InvariantBundle) -> Dict[str, Tuple[Scalar, Scalar]]:
+                inv: InvariantBundle) -> dict[str, tuple[Scalar, Scalar]]:
     """Rational targets that cut out Dupin cyclides among cubics: the
     surface is Dupin iff 4*e_i = P_i/B0^3 (i = 1,2,3) and f0 = Q/(4*B0^4).
     Each equality is kept cleared of its B0 power, as the pair (lhs, rhs) =
@@ -211,7 +205,7 @@ def _t1(s) -> Scalar:
     return d1 * (d2 * d2 - d3 * d3) + (c2 - c3) * d2 * d3
 
 
-def quadric_forms(c: DarbouxCoefficients) -> Dict[str, Scalar]:
+def quadric_forms(c: DarbouxCoefficients) -> dict[str, Scalar]:
     """The seven cubic forms that cut out rotational quadrics, by name (the
     symmetric S0, then S1, T1 and their sigma12, sigma13 images), and det of
     the extended 4x4 symmetric matrix, "detPhat" (zero when the quadric is

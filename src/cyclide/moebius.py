@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .canonical import CanonicalQuartic
 from .core import DarbouxCoefficients, point_residual
@@ -24,12 +25,11 @@ INVERSE = "inverse"
 CALIBRATION_BOUND = 1e-9
 
 
-class TorusSpec(NamedTuple):
+class TorusSpec(namedtuple("TorusSpec", "r_sq R_sq")):
     """Squared minor/major radii; negative values encode the degenerate and
     empty families."""
 
-    r_sq: Scalar
-    R_sq: Scalar
+    __slots__ = ()
 
     def ratio(self) -> Scalar:
         if self.R_sq == 0:
@@ -56,7 +56,7 @@ def torus_radii(q: CanonicalQuartic) -> TorusSpec:
     return TorusSpec(r_sq=q.delta_sq - q.gamma_sq, R_sq=q.alpha_sq - q.gamma_sq)
 
 
-def torus_radii_inversive(q: CanonicalQuartic) -> Tuple[float, float]:
+def torus_radii_inversive(q: CanonicalQuartic) -> tuple[float, float]:
     """Unscaled radii of the inversion image: r = gamma^2 eps/(alpha eps + beta delta),
     R likewise with beta; float, principal roots.  NotRealOverR when the data
     is not real."""
@@ -80,26 +80,23 @@ MOBT2A = "mobt2a"
 MOBT2 = "mobt2"
 
 
-class MoebiusMap(NamedTuple):
+class MoebiusMap(namedtuple("MoebiusMap",
+                            "center translation factor axis_swap direction signs variant",
+                            defaults=(FORWARD, (1, 1), MOBT))):
     """Inversion composed with a similarity:
-    P -> translation + factor * swap(P - center)/|P - center|^2.
+    P -> translation + factor * swap(P - center)/|P - center|^2, with center
+    and translation float 3-tuples and the sign pair `signs` of two ints.
 
     direction=inverse applies the algebraic inverse, which is the same kind
     of map with center and translation exchanged.
     """
 
-    center: Tuple[float, float, float]
-    translation: Tuple[float, float, float]
-    factor: float
-    axis_swap: bool
-    direction: str = FORWARD
-    signs: Tuple[int, int] = (1, 1)
-    variant: str = MOBT
+    __slots__ = ()
 
     def inverse(self) -> "MoebiusMap":
         return self._replace(direction=INVERSE if self.direction == FORWARD else FORWARD)
 
-    def apply(self, point) -> Tuple[float, float, float]:
+    def apply(self, point) -> tuple[float, float, float]:
         src, dst = self.center, self.translation
         if self.direction == INVERSE:
             src, dst = dst, src
@@ -126,7 +123,7 @@ def _real_or_raise(value: complex, what: str, scale: float = 1.0) -> float:
 
 
 def build_map(q: CanonicalQuartic, variant: str,
-              signs: Tuple[int, int] = (1, 1)) -> MoebiusMap:
+              signs: tuple[int, int] = (1, 1)) -> MoebiusMap:
     """Populate the map data from the printed inversion formulas.
 
     mobt:   center (gamma,0,0), translation ((alpha delta + beta eps)/gamma, 0, 0),
@@ -181,12 +178,12 @@ def build_map(q: CanonicalQuartic, variant: str,
     raise PreconditionError(f"unknown variant {variant!r}")
 
 
-class CalibrationReport(NamedTuple):
-    signs: Tuple[int, int]
-    axis_swap: bool
-    direction: str
-    target_side: str  # "cyclide" or "torus"
-    residual: float
+class CalibrationReport(namedtuple("CalibrationReport", "signs axis_swap direction "
+                                                       "target_side residual")):
+    """The convention `calibrate_convention` chose; target_side is "cyclide"
+    or "torus"."""
+
+    __slots__ = ()
 
 
 def _torus_side_coefficients(q: CanonicalQuartic, variant: str) -> DarbouxCoefficients:
@@ -204,7 +201,7 @@ def _torus_side_coefficients(q: CanonicalQuartic, variant: str) -> DarbouxCoeffi
 
 
 def calibrate_convention(q: CanonicalQuartic, variant: str,
-                         samples: Sequence[Tuple[float, float, float]]):
+                         samples: Sequence[tuple[float, float, float]]):
     """Search the sign/swap/direction conventions and the source/target role
     for the one minimizing the max target-equation residual over the samples.
 
@@ -219,7 +216,7 @@ def calibrate_convention(q: CanonicalQuartic, variant: str,
     # canonical order: printed signs, printed swap, forward first; the first
     # convention meeting the bound wins, so ties on rounding noise between
     # equally valid sign symmetries resolve to the printed formula
-    best: Tuple[float, Optional[MoebiusMap], Optional[CalibrationReport]] = (
+    best: tuple[float, MoebiusMap | None, CalibrationReport | None] = (
         math.inf, None, None)
     for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         try:

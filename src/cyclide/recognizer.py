@@ -9,11 +9,13 @@ every N vanishes, and stops at the first nonzero generator;
 `recognize_quartic_oracle` reports all twelve.  The axis cases (a)-(c) take
 their K, L and M on the same plain tuples, so no stage copies the input.
 
-Every decision reads a {name: value} dict of residuals: `_verdict` is the
-one rule (Dupin iff `_first_witness` finds no nonzero residual, in the order
-the dict is reported), and `residuals_back` the one way a dict of named
-residuals is taken to the caller's scale, by the weights of
-`invariants.RESIDUAL_WEIGHTS` (an exact one as Fraction(v, lam**w)).
+Every decision reads a {name: value} dict of residuals: `_first_witness`
+picks the witness at the gauge, the first nonzero residual in the order the
+dict is reported, and `_verdict` is the one rule (Dupin iff there is none)
+and the one place a decided `Verdict` is built, once, with its final
+values; `residuals_back` is the one way a dict of named residuals is taken
+to the caller's scale, by the weights of `invariants.RESIDUAL_WEIGHTS` (an
+exact one as Fraction(v, lam**w)).
 
 `prepare` is the one place that decides an input's degree branch and gauges
 it, and `Prepared.scale_back` the one way back: every stage after it, here
@@ -37,9 +39,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (SLOT_WEIGHTS, DarbouxCoefficients, normalize_quartic,
                    sigma_images, weighted_rescale)
@@ -59,8 +60,7 @@ DEGENERATE = "DegenerateInput"
 # degree branches of a prepared input
 QUARTIC, CUBIC, QUADRIC, LINEAR = "quartic", "cubic", "quadric", "linear"
 
-@dataclass(frozen=True)
-class TolerancePolicy:
+class TolerancePolicy(namedtuple("TolerancePolicy", "mode tau_rel exact")):
     """Zero-test authority: the only place tau_rel is compared.
 
     Exact mode: zero means literal zero, whatever the scale.  Float mode:
@@ -69,14 +69,24 @@ class TolerancePolicy:
     float input to unit weighted sup-norm) that size is 1, the default;
     callers testing a value off the gauge, or with a looser constant, pass
     its scale and constant together as `scale`.
+
+    An immutable record, equal and hashable by value; the third field,
+    exact = (mode == EXACT), is stored when the policy is built from mode
+    and tau_rel, which is also how `_make`, `_replace` and copies build it.
     """
 
-    mode: str = EXACT
-    tau_rel: float = 1e-9
-    exact: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "exact", self.mode == EXACT)
+    def __new__(cls, mode: str = EXACT, tau_rel: float = 1e-9):
+        return tuple.__new__(cls, (mode, tau_rel, mode == EXACT))
+
+    def __getnewargs__(self):
+        return self[:2]
+
+    @classmethod
+    def _make(cls, fields):
+        mode, tau_rel, _ = fields
+        return cls(mode, tau_rel)
 
     def is_zero(self, value: Scalar, scale: Scalar = 1) -> bool:
         if self.exact:
@@ -93,7 +103,8 @@ class TolerancePolicy:
         return Fraction(num, den) if self.exact else num / den
 
 
-class Prepared(NamedTuple):
+class Prepared(namedtuple("Prepared", "raw branch work scale inv float_normalized zero_point",
+                          defaults=(None, 1, None, None, False))):
     """One input, prepared once by `prepare` for every stage: `raw` is the
     input, `work` the gauged copy every stage runs on and `inv` its
     invariant bundle; `zero_point` marks a float quartic that cancels to
@@ -101,16 +112,11 @@ class Prepared(NamedTuple):
     weighted degree w is its value on work times `scale_back(w)`, the one
     way back: on `normalized` for a quartic; on `raw` for an exact cubic
     or quadric, and on `raw` divided by max |b| or max |c, d| for a float
-    one.  An exact work is on the integer lattice with scale = 1/lam."""
+    one.  An exact work is on the integer lattice with scale = 1/lam.
+    `float_normalized` is normalize_quartic(raw) of a float quartic; exact
+    mode derives it."""
 
-    raw: DarbouxCoefficients
-    branch: str
-    work: Optional[DarbouxCoefficients] = None
-    scale: Scalar = 1
-    inv: Optional[InvariantBundle] = None
-    # normalize_quartic(raw) of a float quartic; exact mode derives it
-    float_normalized: Optional[DarbouxCoefficients] = None
-    zero_point: bool = False
+    __slots__ = ()
 
     def scale_back(self, w: int) -> Scalar:
         """scale**w, the factor taking a value of weight w at the gauge back
@@ -119,7 +125,7 @@ class Prepared(NamedTuple):
         return (s * s) ** (w // 2) if w % 2 == 0 else s ** w
 
     @property
-    def normalized(self) -> Optional[DarbouxCoefficients]:
+    def normalized(self) -> DarbouxCoefficients | None:
         """normalize_quartic(raw) for a quartic, else None; in exact mode
         the lattice copy taken back to the caller's scale, as Fractions."""
         if self.branch != QUARTIC or self.float_normalized is not None:
@@ -128,15 +134,15 @@ class Prepared(NamedTuple):
                                for v, w in zip(self.work, SLOT_WEIGHTS))
 
 
-@dataclass
-class Verdict:
-    kind: str
-    case_label: Optional[str] = None
-    witness: Optional[Tuple[str, Scalar]] = None
-    residuals: Dict[str, Scalar] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
-    # the form recognize decided on, for the later stages
-    prepared: Optional[Prepared] = field(default=None, repr=False, compare=False)
+class Verdict(namedtuple("Verdict", "kind case_label witness residuals notes prepared",
+                         defaults=(None, None, {}, (), None))):
+    """The decision on one input, an immutable record built once with its
+    final values: the kind, the case label, the witness (name, value) of
+    the first nonzero residual or None, the {name: value} residuals at the
+    caller's scale, a tuple of notes, and the `Prepared` form decided on,
+    which the later stages read.  Equal by value, prepared included."""
+
+    __slots__ = ()
 
     @property
     def is_dupin(self) -> bool:
@@ -237,20 +243,16 @@ def recognize(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
         # everything cancelled to rounding noise at the input's own
         # scale: the surface is the double point rho^4 = 0 within
         # tolerance, and the gauged leftovers would only amplify noise
-        verdict = Verdict(kind=DUPIN_QUARTIC, case_label="d",
-                          residuals={"W1+4f0": 0.0, "W2-C0W1": 0.0},
-                          notes=["zero point within tolerance"])
-    elif p.branch == QUARTIC:
-        verdict = recognize_quartic_cases(p, pol)
-    elif p.branch == CUBIC:
-        verdict = recognize_cubic(p, pol)
-    elif p.branch == QUADRIC:
-        verdict = recognize_quadric(p, pol)
-    else:
-        verdict = Verdict(kind=DEGENERATE, case_label="none",
-                          notes=["degree <= 1: plane, point or empty; out of scope"])
-    verdict.prepared = p
-    return verdict
+        return Verdict(DUPIN_QUARTIC, "d", None, {"W1+4f0": 0.0, "W2-C0W1": 0.0},
+                       ("zero point within tolerance",), p)
+    if p.branch == QUARTIC:
+        return recognize_quartic_cases(p, pol)
+    if p.branch == CUBIC:
+        return recognize_cubic(p, pol)
+    if p.branch == QUADRIC:
+        return recognize_quadric(p, pol)
+    return Verdict(DEGENERATE, "none", None, {},
+                   ("degree <= 1: plane, point or empty; out of scope",), p)
 
 
 def _is_zero_point(cn: DarbouxCoefficients, divided: DarbouxCoefficients,
@@ -263,8 +265,8 @@ def _is_zero_point(cn: DarbouxCoefficients, divided: DarbouxCoefficients,
             and pol.is_zero(cn.f0, s ** 4))
 
 
-def _first_witness(res: Dict[str, Scalar], pol: TolerancePolicy,
-                   scales: Optional[Dict[str, Scalar]] = None):
+def _first_witness(res: dict[str, Scalar], pol: TolerancePolicy,
+                   scales: dict[str, Scalar] | None = None):
     """(name, value) of the first residual of res that is nonzero under pol,
     each measured against its size in scales (1 when scales is None), or
     None when every residual vanishes."""
@@ -274,18 +276,20 @@ def _first_witness(res: Dict[str, Scalar], pol: TolerancePolicy,
     return None
 
 
-def _verdict(res: Dict[str, Scalar], pol: TolerancePolicy, dupin: str,
-             label: str = "none",
-             scales: Optional[Dict[str, Scalar]] = None) -> Verdict:
-    """The one decision rule: kind `dupin` when no residual of res is a
-    witness, else NotDupin with the first witness."""
-    witness = _first_witness(res, pol, scales)
-    return Verdict(kind=dupin if witness is None else NOT_DUPIN,
-                   case_label=label, witness=witness, residuals=res)
+def _verdict(p: Prepared, pol: TolerancePolicy, dupin: str, label: str,
+             res: dict[str, Scalar], witness, notes=()) -> Verdict:
+    """The one decision rule: kind `dupin` when witness, the first nonzero
+    residual of res at p's gauge (`_first_witness`), is None, else NotDupin;
+    the residuals and the witness are taken to the caller's scale by
+    `residuals_back`."""
+    res = residuals_back(res, p, pol)
+    if witness is not None:
+        witness = (witness[0], res[witness[0]])
+    return Verdict(dupin if witness is None else NOT_DUPIN, label, witness, res, notes, p)
 
 
-def residuals_back(res: Dict[str, Scalar], p: Prepared,
-                   pol: TolerancePolicy) -> Dict[str, Scalar]:
+def residuals_back(res: dict[str, Scalar], p: Prepared,
+                   pol: TolerancePolicy) -> dict[str, Scalar]:
     """Named residuals at the caller's scale: an exact residual of weight w
     (`RESIDUAL_WEIGHTS`) times p.scale_back(w); float residuals as given,
     at the gauge."""
@@ -298,15 +302,6 @@ def residuals_back(res: Dict[str, Scalar], p: Prepared,
             for name, v in res.items()}
 
 
-def _ungauge(verdict: Verdict, p: Prepared, pol: TolerancePolicy) -> Verdict:
-    """The verdict's residuals and witness by `residuals_back`."""
-    verdict.residuals = residuals_back(verdict.residuals, p, pol)
-    if verdict.witness is not None:
-        name = verdict.witness[0]
-        verdict.witness = (name, verdict.residuals[name])
-    return verdict
-
-
 def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
     """First applicable case of the complete-intersection stratification.
 
@@ -315,7 +310,7 @@ def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
     Float-mode axis guards that barely fire fall through to (d)-(f) as well,
     so there is no cliff at the e = 0 boundary.  p is a prepared quartic.
     """
-    verdict = _ungauge(_quartic_case_verdict(p.work, pol, p.inv), p, pol)
+    verdict = _quartic_case_verdict(p, pol)
     # dispatch == oracle is a theorem of the exact ideal; float noise shifts
     # the two test families differently near the variety, so the automatic
     # self-check runs in exact mode only, on the lattice copy, and stops at
@@ -336,7 +331,7 @@ _AXIS_CASES = {"a": (0, 1, 2, ("K2", "K3", "L1", "M1")),
 
 
 def _axis_case_residuals(c: DarbouxCoefficients, label: str,
-                         inv: InvariantBundle) -> Dict[str, Scalar]:
+                         inv: InvariantBundle) -> dict[str, Scalar]:
     """Residuals of the axis case i = 1, 2, 3 (label a, b, c): the K forms of
     the other two axes, then L_i and M_i, each on the sigma-image of c that
     `core.sigma_images` gives for its axis; inv = base_invariants(c), whose
@@ -349,7 +344,7 @@ def _axis_case_residuals(c: DarbouxCoefficients, label: str,
 
 
 def _e0_case_residuals(c: DarbouxCoefficients, label: str,
-                       inv: InvariantBundle) -> Dict[str, Scalar]:
+                       inv: InvariantBundle) -> dict[str, Scalar]:
     """Residuals of the e = 0 strata (d), (e), (f); precondition e = 0 and
     inv = base_invariants of c, or of c with any e (only C0, W1, W2 are read)."""
     if label == "d":
@@ -361,23 +356,28 @@ def _e0_case_residuals(c: DarbouxCoefficients, label: str,
             "(W2-C0W1)^2-4f0^3": (inv.W2 - inv.C0 * inv.W1) ** 2 - 4 * c.f0 ** 3}
 
 
-def _quartic_case_verdict(c: DarbouxCoefficients, pol: TolerancePolicy,
-                          inv: InvariantBundle) -> Verdict:
-    """The case decision on c as given; inv = base_invariants(c)."""
+def _quartic_case_verdict(p: Prepared, pol: TolerancePolicy) -> Verdict:
+    """The case decision on p.work, built once: each stratum tried picks its
+    witness at the gauge, and only the one decided on becomes the verdict."""
+    c, inv = p.work, p.inv
     for label, guard in zip("abc", c.e):
         if not pol.nonzero(guard):
             continue
-        verdict = _verdict(_axis_case_residuals(c, label, inv), pol, DUPIN_QUARTIC, label)
-        if verdict.is_dupin or pol.exact or not _near_e_zero(c, pol):
-            return verdict
+        res = _axis_case_residuals(c, label, inv)
+        witness = _first_witness(res, pol)
+        if witness is None or pol.exact or not _near_e_zero(c, pol):
+            return _verdict(p, pol, DUPIN_QUARTIC, label, res, witness)
         break  # borderline float guard: give the e = 0 strata a chance too
 
     ce = c if pol.exact else c.replace(e1=0.0, e2=0.0, e3=0.0)
-    verdict = _verdict(_e0_case_residuals(ce, "d", inv), pol, DUPIN_QUARTIC, "d")
-    if verdict.is_dupin:
-        return verdict
-    label = "e" if pol.nonzero(inv.C0) else "f"
-    return _verdict(_e0_case_residuals(ce, label, inv), pol, DUPIN_QUARTIC, label)
+    label = "d"
+    res = _e0_case_residuals(ce, label, inv)
+    witness = _first_witness(res, pol)
+    if witness is not None:
+        label = "e" if pol.nonzero(inv.C0) else "f"
+        res = _e0_case_residuals(ce, label, inv)
+        witness = _first_witness(res, pol)
+    return _verdict(p, pol, DUPIN_QUARTIC, label, res, witness)
 
 
 def _near_e_zero(c: DarbouxCoefficients, pol: TolerancePolicy) -> bool:
@@ -389,11 +389,8 @@ def _near_e_zero(c: DarbouxCoefficients, pol: TolerancePolicy) -> bool:
 def recognize_quartic_oracle(p: Prepared, pol: TolerancePolicy) -> Verdict:
     """Dupin iff all 12 ideal generators vanish under the policy; p is a
     prepared quartic."""
-    return _ungauge(_oracle_verdict(p.work, pol), p, pol)
-
-
-def _oracle_verdict(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
-    return _verdict(quartic_generators(c), pol, DUPIN_QUARTIC)
+    res = quartic_generators(p.work)
+    return _verdict(p, pol, DUPIN_QUARTIC, "none", res, _first_witness(res, pol))
 
 
 def recognize_cubic(p: Prepared, pol: TolerancePolicy) -> Verdict:
@@ -413,7 +410,7 @@ def recognize_cubic(p: Prepared, pol: TolerancePolicy) -> Verdict:
     floors = (4 * b0 ** 3,) * 3 + (4 * b0 ** 4,)
     scales = {name: max(abs(floor), abs(lhs), abs(rhs))
               for (name, (lhs, rhs)), floor in zip(pairs.items(), floors)}
-    return _ungauge(_verdict(res, pol, DUPIN_CUBIC, scales=scales), p, pol)
+    return _verdict(p, pol, DUPIN_CUBIC, "none", res, _first_witness(res, pol, scales))
 
 
 def recognize_quadric(p: Prepared, pol: TolerancePolicy) -> Verdict:
@@ -424,12 +421,13 @@ def recognize_quadric(p: Prepared, pol: TolerancePolicy) -> Verdict:
     witness: the seven forms come before detPhat, so a detPhat witness is a
     smooth rotational quadric.  p is a prepared quadric.
     """
-    verdict = _verdict(quadric_forms(p.work), pol, DUPIN_QUADRIC)
-    if verdict.witness is None:
-        verdict.notes = ["rotational", "singular"]
-    elif verdict.witness[0] == "detPhat":
-        verdict.notes = ["smooth rotational quadric"]
+    res = quadric_forms(p.work)
+    witness = _first_witness(res, pol)
+    if witness is None:
+        notes = ("rotational", "singular")
+    elif witness[0] == "detPhat":
+        notes = ("smooth rotational quadric",)
     else:
-        singular = pol.is_zero(verdict.residuals["detPhat"])
-        verdict.notes = ["singular" if singular else "nonsingular", "not rotational"]
-    return _ungauge(verdict, p, pol)
+        singular = pol.is_zero(res["detPhat"])
+        notes = ("singular" if singular else "nonsingular", "not rotational")
+    return _verdict(p, pol, DUPIN_QUADRIC, "none", res, witness, notes)

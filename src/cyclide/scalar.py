@@ -10,11 +10,10 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Union
 
 from .errors import ParseError, TooManyDigits
 
-Scalar = Union[Fraction, float]
+Scalar = Fraction | float
 
 EXACT = "exact"
 FLOAT = "float"

@@ -7,9 +7,7 @@ keys are rejected; missing keys default to 0.  Rationals serialize back as
 """
 from __future__ import annotations
 
-import csv
-import io
-from typing import Iterable
+from collections.abc import Iterable
 
 from .core import COEFF_FIELDS, DarbouxCoefficients
 from .errors import ParseError
@@ -70,6 +68,8 @@ def read_csv_coefficients(text: str, mode: str = EXACT) -> Iterable[DarbouxCoeff
     """14-column CSV with header a0,b1,...,f0 (spreadsheet interchange).
     A line the csv module refuses (a field over its size limit) is a
     ParseError."""
+    import csv
+    import io
     reader = csv.reader(io.StringIO(text))
     try:
         yield from _csv_rows(reader, mode)

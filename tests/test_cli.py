@@ -301,6 +301,32 @@ class TestBatch:
         assert code == 0 and rows[0]["kind"] == "NotDupin"
 
 
+# rows 18 and 145 of `generate --seed 7 --count 400 --kind mixed`, and their
+# `to-torus --float` error rows, byte for byte
+INCONSISTENT_ROWS = [
+    ('{"a0":1,"b1":"-377/27","b2":"31/54","b3":"155/27","c1":"1802609/5832",'
+     '"c2":"667499/5832","c3":"857777/5832","d1":"4805/1458","d2":"-58435/729",'
+     '"d3":"-11687/1458","e1":"-344201/432","e2":"28303/864","e3":"141515/432",'
+     '"f0":"833569/256"}',
+     '{"error": "Inconsistent: A1 system has no common solution: '
+     "{'G2': 6.019505659081677e-07, 'G3': -1.8023315189765022e-06, "
+     "'H1': -4.265624999999987, 'H2': -4.265624999999988}\"}"),
+    ('{"a0":1,"b1":"-44/43","b2":"-461/258","b3":"-120/43","c1":"992497/133128",'
+     '"c2":"478537/44376","c3":"2773129/133128","d1":"15376/1849","d2":"2202/1849",'
+     '"d3":"5768/5547","e1":"-389/1548","e2":"-409565/37152","e3":"-5243/258",'
+     '"f0":"607393/20736"}',
+     '{"error": "Inconsistent: spectral closure failed: '
+     "{'Dsq-4E0': 8.401095180362342, 'F-f0': 1.640235457063712, "
+     "'sym1': -1.9999999999999998, 'sym2': -2.5609418282548484}\"}"),
+]
+
+
+@pytest.mark.parametrize("row, want", INCONSISTENT_ROWS, ids=["A1-system", "closure"])
+def test_inconsistent_message_names_each_failed_check(row, want, capsys):
+    assert main(["to-torus", "--float", row]) == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
 class TestParseCoefficients:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_error_names_the_first_bad_key_in_field_order(self, mode):

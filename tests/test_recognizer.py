@@ -13,7 +13,8 @@ from cyclide import (DarbouxCoefficients, EuclideanMotion, TolerancePolicy,
                      recognize_quartic_cases, recognize_quartic_oracle,
                      weighted_rescale)
 from cyclide import recognizer
-from cyclide.canonical import CanonicalQuartic, _a1_system, _closure
+from cyclide.canonical import (_A1_NAMES, _CLOSURE_NAMES, CanonicalQuartic, _a1_system,
+                               _closure)
 from cyclide.core import SLOT_WEIGHTS
 from cyclide.errors import InternalCheckError, PreconditionError, ZeroInput
 from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
@@ -21,10 +22,9 @@ from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
 from cyclide.invariants import (base_invariants, quartic_generators,
                                 quartic_generators_vanish)
 from cyclide.recognizer import (CUBIC, DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC,
-                                NOT_DUPIN, QUADRIC, RESIDUAL_WEIGHTS, Prepared,
+                                NOT_DUPIN, QUADRIC, QUARTIC, RESIDUAL_WEIGHTS, Prepared,
                                 _axis_case_residuals, _e0_case_residuals,
-                                _oracle_verdict, _quartic_case_verdict,
-                                residuals_back)
+                                _quartic_case_verdict, residuals_back)
 from cyclide.scalar import EXACT, FLOAT
 from cyclide.serialize import parse_coefficients
 
@@ -200,10 +200,11 @@ class TestIntegerGauge:
     def test_verdict_matches_fraction_arithmetic(self, pol, rng):
         kinds = set()
         for cn in self._fractional_quartics(rng):
-            inv = base_invariants(cn)
-            for got, direct in ((recognize(cn, pol), _quartic_case_verdict(cn, pol, inv)),
+            # cn taken as its own gauge, at scale 1
+            own = Prepared(cn, QUARTIC, work=cn, inv=base_invariants(cn))
+            for got, direct in ((recognize(cn, pol), _quartic_case_verdict(own, pol)),
                                 (recognize_quartic_oracle(prepare(cn, pol), pol),
-                                 _oracle_verdict(cn, pol))):
+                                 recognize_quartic_oracle(own, pol))):
                 assert (got.kind, got.case_label, got.witness, got.residuals) == \
                     (direct.kind, direct.case_label, direct.witness, direct.residuals)
                 assert all(type(v) is Fraction for v in got.residuals.values())
@@ -218,8 +219,8 @@ class TestIntegerGauge:
             for label in "abc":
                 vals.update(_axis_case_residuals(c, label, base_invariants(c)))
             # the A1 system and the spectral closure at (A1, A2, A3, Dsq, F)
-            vals.update(_a1_system(c, base_invariants(c), spectrum[0]))
-            vals.update(_closure(c, base_invariants(c), *spectrum))
+            vals.update(zip(_A1_NAMES, _a1_system(c, base_invariants(c), spectrum[0])))
+            vals.update(zip(_CLOSURE_NAMES, _closure(c, base_invariants(c), *spectrum)))
             for label in "def":
                 vals.update(_e0_case_residuals(ce, label, base_invariants(ce)))
             # the cubic and quadric verdicts, on a copy taken as its own gauge
@@ -367,7 +368,7 @@ class TestQuadricRecognition:
         c = DarbouxCoefficients.make(a0=0, c=(1, 2, 3))
         v = recognize(c if mode == EXACT else c.to_float(), TolerancePolicy(mode))
         assert v.kind == NOT_DUPIN and v.witness[0] == "S0"
-        assert v.notes == ["singular", "not rotational"]
+        assert v.notes == ("singular", "not rotational")
 
     def test_smooth_sphere(self, pol):
         c = DarbouxCoefficients.make(a0=0, c=(1, 1, 1), f0=-1)
