@@ -1,4 +1,4 @@
-"""Coefficient data model, trivariate polynomial carrier, Euclidean motions.
+"""Coefficient data model, Euclidean motions and their action on the slots.
 
 The fourteen homogeneous coefficients (a0, b1..b3, c1..c3, d1..d3, e1..e3, f0)
 name the implicit surface
@@ -26,9 +26,9 @@ polynomials in a0, b and the shift.  That translation is written out once,
 slot by slot over locals, for both modes, as is `weighted_rescale`: exact
 for rationals, and in float mode each slot comes from one fixed order of
 operations, so the floats it rounds are the same on every run and every
-caller.  The sparse TriPoly expansion and its affine substitution are the
-reference those formulas are tested against, and the point evaluator of the
-generators and the Moebius map (`point_residual`).
+caller.  The same translation evaluates the surface at a point: c
+translated by p has F(p) in its f0 slot and grad F(p) / 2 in e, which is
+how `point_residual` and the sampler's Newton polish read them.
 """
 from __future__ import annotations
 
@@ -91,113 +91,6 @@ _SLOT_TABLES = {which: itemgetter(0, *(g + i for g in (1, 4, 7, 10) for i in per
 _SIGMA12_SLOTS, _SIGMA13_SLOTS = _SLOT_TABLES[SIGMA12], _SLOT_TABLES[SIGMA13]
 
 
-Monomial = tuple[int, int, int]
-
-
-class TriPoly:
-    """Sparse trivariate polynomial of total degree <= 4.
-
-    Zero coefficients are never stored.  Supports exactly the arithmetic its
-    users need: add, multiply, scale, point evaluation, and the affine
-    substitution the tests take as the reference for `apply_motion`.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Monomial, Scalar] | None = None):
-        self.terms: dict[Monomial, Scalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff != 0:
-                    if sum(mono) > 4:
-                        raise ShapeError(f"monomial {mono} exceeds total degree 4")
-                    self.terms[mono] = coeff
-
-    @classmethod
-    def constant(cls, v: Scalar) -> "TriPoly":
-        return cls({(0, 0, 0): v})
-
-    def __eq__(self, other):
-        return isinstance(other, TriPoly) and self.terms == other.terms
-
-    def __add__(self, other: "TriPoly") -> "TriPoly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, 0) + coeff
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        res = TriPoly()
-        res.terms = out
-        return res
-
-    def __mul__(self, other: "TriPoly") -> "TriPoly":
-        out: dict[Monomial, Scalar] = {}
-        for (i1, j1, k1), v1 in self.terms.items():
-            for (i2, j2, k2), v2 in other.terms.items():
-                mono = (i1 + i2, j1 + j2, k1 + k2)
-                if sum(mono) > 4:
-                    raise ShapeError("product exceeds total degree 4")
-                s = out.get(mono, 0) + v1 * v2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        res = TriPoly()
-        res.terms = out
-        return res
-
-    def scaled(self, lam: Scalar) -> "TriPoly":
-        if lam == 0:
-            return TriPoly()
-        res = TriPoly()
-        res.terms = {m: v * lam for m, v in self.terms.items()}
-        return res
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def evaluate(self, point) -> Scalar:
-        x, y, z = point
-        total = 0
-        for (i, j, k), v in self.terms.items():
-            total += v * x**i * y**j * z**k
-        return total
-
-    def substitute_affine(self, rows, translation) -> "TriPoly":
-        """Substitute (x,y,z) -> (rows[0].(x,y,z)+t0, rows[1]..., rows[2]...).
-
-        rows is the 3x3 matrix applied to the variable vector; translation the
-        added constant.  Exact when all inputs are rational.
-        """
-        lin = []
-        for r in range(3):
-            t: dict[Monomial, Scalar] = {}
-            coeffs = (rows[r][0], rows[r][1], rows[r][2])
-            for axis, cval in enumerate(coeffs):
-                if cval != 0:
-                    mono = tuple(1 if a == axis else 0 for a in range(3))
-                    t[mono] = cval
-            if translation[r] != 0:
-                t[(0, 0, 0)] = translation[r]
-            p = TriPoly()
-            p.terms = t
-            lin.append(p)
-        maxdeg = self.degree()
-        powers = []
-        for p in lin:
-            pw = [TriPoly.constant(1), p]
-            for _ in range(2, maxdeg + 1):
-                pw.append(pw[-1] * p)
-            powers.append(pw)
-        out = TriPoly()
-        for (i, j, k), v in self.terms.items():
-            term = powers[0][i] * powers[1][j] * powers[2][k]
-            out = out + term.scaled(v)
-        return out
-
-
 class EuclideanMotion(namedtuple("EuclideanMotion", "rotation translation")):
     """Rigid (or improper-orthogonal) motion: x -> R x + t, with the
     rotation R a 3-tuple of 3-tuple rows and the translation t a 3-tuple."""
@@ -249,80 +142,6 @@ class EuclideanMotion(namedtuple("EuclideanMotion", "rotation translation")):
                 target = 1 if i == j else 0
                 worst = max(worst, abs(s - target))
         return worst
-
-
-def polynomial_from_coefficients(c: DarbouxCoefficients) -> TriPoly:
-    """Expand the implicit equation term by term into a sparse polynomial."""
-    one = Fraction(1) if c.is_exact() else 1.0
-    rho2 = TriPoly({(2, 0, 0): one, (0, 2, 0): one, (0, 0, 2): one})
-    p = (rho2 * rho2).scaled(c.a0)
-    blin = TriPoly({(1, 0, 0): 2 * c.b1, (0, 1, 0): 2 * c.b2, (0, 0, 1): 2 * c.b3})
-    p = p + blin * rho2
-    p = p + TriPoly({
-        (2, 0, 0): c.c1, (0, 2, 0): c.c2, (0, 0, 2): c.c3,
-        (0, 1, 1): 2 * c.d1, (1, 0, 1): 2 * c.d2, (1, 1, 0): 2 * c.d3,
-        (1, 0, 0): 2 * c.e1, (0, 1, 0): 2 * c.e2, (0, 0, 1): 2 * c.e3,
-        (0, 0, 0): c.f0,
-    })
-    return p
-
-
-def point_residual(c: DarbouxCoefficients):
-    """point -> |F(point)| / (max|c_i| (1 + |point|^2)^2), F the surface of
-    c expanded once: the value of the equation relative to the largest
-    coefficient and to the size of the point, in the types of c and the
-    point (exactly 0 on the surface for exact ones)."""
-    poly = polynomial_from_coefficients(c)
-    scale = max(abs(v) for v in c)
-
-    def residual(point) -> Scalar:
-        return abs(poly.evaluate(point)) / (scale * (1 + sum(x * x for x in point)) ** 2)
-
-    return residual
-
-
-# monomials whose coefficient must equal a stated multiple of a named entry;
-# everything not listed must vanish
-_SHAPE = {
-    "a0": [((4, 0, 0), 1), ((0, 4, 0), 1), ((0, 0, 4), 1),
-           ((2, 2, 0), 2), ((2, 0, 2), 2), ((0, 2, 2), 2)],
-    "b1": [((3, 0, 0), 2), ((1, 2, 0), 2), ((1, 0, 2), 2)],
-    "b2": [((0, 3, 0), 2), ((2, 1, 0), 2), ((0, 1, 2), 2)],
-    "b3": [((0, 0, 3), 2), ((2, 0, 1), 2), ((0, 2, 1), 2)],
-    "c1": [((2, 0, 0), 1)], "c2": [((0, 2, 0), 1)], "c3": [((0, 0, 2), 1)],
-    "d1": [((0, 1, 1), 2)], "d2": [((1, 0, 1), 2)], "d3": [((1, 1, 0), 2)],
-    "e1": [((1, 0, 0), 2)], "e2": [((0, 1, 0), 2)], "e3": [((0, 0, 1), 2)],
-    "f0": [((0, 0, 0), 1)],
-}
-_KNOWN_MONOS = {m for spots in _SHAPE.values() for m, _ in spots}
-
-
-def coefficients_from_polynomial(p: TriPoly) -> DarbouxCoefficients:
-    """Exact left-inverse of polynomial_from_coefficients.
-
-    Raises ShapeError when repeated monomials disagree (e.g. coeff(x^4) !=
-    coeff(y^4)) or a monomial outside the Darboux shape appears: the input is
-    then not a Darboux cyclide at all.
-    """
-    for mono in p.terms:
-        if mono not in _KNOWN_MONOS:
-            raise ShapeError(f"monomial {mono} not allowed in Darboux form")
-    exact = all(isinstance(v, (Fraction, int)) for v in p.terms.values())
-
-    def scalar(mono):
-        v = p.terms.get(mono, 0)
-        return Fraction(v) if exact else float(v)
-
-    values = {}
-    for name, spots in _SHAPE.items():
-        candidates = [scalar(m) / mult for m, mult in spots]
-        first = candidates[0]
-        for got, (m, _) in zip(candidates[1:], spots[1:]):
-            if got != first:
-                raise ShapeError(
-                    f"inconsistent {name}: monomial {m} gives {got}, expected {first}")
-        values[name] = first
-    return DarbouxCoefficients(**values)
 
 
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -378,6 +197,23 @@ def apply_motion(c: DarbouxCoefficients, m: EuclideanMotion) -> DarbouxCoefficie
         e3 + k * u3 + T * b3 + mu3,
         a0 * T * T + 2 * T * bu + (u1 * mu1 + u2 * mu2 + u3 * mu3)
         + 2 * (e1 * u1 + e2 * u2 + e3 * u3) + f0))
+
+
+def point_residual(c: DarbouxCoefficients):
+    """point -> |F(point)| / (max|c_i| (1 + |point|^2)^2), F the surface of
+    c: the value of the equation relative to the largest coefficient and to
+    the size of the point, in the types of c and the point (exactly 0 on the
+    surface for exact ones).  F(point) is the f0 slot of c translated by the
+    point."""
+    scale = max(abs(v) for v in c)
+    if c.is_exact():
+        scale = Fraction(scale)    # an int c and point divide as Fractions
+
+    def residual(point) -> Scalar:
+        value = apply_motion(c, EuclideanMotion.translation_by(point)).f0
+        return abs(value) / (scale * (1 + sum(x * x for x in point)) ** 2)
+
+    return residual
 
 
 def apply_permutation(c: DarbouxCoefficients, which: str) -> DarbouxCoefficients:

@@ -10,7 +10,9 @@ class ParseError(CyclideError):
 
 
 class ShapeError(CyclideError):
-    """A trivariate polynomial does not have the Darboux coefficient shape."""
+    """A motion or polynomial that does not fit the Darboux coefficient
+    shape: `apply_motion` raises it for a rotation part that is not
+    orthogonal."""
 
 
 class NotQuartic(CyclideError):

@@ -14,8 +14,8 @@ from typing import List, Optional, Tuple
 
 from .canonical import CanonicalQuartic, _sqrt, spectral_data
 from .classify import SurfaceClass, classify_quartic
-from .core import (DarbouxCoefficients, EuclideanMotion, TriPoly, _dot, apply_motion,
-                   point_residual, polynomial_from_coefficients, weighted_rescale)
+from .core import (DarbouxCoefficients, EuclideanMotion, _dot, apply_motion,
+                   normalize_quartic, point_residual, weighted_rescale)
 from .errors import (CyclideError, InternalCheckError, IrrationalSpectrum,
                      NoRealPoints, PreconditionError, SeedInvariantViolation)
 from .recognizer import TolerancePolicy, recognize
@@ -171,24 +171,21 @@ def _float_circle(rng: random.Random) -> Tuple[float, float]:
     return (math.cos(ang), math.sin(ang))
 
 
-def _newton_polish(poly: TriPoly, point, steps: int = 3):
-    """One-dimensional Newton along the gradient of the float polynomial
-    poly to squeeze out float error."""
-    pt = [float(v) for v in point]
-    h = 1e-6
+def _newton_polish(c: DarbouxCoefficients, point, steps: int = 3):
+    """Newton steps along the gradient of the float surface c from point, to
+    squeeze out float error.  Each step takes one translation: c translated
+    by the point has the value F(point) in its f0 slot and grad F(point) / 2
+    in e."""
+    pt = tuple(map(float, point))
     for _ in range(steps):
-        val = poly.evaluate(pt)
-        grad = []
-        for i in range(3):
-            q = list(pt)
-            q[i] += h
-            grad.append((poly.evaluate(q) - val) / h)
-        g2 = sum(g * g for g in grad)
+        moved = apply_motion(c, EuclideanMotion.translation_by(pt))
+        grad = [2 * v for v in moved.e]
+        g2 = _dot(grad, grad)
         if g2 == 0:
             break
-        step = val / g2
-        pt = [p - step * g for p, g in zip(pt, grad)]
-    return tuple(pt)
+        step = moved.f0 / g2
+        pt = tuple(p - step * g for p, g in zip(pt, grad))
+    return pt
 
 
 def _ring_cyclide_points(alpha, beta, gamma, delta, n, rng, exact):
@@ -371,7 +368,8 @@ def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):
     if verdict.kind != "DupinQuartic":
         raise PreconditionError(
             f"sampling is implemented for quartic Dupin surfaces, got {verdict.kind}")
-    cn = verdict.prepared.normalized
+    fc = c.to_float()
+    cn = normalize_quartic(c if exact_in else fc)
     sd = spectral_data(verdict.prepared, pol)
     label = classify_quartic(sd, pol)
     squares = sd.squares()
@@ -389,10 +387,9 @@ def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):
         canon_pts = _canonical_points(squares, float(sd.Dsq), label, n, rng, exact)
         frame = [tuple(float(v) for v in row) for row in frame]
 
-    shift = tuple(-(v / c.a0) / 2 for v in c.b)  # cn(x) = (c/a0)(x + shift)
+    shift = tuple(-pol.div(v, c.a0) / 2 for v in c.b)  # cn(x) = (c/a0)(x + shift)
     residual = point_residual(c)
     bound = 0 if exact else 1e-12
-    fpoly = polynomial_from_coefficients(c.to_float())
     out = []
     for X in canon_pts:
         # cn(x) = canonical(R x)  =>  x = R^T X; then undo the b shift
@@ -401,7 +398,7 @@ def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):
         if not exact:
             pt = tuple(float(v) for v in pt)
             if not residual(pt) <= bound:
-                pt = _newton_polish(fpoly, pt)
+                pt = _newton_polish(fc, pt)
         if residual(pt) <= bound:
             out.append(pt)
     if not out:

@@ -42,8 +42,8 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import (SLOT_WEIGHTS, DarbouxCoefficients, normalize_quartic,
-                   sigma_images, weighted_rescale)
+from .core import (DarbouxCoefficients, normalize_quartic, sigma_images,
+                   weighted_rescale)
 from .errors import InternalCheckError, PreconditionError, ZeroInput
 from .invariants import (RESIDUAL_WEIGHTS, InvariantBundle, base_invariants,
                          cubic_forms, k_form, l_form, lm_scalars, m_form,
@@ -103,18 +103,17 @@ class TolerancePolicy(namedtuple("TolerancePolicy", "mode tau_rel exact")):
         return Fraction(num, den) if self.exact else num / den
 
 
-class Prepared(namedtuple("Prepared", "raw branch work scale inv float_normalized zero_point",
-                          defaults=(None, 1, None, None, False))):
+class Prepared(namedtuple("Prepared", "raw branch work scale inv zero_point",
+                          defaults=(None, 1, None, False))):
     """One input, prepared once by `prepare` for every stage: `raw` is the
     input, `work` the gauged copy every stage runs on and `inv` its
     invariant bundle; `zero_point` marks a float quartic that cancels to
     rounding noise at its own scale (`_is_zero_point`).  A quantity of
     weighted degree w is its value on work times `scale_back(w)`, the one
-    way back: on `normalized` for a quartic; on `raw` for an exact cubic
-    or quadric, and on `raw` divided by max |b| or max |c, d| for a float
-    one.  An exact work is on the integer lattice with scale = 1/lam.
-    `float_normalized` is normalize_quartic(raw) of a float quartic; exact
-    mode derives it."""
+    way back: on normalize_quartic(raw) for a quartic; on `raw` for an
+    exact cubic or quadric, and on `raw` divided by max |b| or max |c, d|
+    for a float one.  An exact work is on the integer lattice with
+    scale = 1/lam."""
 
     __slots__ = ()
 
@@ -123,15 +122,6 @@ class Prepared(namedtuple("Prepared", "raw branch work scale inv float_normalize
         to the caller's scale; an even power squares the scale first."""
         s = self.scale
         return (s * s) ** (w // 2) if w % 2 == 0 else s ** w
-
-    @property
-    def normalized(self) -> DarbouxCoefficients | None:
-        """normalize_quartic(raw) for a quartic, else None; in exact mode
-        the lattice copy taken back to the caller's scale, as Fractions."""
-        if self.branch != QUARTIC or self.float_normalized is not None:
-            return self.float_normalized
-        return self.work._make(v * self.scale_back(w)
-                               for v, w in zip(self.work, SLOT_WEIGHTS))
 
 
 class Verdict(namedtuple("Verdict", "kind case_label witness residuals notes prepared",
@@ -160,28 +150,28 @@ def weighted_sup_norm(c: DarbouxCoefficients) -> float:
 
 
 def _float_gauge(c: DarbouxCoefficients, branch: str, pol: TolerancePolicy):
-    """(work, scale, normalize_quartic(c), zero point?) of a float quartic,
-    (work, scale, None, False) of a cubic or quadric; see the module
-    docstring.  A quartic is divided by a0 once, for its normalization and
-    its zero-point test; a cubic or quadric scale omits that division."""
+    """(work, scale, zero point?) of a float input, the zero point False
+    for a cubic or quadric; see the module docstring.  A quartic is divided
+    by a0 once, for its normalization and its zero-point test; a cubic or
+    quadric scale omits that division."""
     # the leading slots above the input's degree, zeroed at the gauge
-    zeroed, cn, zero_point = 0, None, False
+    zeroed, zero_point = 0, False
     if branch == QUARTIC:
         a0 = float(c.a0)
         divided = c._make([float(v) / a0 for v in c])
-        c = cn = normalize_quartic(divided)
-        zero_point = _is_zero_point(cn, divided, pol)
+        c = normalize_quartic(divided)
+        zero_point = _is_zero_point(c, divided, pol)
     else:
         zeroed = 1 if branch == CUBIC else 4
         top = max(map(abs, map(float, c[1:4] if zeroed == 1 else c[4:10])))
         c = c._make([float(v) / top for v in c])
     s = weighted_sup_norm(c)
     if s == 0:
-        return c, 1.0, cn, zero_point
+        return c, 1.0, zero_point
     work = weighted_rescale(c, 1.0 / s)
     if zeroed:
         work = work._make((0.0,) * zeroed + work[zeroed:])
-    return work, s, cn, zero_point
+    return work, s, zero_point
 
 
 def _lattice(c: DarbouxCoefficients, branch: str):
@@ -229,10 +219,10 @@ def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
         branch = QUADRIC
     else:
         return Prepared(c, LINEAR)
-    work, scale, cn, zero_point = ((*_lattice(c, branch), None, False) if pol.exact
-                                   else _float_gauge(c, branch, pol))
+    work, scale, zero_point = ((*_lattice(c, branch), False) if pol.exact
+                               else _float_gauge(c, branch, pol))
     inv = None if branch == QUADRIC else base_invariants(work)
-    return Prepared(c, branch, work, scale, inv, cn, zero_point)
+    return Prepared(c, branch, work, scale, inv, zero_point)
 
 
 def recognize(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:

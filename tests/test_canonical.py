@@ -1,18 +1,18 @@
 """Canonical-form recovery: eigenvalues, squared parameters, cubic pair."""
-import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import CUBIC22, TORUS21, rand_fraction
 from cyclide import (CanonicalQuartic, DarbouxCoefficients, EuclideanMotion,
-                     TorusSpec, TriPoly, apply_motion, canonical_cubic_params,
-                     canonical_quartic_params, coefficients_from_polynomial,
-                     normalize_quartic, prepare, spectral_data, weighted_rescale)
+                     TorusSpec, apply_motion, canonical_cubic_params,
+                     canonical_quartic_params, normalize_quartic, prepare,
+                     spectral_data, weighted_rescale)
 from cyclide.errors import Inconsistent, IrrationalSpectrum, TooManyDigits
 from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed, random_rotation)
 from cyclide.scalar import format_scalar
+from tripoly import TriPoly, coefficients_from_polynomial
 
 
 def spectral(c, pol):

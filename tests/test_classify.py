@@ -15,6 +15,7 @@ from cyclide.classify import J0Value
 from cyclide.genkit import (generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed)
 from cyclide.pipeline import analyze
+from tripoly import polynomial_from_coefficients
 
 
 def j0_of(c, pol):
@@ -82,7 +83,6 @@ class TestClassifyQuartic:
         sd = spectral_data(prepare(c, pol), pol)
         assert classify_quartic(sd, pol) == SurfaceClass.ONE_POINT
         # direct check that (2,0,0) and nothing near it solves the equation
-        from cyclide import polynomial_from_coefficients
         poly = polynomial_from_coefficients(c)
         assert poly.evaluate((Fraction(2), Fraction(0), Fraction(0))) == 0
 

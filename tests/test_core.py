@@ -11,9 +11,8 @@ import pytest
 
 from conftest import CUBIC22, TORUS21, rand_fraction, random_coefficients
 from cyclide import (SIGMA12, SIGMA13, SIGMA23, DarbouxCoefficients,
-                     EuclideanMotion, TolerancePolicy, TriPoly, apply_motion,
-                     apply_permutation, coefficients_from_polynomial,
-                     normalize_quartic, polynomial_from_coefficients, prepare,
+                     EuclideanMotion, TolerancePolicy, apply_motion,
+                     apply_permutation, normalize_quartic, prepare,
                      sigma_orbit, weighted_rescale)
 from cyclide.canonical import (canonical_cubic_params, canonical_quartic_params,
                                spectral_data)
@@ -22,6 +21,7 @@ from cyclide.errors import NotQuartic, ShapeError, ZeroScale
 from cyclide.genkit import quaternion_rotation, random_motion, random_rotation
 from cyclide.invariants import base_invariants
 from cyclide.moebius import MOBT2, build_map, torus_radii
+from tripoly import TriPoly, coefficients_from_polynomial, polynomial_from_coefficients
 
 
 def frac(v):

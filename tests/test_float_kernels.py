@@ -7,7 +7,8 @@ differences).  Those versions are kept here as references: on random float
 tuples with signs, zeros, subnormals and magnitudes from 1e-150 to 1e150,
 and on boundary parameters with exact ties and one-ulp neighbours, the
 kernels give the same floats, bit for bit, and the same decisions.  Exact
-mode is checked against the TriPoly substitution in test_core.
+mode is checked against the TriPoly substitution of tests/tripoly.py, in
+test_core.
 """
 import math
 import random

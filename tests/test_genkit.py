@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import TORUS21
-from cyclide import (DarbouxCoefficients, EuclideanMotion, SurfaceClass,
-                     classify_quartic, polynomial_from_coefficients,
-                     prepare, recognize, spectral_data)
+from conftest import TORUS21, rand_fraction, random_coefficients
+from cyclide import (DarbouxCoefficients, EuclideanMotion, SurfaceClass, apply_motion,
+                     classify_quartic, prepare, recognize, spectral_data)
 from cyclide.canonical import CanonicalQuartic
 from cyclide.core import point_residual
 from cyclide.errors import NoRealPoints, SeedInvariantViolation
 from cyclide.genkit import (QuarticSeed, generate_cubic_dupin, generate_quartic_dupin,
                             perturb_off_variety, random_motion,
                             random_quartic_seed, sample_surface_points)
+from tripoly import polynomial_from_coefficients
 
 
 class TestGenerate:
@@ -171,25 +171,68 @@ class TestSampling:
         poly = polynomial_from_coefficients(c)
         assert pts and all(poly.evaluate(p) == 0 for p in pts)
 
+    def test_int_input_samples_as_its_fraction_copy(self):
+        # the int R=2, r=1 torus moved by (1, 0, 0): b1 / a0 is a Fraction
+        c = DarbouxCoefficients(1, 2, 0, 0, -4, -8, 8, 0, 0, 0, -8, 0, 0, 0)
+        exact = c._make(map(Fraction, c))
+        pts = sample_surface_points(c, 20, random.Random(1))
+        assert pts == sample_surface_points(exact, 20, random.Random(1))
+        assert len(pts) == 20
+        poly = polynomial_from_coefficients(exact)
+        for p in pts:
+            assert all(type(v) is Fraction for v in p) and poly.evaluate(p) == 0
 
-def normalized_residual(c, point) -> float:
-    """|F(p)| / (max|c_i| (1 + |p|^2)^2) in floats, as the sampler and the
-    Moebius calibration each wrote it."""
-    val = float(polynomial_from_coefficients(c).evaluate(tuple(float(v) for v in point)))
-    scale = max(abs(float(v)) for v in c)
-    return abs(val) / (scale * (1.0 + sum(float(x) ** 2 for x in point)) ** 2)
+
+def oracle_residual(c, point):
+    """|F(p)| / (max|c_i| (1 + |p|^2)^2) and grad F(p), F expanded as a
+    TriPoly, in exact arithmetic on the values of c and p."""
+    c = c._make(map(Fraction, c))
+    point = tuple(map(Fraction, point))
+    poly = polynomial_from_coefficients(c)
+    scale = max(abs(v) for v in c) * (1 + sum(x * x for x in point)) ** 2
+    grad = tuple(poly.derivative(i).evaluate(point) for i in range(3))
+    return abs(poly.evaluate(point)) / scale, grad
+
+
+def translated(c, point):
+    return apply_motion(c, EuclideanMotion.translation_by(point))
 
 
 class TestPointResidual:
-    def test_equals_the_normalized_residual_on_samples(self, rng):
+    def test_value_and_gradient_equal_the_oracle(self, rng):
+        # random exact surfaces at random points, off the surface
+        for i in range(200):
+            c = random_coefficients(rng, a0=rand_fraction(rng) if i % 4 else 0,
+                                    with_b=i % 3 != 0)
+            if not any(c):
+                continue
+            p = tuple(rand_fraction(rng) for _ in range(3))
+            value, grad = oracle_residual(c, p)
+            assert point_residual(c)(p) == value
+            assert tuple(2 * v for v in translated(c, p).e) == grad
+
+    def test_value_and_gradient_on_the_surface(self, rng):
+        # exact samples of moved tori: the value is 0, the gradient the oracle's
+        for _ in range(10):
+            shift = tuple(rand_fraction(rng) for _ in range(3))
+            c = apply_motion(TORUS21, EuclideanMotion.translation_by(shift))
+            residual = point_residual(c)
+            for p in sample_surface_points(c, 5, rng):
+                value, grad = oracle_residual(c, p)
+                assert residual(p) == value == 0
+                assert tuple(2 * v for v in translated(c, p).e) == grad
+
+    def test_float_residual_agrees_with_the_exact_one(self, rng):
+        # on float samples and off them, within 1e-14 of the normalizer
+        worst = 0.0
         for _ in range(5):
             c = generate_quartic_dupin(random_quartic_seed(rng, smooth=True)).to_float()
             residual = point_residual(c)
             pts = sample_surface_points(c, 10, rng)
-            # off the surface too, where the residual is far from rounding
             pts += [tuple(2 * x + 1 for x in p) for p in pts]
             for p in pts:
-                assert residual(p) == normalized_residual(c, p)
+                worst = max(worst, abs(residual(p) - oracle_residual(c, p)[0]))
+        assert worst <= 1e-14
 
     def test_exactly_zero_on_exact_samples(self, rng):
         residual = point_residual(TORUS21)

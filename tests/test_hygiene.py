@@ -1,6 +1,6 @@
-"""Source hygiene without a linter: every module of the package uses each
-name it imports, and every module-level function or class of the package
-is read somewhere in src/, tests/ or bench/.  An import line marked
+"""Source hygiene without a linter: every module of the package and of the
+tests uses each name it imports, and every module-level function or class
+of the package is read somewhere in src/, tests/ or bench/.  An import line marked
 `# noqa: F401` is kept on purpose (a module attribute that bench/tracing.py
 wraps) and is exempt from the first check."""
 import ast
@@ -11,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cyclide"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
@@ -34,7 +35,7 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
