@@ -9,17 +9,16 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, List, Tuple
 
 from .canonical import (canonical_cubic_params, canonical_quartic_params,
                         spectral_data)
 from .classify import SurfaceClass, classify_quartic, j0_cubic, j0_quartic, willmore_energy
 from .core import DarbouxCoefficients, weighted_rescale
 from .genkit import (generate_cubic_dupin, generate_quartic_dupin,
-                     perturb_off_variety, random_motion, random_quartic_seed,
-                     sample_surface_points)
+                     perturb_off_variety, random_fraction, random_motion,
+                     random_quartic_seed, sample_surface_points)
 from .invariants import (RESIDUAL_WEIGHTS, base_invariants, quartic_generators,
                          reduced_generators_e0)
 from .moebius import (MOBT, MOBT2, CanonicalQuartic, TorusSpec,
@@ -33,14 +32,12 @@ CUBIC22 = DarbouxCoefficients.make(a0=0, b=(1, 0, 0), c=(0, -2, 2), e=(-1, 0, 0)
 EXACT_POL = TolerancePolicy(EXACT)
 
 
-@dataclass
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
-    budget: float
+class CriterionResult(namedtuple("CriterionResult",
+                                 "index name passed detail elapsed budget")):
+    """One criterion's outcome: passed with its detail, and the elapsed
+    seconds against the budget."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -48,7 +45,7 @@ class CriterionResult:
                 f"({self.elapsed:.3f}s / budget {self.budget:.0f}s) - {self.detail}")
 
 
-def criterion_1_torus_reproduction() -> Tuple[bool, str]:
+def criterion_1_torus_reproduction() -> tuple[bool, str]:
     """R=2, r=1 torus: case (e), residuals exactly zero, invariant anchors."""
     R2, r2 = Fraction(4), Fraction(1)
     inv = base_invariants(TORUS21)
@@ -65,13 +62,13 @@ def criterion_1_torus_reproduction() -> Tuple[bool, str]:
     return anchors_ok and case_ok and fast, detail
 
 
-def _time_one(fn: Callable) -> float:
+def _time_one(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
 
 
-def criterion_2_dispatch_vs_oracle() -> Tuple[bool, str]:
+def criterion_2_dispatch_vs_oracle() -> tuple[bool, str]:
     """500 exact Dupin quartics + 500 perturbed negatives: the case logic and
     the 12-generator oracle agree on every input; positives all accepted and
     negatives all rejected."""
@@ -94,15 +91,14 @@ def criterion_2_dispatch_vs_oracle() -> Tuple[bool, str]:
     return ok, f"agreement {agree}/{2 * n}, positives {pos_ok}/{n}, negatives {neg_ok}/{n}"
 
 
-def criterion_3_cubic_round_trip() -> Tuple[bool, str]:
+def criterion_3_cubic_round_trip() -> tuple[bool, str]:
     """500 cubics from random rational (p,q) and motions: recognized Dupin
     and the unordered pair recovered exactly."""
     rng = random.Random(1003)
     good = 0
     n = 500
     for _ in range(n):
-        p = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        p, q = random_fraction(rng), random_fraction(rng)
         c = generate_cubic_dupin(p, q, random_motion(rng))
         verdict = recognize(c, EXACT_POL)
         if not verdict.is_dupin:
@@ -112,7 +108,7 @@ def criterion_3_cubic_round_trip() -> Tuple[bool, str]:
     return good == n, f"{good}/{n} exact pair recoveries"
 
 
-def criterion_4_canonical_recovery() -> Tuple[bool, str]:
+def criterion_4_canonical_recovery() -> tuple[bool, str]:
     """200 generated quartics (rotations + translations): recovered squared
     parameters equal the seed multiset and agd^2 = s*t*u, exactly."""
     rng = random.Random(1004)
@@ -130,7 +126,7 @@ def criterion_4_canonical_recovery() -> Tuple[bool, str]:
     return good == n, f"{good}/{n} exact parameter recoveries"
 
 
-def criterion_5_j0_agreement_and_anchors() -> Tuple[bool, str]:
+def criterion_5_j0_agreement_and_anchors() -> tuple[bool, str]:
     """Three J0 formulas agree on 200 smooth samples; anchor values."""
     rng = random.Random(1005)
     n = 200
@@ -180,7 +176,7 @@ def _figure_torus_label(r2: Fraction, R2: Fraction) -> SurfaceClass:
     return SurfaceClass.TWO_POINTS
 
 
-def criterion_6_classification_grid() -> Tuple[bool, str]:
+def criterion_6_classification_grid() -> tuple[bool, str]:
     """Tori over the (r^2, R^2) grid reproduce the figure labels through the
     induced spectral data."""
     bad = []
@@ -195,13 +191,13 @@ def criterion_6_classification_grid() -> Tuple[bool, str]:
     return not bad, ("all 36 cells match" if not bad else f"mismatches: {bad}")
 
 
-def criterion_7_identity_suites() -> Tuple[bool, str]:
+def criterion_7_identity_suites() -> tuple[bool, str]:
     """Syzygies (with the ledgered K2/K3 sign convention) and weighted-degree
     homogeneity on 100 random rational tuples each."""
     rng = random.Random(1007)
 
     def rand_c(with_e=True):
-        f = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        f = lambda: random_fraction(rng)
         return DarbouxCoefficients.make(
             a0=1, c=(f(), f(), f()), d=(f(), f(), f()),
             e=(f(), f(), f()) if with_e else (0, 0, 0), f0=f())
@@ -252,7 +248,7 @@ def criterion_7_identity_suites() -> Tuple[bool, str]:
     return checked == 300, f"{checked}/300 identity batches"
 
 
-def criterion_8_moebius_calibration() -> Tuple[bool, str]:
+def criterion_8_moebius_calibration() -> tuple[bool, str]:
     """Torus pair (1,2) <-> minor sqrt(3) and the alpha=2, gamma=1,
     delta=sqrt(2) cyclide calibrate to residual <= 1e-9; axis point and J0
     anchors hold."""
@@ -283,7 +279,7 @@ def criterion_8_moebius_calibration() -> Tuple[bool, str]:
     return torus_ok and cyc_ok, detail
 
 
-def criterion_9_float_robustness() -> Tuple[bool, str]:
+def criterion_9_float_robustness() -> tuple[bool, str]:
     """100 exact generic Dupin samples: relative 1e-14 noise accepted in
     float mode, relative 1e-4 bump on f0 rejected.
 
@@ -297,8 +293,7 @@ def criterion_9_float_robustness() -> Tuple[bool, str]:
     n = 100
     for i in range(n):
         if i % 3 == 2:
-            p = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            q = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            p, q = random_fraction(rng, 5, 3), random_fraction(rng, 5, 3)
             c = generate_cubic_dupin(p, q, random_motion(rng))
         else:
             c = generate_quartic_dupin(random_quartic_seed(rng, smooth=True))
@@ -326,7 +321,7 @@ CRITERIA = (
 )
 
 
-def run_all(verbose: bool = False) -> List[CriterionResult]:
+def run_all(verbose: bool = False) -> list[CriterionResult]:
     results = []
     for index, name, fn, budget in CRITERIA:
         t0 = time.perf_counter()

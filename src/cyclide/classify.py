@@ -202,13 +202,11 @@ def j0_quartic(prep: Prepared, sd: SpectralData,
     if len(kinds) != 1:
         # degenerate strata may zero one fraction's numerator and denominator
         # while another stays decisive; a decisive vote wins, but finite and
-        # minus-infinity verdicts must not coexist
+        # minus-infinity verdicts must not coexist.  Two kinds or more hold
+        # a decisive one.
         if J0_FINITE in kinds and J0_MINUS_INF in kinds:
             raise FormulaDisagreement(f"J0 formulas disagree: {votes}")
-        decisive = [v for v in votes if v.kind != J0_UNDEFINED]
-        if not decisive:
-            return J0Value.undefined()
-        return decisive[0]
+        return next(v for v in votes if v.kind != J0_UNDEFINED)
     return votes[0]
 
 

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .errors import CyclideError, InternalCheckError, ParseError, ZeroInput
 from .pipeline import analyze
@@ -162,8 +161,8 @@ def _run_analysis(args) -> int:
 
 def _run_generate(args) -> int:
     import random
-    from .genkit import (generate_cubic_dupin, generate_quartic_dupin, random_motion,
-                         random_quartic_seed)
+    from .genkit import (generate_cubic_dupin, generate_quartic_dupin, random_fraction,
+                         random_motion, random_quartic_seed)
     rng = random.Random(args.seed)
     for i in range(args.count):
         kind = args.kind
@@ -178,8 +177,7 @@ def _run_generate(args) -> int:
                 "motion": _motion_json(seed.motion),
                 "lambda": format_scalar(seed.lam)}
         else:
-            p = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            p, q = random_fraction(rng, 4, 3), random_fraction(rng, 4, 3)
             motion = random_motion(rng)
             c = generate_cubic_dupin(p, q, motion)
             provenance = {

@@ -12,12 +12,11 @@ the slots is written once, here.  `SLOT_WEIGHTS` is the weighted degree of
 each slot under (x,y,z) -> lam*(x,y,z) (0 for a0, 1 b, 2 c and d, 3 e, 4 f0):
 `weighted_rescale` and the float gauge read it, and every residual is
 weighted-homogeneous in it.  An index swap sigma_ij exchanges subscripts i
-and j in b, c, d and e at once, by one table of slot indices.
+and j in b, c, d and e at once, by a table of slot indices.
 `sigma_images(c) = (c, sigma12 c, sigma13 c)`, the images as plain 14-tuples,
-is where the index 2 and 3 images of a formula are taken (K2, K3 of K1,
-likewise L, M, the cubic targets, the quadric forms and the cubic shift);
-`apply_permutation` and `sigma_orbit` give the same images as
-`DarbouxCoefficients`.  The symmetric invariants agree on the orbit.
+is the one place the index 2 and 3 images of a formula are taken (K2, K3
+of K1, likewise L, M, the cubic targets, the quadric forms and the cubic
+shift).  The symmetric invariants agree on the images.
 
 With M the symmetric matrix [[c1,d3,d2],[d3,c2,d1],[d2,d1,c3]], an orthogonal
 motion acts on the coefficients in closed form (`apply_motion`): a rotation
@@ -80,15 +79,11 @@ COEFF_FIELDS = DarbouxCoefficients._fields
 # weighted degree of each slot
 SLOT_WEIGHTS = (0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 4)
 
-# index permutations sigma_ij swap the indicated subscript in b, c, d, e
-SIGMA12 = "s12"
-SIGMA13 = "s13"
-SIGMA23 = "s23"
-_PERMS = {SIGMA12: (1, 0, 2), SIGMA13: (2, 1, 0), SIGMA23: (0, 2, 1)}
-# as slot index tables: a0 and f0 stay, each 3-slot group is permuted
-_SLOT_TABLES = {which: itemgetter(0, *(g + i for g in (1, 4, 7, 10) for i in perm), 13)
-                for which, perm in _PERMS.items()}
-_SIGMA12_SLOTS, _SIGMA13_SLOTS = _SLOT_TABLES[SIGMA12], _SLOT_TABLES[SIGMA13]
+# the index swaps sigma12 and sigma13 as slot index tables: a0 and f0 stay,
+# and each 3-slot group of b, c, d, e is permuted by (1, 0, 2) or (2, 1, 0)
+_SIGMA12_SLOTS, _SIGMA13_SLOTS = (
+    itemgetter(0, *(g + i for g in (1, 4, 7, 10) for i in perm), 13)
+    for perm in ((1, 0, 2), (2, 1, 0)))
 
 
 class EuclideanMotion(namedtuple("EuclideanMotion", "rotation translation")):
@@ -111,10 +106,6 @@ class EuclideanMotion(namedtuple("EuclideanMotion", "rotation translation")):
     @classmethod
     def rotation_by(cls, rows) -> "EuclideanMotion":
         return cls(tuple(tuple(r) for r in rows), (Fraction(0),) * 3)
-
-    def apply_point(self, p):
-        R, t = self.rotation, self.translation
-        return tuple(sum(R[i][j] * p[j] for j in range(3)) + t[i] for i in range(3))
 
     def after(self, other: "EuclideanMotion") -> "EuclideanMotion":
         """Motion x -> self(other(x))."""
@@ -214,17 +205,6 @@ def point_residual(c: DarbouxCoefficients):
         return abs(value) / (scale * (1 + sum(x * x for x in point)) ** 2)
 
     return residual
-
-
-def apply_permutation(c: DarbouxCoefficients, which: str) -> DarbouxCoefficients:
-    """Swap one index pair simultaneously in b, c, d, e (a0, f0 fixed)."""
-    return DarbouxCoefficients._make(_SLOT_TABLES[which](c))
-
-
-def sigma_orbit(c: DarbouxCoefficients) -> tuple[DarbouxCoefficients, ...]:
-    """(c, sigma12 c, sigma13 c): the copies on which a formula written for
-    index 1 gives its index 2 and index 3 images."""
-    return (c, apply_permutation(c, SIGMA12), apply_permutation(c, SIGMA13))
 
 
 def sigma_images(c: DarbouxCoefficients) -> tuple[tuple[Scalar, ...], ...]:

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import List, Optional, Tuple
 
 from .canonical import CanonicalQuartic, _sqrt, spectral_data
 from .classify import SurfaceClass, classify_quartic
@@ -25,22 +24,17 @@ from .scalar import EXACT, FLOAT
 PERTURB_ATTEMPTS = 10
 
 
-@dataclass(frozen=True)
-class QuarticSeed:
+class QuarticSeed(namedtuple("QuarticSeed", "s t u m motion lam")):
     """Canonical squares (s,t,u) = (alpha^2, gamma^2, delta^2), m = alpha*gamma*delta,
-    then an exact motion and a weighted rescale."""
+    then an exact motion and a weighted rescale lam (1 by default).  The
+    constructor checks m^2 = s*t*u; `_make` and `_replace` skip the check."""
 
-    s: Fraction
-    t: Fraction
-    u: Fraction
-    m: Fraction
-    motion: EuclideanMotion
-    lam: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m * self.m != self.s * self.t * self.u:
-            raise SeedInvariantViolation(
-                f"m^2 = {self.m * self.m} != s*t*u = {self.s * self.t * self.u}")
+    def __new__(cls, s, t, u, m, motion, lam=Fraction(1)):
+        if m * m != s * t * u:
+            raise SeedInvariantViolation(f"m^2 = {m * m} != s*t*u = {s * t * u}")
+        return tuple.__new__(cls, (s, t, u, m, motion, lam))
 
 
 def quaternion_rotation(a: int, b: int, c: int, d: int) -> EuclideanMotion:
@@ -61,7 +55,7 @@ _REFLECT = EuclideanMotion.rotation_by(
     ((Fraction(1), 0, 0), (0, Fraction(1), 0), (0, 0, Fraction(-1))))
 
 
-def random_rotation(seed, reflect: Optional[bool] = None) -> EuclideanMotion:
+def random_rotation(seed, reflect: bool | None = None) -> EuclideanMotion:
     """Rational orthogonal matrix from a seeded random integer quaternion,
     optionally composed with a coordinate reflection to cover both O(3)
     components (reflect=None picks at random)."""
@@ -77,11 +71,12 @@ def random_rotation(seed, reflect: Optional[bool] = None) -> EuclideanMotion:
 
 
 def random_fraction(rng: random.Random, num=6, den=4) -> Fraction:
+    """n/d with n drawn from [-num, num], then d from [1, den]."""
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
 
 def random_motion(rng: random.Random, translate: bool = True,
-                  reflect: Optional[bool] = None) -> EuclideanMotion:
+                  reflect: bool | None = None) -> EuclideanMotion:
     rot = random_rotation(rng, reflect=reflect)
     if not translate:
         return rot
@@ -104,7 +99,7 @@ def generate_cubic_dupin(p, q, motion: EuclideanMotion) -> DarbouxCoefficients:
     return apply_motion(c, motion)
 
 
-def random_quartic_seed(rng: random.Random, motion: Optional[EuclideanMotion] = None,
+def random_quartic_seed(rng: random.Random, motion: EuclideanMotion | None = None,
                         smooth: bool = False, rescale: bool = True) -> QuarticSeed:
     """Admissible random seed: squares with zero or two sign flips keep
     m^2 = s*t*u solvable in the rationals (m = +/- product of the roots)."""
@@ -159,14 +154,14 @@ def perturb_off_variety(c: DarbouxCoefficients,
 # surface point sampling
 
 
-def _rational_circle(rng: random.Random) -> Tuple[Fraction, Fraction]:
+def _rational_circle(rng: random.Random) -> tuple[Fraction, Fraction]:
     """Rational point on the unit circle via the tangent half-angle map."""
     t = random_fraction(rng, num=8, den=5)
     den = 1 + t * t
     return ((1 - t * t) / den, 2 * t / den)
 
 
-def _float_circle(rng: random.Random) -> Tuple[float, float]:
+def _float_circle(rng: random.Random) -> tuple[float, float]:
     ang = rng.uniform(0.0, 2.0 * math.pi)
     return (math.cos(ang), math.sin(ang))
 
@@ -274,7 +269,7 @@ def _canonical_points(sq, dsq, label, n, rng, exact):
     return uniq
 
 
-def _exact_axis_frame(cn: DarbouxCoefficients, sd) -> Optional[List[Tuple]]:
+def _exact_axis_frame(cn: DarbouxCoefficients, sd) -> list[tuple] | None:
     """Rows of R with cn(x) = canonical(Rx), for axis-aligned exact inputs
     (d = 0, e supported on one axis).  Returns None when not applicable."""
     if any(v != 0 for v in cn.d):
@@ -388,7 +383,8 @@ def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):
         frame = [tuple(float(v) for v in row) for row in frame]
 
     shift = tuple(-pol.div(v, c.a0) / 2 for v in c.b)  # cn(x) = (c/a0)(x + shift)
-    residual = point_residual(c)
+    # float points are measured on the float copy, as they are polished
+    residual = point_residual(c if exact else fc)
     bound = 0 if exact else 1e-12
     out = []
     for X in canon_pts:

@@ -103,17 +103,16 @@ class TolerancePolicy(namedtuple("TolerancePolicy", "mode tau_rel exact")):
         return Fraction(num, den) if self.exact else num / den
 
 
-class Prepared(namedtuple("Prepared", "raw branch work scale inv zero_point",
+class Prepared(namedtuple("Prepared", "branch work scale inv zero_point",
                           defaults=(None, 1, None, False))):
-    """One input, prepared once by `prepare` for every stage: `raw` is the
-    input, `work` the gauged copy every stage runs on and `inv` its
-    invariant bundle; `zero_point` marks a float quartic that cancels to
-    rounding noise at its own scale (`_is_zero_point`).  A quantity of
-    weighted degree w is its value on work times `scale_back(w)`, the one
-    way back: on normalize_quartic(raw) for a quartic; on `raw` for an
-    exact cubic or quadric, and on `raw` divided by max |b| or max |c, d|
-    for a float one.  An exact work is on the integer lattice with
-    scale = 1/lam."""
+    """One input c, prepared once by `prepare` for every stage: `work` is
+    the gauged copy every stage runs on and `inv` its invariant bundle;
+    `zero_point` marks a float quartic that cancels to rounding noise at
+    its own scale (`_is_zero_point`).  A quantity of weighted degree w is
+    its value on work times `scale_back(w)`, the one way back: on
+    normalize_quartic(c) for a quartic; on c for an exact cubic or
+    quadric, and on c divided by max |b| or max |c, d| for a float one.
+    An exact work is on the integer lattice with scale = 1/lam."""
 
     __slots__ = ()
 
@@ -218,11 +217,11 @@ def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
     elif not all(map(zero, (*c.c, *c.d))):
         branch = QUADRIC
     else:
-        return Prepared(c, LINEAR)
+        return Prepared(LINEAR)
     work, scale, zero_point = ((*_lattice(c, branch), False) if pol.exact
                                else _float_gauge(c, branch, pol))
     inv = None if branch == QUADRIC else base_invariants(work)
-    return Prepared(c, branch, work, scale, inv, zero_point)
+    return Prepared(branch, work, scale, inv, zero_point)
 
 
 def recognize(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:

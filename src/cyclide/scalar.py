@@ -110,12 +110,13 @@ _SHORT_BITS = 2000
 
 
 def format_scalar(v: Scalar):
-    """JSON-friendly form: Fractions as int or "p/q" string, floats as floats.
-    TooManyDigits when a Fraction has a part too long to convert to str
+    """JSON-friendly form: Fractions as int or "p/q" string, ints as ints,
+    floats as floats.
+    TooManyDigits when an exact value has a part too long to convert to str
     (an int would otherwise fail only later, in json.dumps)."""
     if type(v) is float:
         return v
-    if isinstance(v, Fraction):
+    if isinstance(v, Fraction) or type(v) is int:
         num, den = v.numerator, v.denominator
         if num.bit_length() > _SHORT_BITS or den.bit_length() > _SHORT_BITS:
             try:

@@ -103,6 +103,10 @@ class TestClassifyCubic:
         assert classify_cubic(Fraction(0), Fraction(0), pol) \
             == SurfaceClass.PLANE_AND_POINT
 
+    def test_float_product_within_tolerance_is_zero(self, fpol):
+        # p q = 1e-10 is zero at tau = 1e-9 while p = q = 1e-5 is not
+        assert classify_cubic(1e-5, 1e-5, fpol) == SurfaceClass.SPHERE_TANGENT_PLANE
+
     def test_float_class_matches_exact_on_generated_cubics(self, pol, fpol):
         # the pairs p = q, p = 0, q = -p and a generic one, randomly moved,
         # with every coefficient times 10^k for k in -6..6

@@ -1,4 +1,5 @@
 """Generator soundness, coverage, rejection and surface sampling."""
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -14,7 +15,14 @@ from cyclide.errors import NoRealPoints, SeedInvariantViolation
 from cyclide.genkit import (QuarticSeed, generate_cubic_dupin, generate_quartic_dupin,
                             perturb_off_variety, random_motion,
                             random_quartic_seed, sample_surface_points)
+from cyclide.moebius import TorusSpec
 from tripoly import polynomial_from_coefficients
+
+SEED = 20240811   # the seed of the `rng` fixture
+# the points of `test_float_points_of_exact_input_are_pinned`; their floats
+# come through libm (cos, sin, atan2, hypot), so the digest also pins the
+# host it was taken on (x86-64 Linux, CPython 3.11)
+SAMPLES_DIGEST = "c436a53ec6c708e9698c50441f1004f286dcd35e80c0fcce9e7e5ef7025f3cff"
 
 
 class TestGenerate:
@@ -33,7 +41,14 @@ class TestGenerate:
         ident = EuclideanMotion.identity()
         with pytest.raises(SeedInvariantViolation):
             QuarticSeed(Fraction(4), Fraction(1), Fraction(2), Fraction(3), ident)
-        QuarticSeed(Fraction(9), Fraction(1), Fraction(4), Fraction(6), ident)
+        seed = QuarticSeed(Fraction(9), Fraction(1), Fraction(4), Fraction(6), ident)
+        # an immutable record in the order (s, t, u, m, motion, lam), lam = 1 by default
+        assert tuple(seed) == (9, 1, 4, 6, ident, 1) and seed.lam == 1
+        assert QuarticSeed(s=9, t=1, u=4, m=-6, motion=ident, lam=2).m == -6
+        with pytest.raises(AttributeError):
+            seed.lam = Fraction(2)
+        with pytest.raises(SeedInvariantViolation):
+            QuarticSeed(s=9, t=1, u=4, m=5, motion=ident)
 
     def test_cubic_examples(self, pol):
         ident = EuclideanMotion.identity()
@@ -170,6 +185,46 @@ class TestSampling:
         pts = sample_surface_points(c, 16, rng)
         poly = polynomial_from_coefficients(c)
         assert pts and all(poly.evaluate(p) == 0 for p in pts)
+
+    @pytest.mark.parametrize("squares, label", [
+        ((0, 0, 4, 0), SurfaceClass.DOUBLE_SPHERE),
+        ((4, 4, 4, 8), SurfaceClass.SPHERE_AND_POINT),   # alpha = delta
+        ((0, 0, 0, 0), SurfaceClass.ONE_POINT),
+    ], ids=["double sphere", "touching at alpha = delta", "one point"])
+    def test_degenerate_canonical_classes(self, squares, label, pol, rng):
+        c = CanonicalQuartic(*squares).coefficients()
+        assert classify_quartic(spectral_data(prepare(c, pol), pol), pol) == label
+        residual = point_residual(c)
+        pts = sample_surface_points(c, 6, rng)
+        assert pts and all(type(v) is Fraction for p in pts for v in p)
+        assert all(residual(p) == 0 for p in pts)
+
+    def test_float_points_of_exact_input_are_pinned(self):
+        # exact input sampled in floats (irrational radii, a rotated frame)
+        # is measured on its float copy: the same residual, bit for bit, as
+        # on the exact coefficients, so the same points
+        cases = [(TorusSpec(3, 4).coefficients(exact=True), 50, 1008)]
+        cases += [(TorusSpec(3, 4).coefficients(exact=True), n, SEED) for n in (50, 30)]
+        cases += [(TorusSpec(1, 16).coefficients(exact=True), 20, SEED)]
+        cases += [(TorusSpec(R2 - r2, R2).coefficients(exact=True), 25, SEED)
+                  for r2, R2 in ((1, 4), (4, 9), (1, 9))]
+        cases += [(CanonicalQuartic(4, -9, -1, 6).coefficients(), 5, SEED)]
+        rng = random.Random(SEED)
+        cases += [(generate_quartic_dupin(random_quartic_seed(rng, smooth=True)), 10, SEED)
+                  for _ in range(4)]
+        digest = hashlib.sha256()
+        floats = 0
+        for c, n, seed in cases:
+            pts = sample_surface_points(c, n, random.Random(seed))
+            exact, fast = point_residual(c), point_residual(c.to_float())
+            for p in pts:
+                if type(p[0]) is float:
+                    floats += 1
+                    assert fast(p).hex() == float(exact(p)).hex()
+            digest.update((";".join(",".join(v.hex() if type(v) is float else str(v)
+                                             for v in p) for p in pts) + "\n").encode())
+        assert floats == 247
+        assert digest.hexdigest() == SAMPLES_DIGEST
 
     def test_int_input_samples_as_its_fraction_copy(self):
         # the int R=2, r=1 torus moved by (1, 0, 0): b1 / a0 is a Fraction

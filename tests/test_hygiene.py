@@ -1,6 +1,7 @@
 """Source hygiene without a linter: every module of the package and of the
-tests uses each name it imports, and every module-level function or class
-of the package is read somewhere in src/, tests/ or bench/.  An import line marked
+tests uses each name it imports, every module-level function or class of
+the package is read somewhere in src/, tests/ or bench/, and so is every
+field of a package `namedtuple` record, as an attribute.  An import line marked
 `# noqa: F401` is kept on purpose (a module attribute that bench/tracing.py
 wraps) and is exempt from the first check."""
 import ast
@@ -69,10 +70,42 @@ def unread_definitions(package_sources, reader_sources):
     return sorted(defined - read)
 
 
-def test_every_function_and_class_is_read():
-    sources = {p: p.read_text(encoding="utf-8") for p in READERS}
-    package = [text for p, text in sources.items() if p.parent == PACKAGE]
-    assert package and unread_definitions(package, sources.values()) == []
+def unread_fields(package_sources, reader_sources):
+    """(record, field) of every field of a record defined in package_sources
+    as `class Record(namedtuple("Record", "fields"))` that no source in
+    reader_sources reads as an attribute."""
+    fields = []
+    for source in package_sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for base in node.bases:
+                if (isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+                        and base.func.id == "namedtuple"):
+                    names = base.args[1].value.replace(",", " ").split()
+                    fields += [(node.name, name) for name in names]
+    read = {node.attr for source in reader_sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(field for field in fields if field[1] not in read)
+
+
+@pytest.fixture(scope="module")
+def sources():
+    """{path: text} of the package and of its readers, and the package texts."""
+    texts = {p: p.read_text(encoding="utf-8") for p in READERS}
+    package = [text for p, text in texts.items() if p.parent == PACKAGE]
+    assert package
+    return texts, package
+
+
+def test_every_function_and_class_is_read(sources):
+    texts, package = sources
+    assert unread_definitions(package, texts.values()) == []
+
+
+def test_every_record_field_is_read(sources):
+    texts, package = sources
+    assert unread_fields(package, texts.values()) == []
 
 
 def test_an_unread_helper_is_caught():
@@ -84,3 +117,13 @@ def test_an_unread_helper_is_caught():
               "import pkg\n"
               "pkg.used(1)\n")
     assert unread_definitions([package], [package, reader]) == ["Lost", "orphan"]
+
+
+def test_an_unread_field_is_caught():
+    package = ("from collections import namedtuple\n"
+               "class Rec(namedtuple('Rec', 'kept, lost stored')):\n"
+               "    pass\n")
+    reader = ("def f(r):\n"
+              "    r.stored = 1\n"
+              "    return r.kept\n")
+    assert unread_fields([package], [package, reader]) == [("Rec", "lost"), ("Rec", "stored")]

@@ -3,12 +3,15 @@
 `import cyclide` (with `cyclide.pipeline` and `cyclide.serialize`) and the
 CLI's analysis verbs load no module that analysis never runs: no `typing`,
 `dataclasses` or `random`, and not the generator kit, which is imported on
-first use.  Each probe runs in a fresh `python -S`, as a cold start does."""
+first use.  No module of the package, the generator kit, the acceptance
+suite and the CLI included, loads `typing`, `dataclasses` or `inspect`.
+Each probe runs in a fresh `python -S`, as a cold start does."""
 import copy
 import json
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,12 @@ from test_cli import CHILD_ENV, TORUS_JSON
 
 # modules the analysis path never runs
 OFF_PATH = ("typing", "dataclasses", "inspect", "random", "csv", "cyclide.genkit")
+# modules no module of the package runs
+RECORD_MACHINERY = ("typing", "dataclasses", "inspect")
+PACKAGE_MODULES = sorted(
+    f"cyclide.{p.stem}"
+    for p in (Path(__file__).resolve().parents[1] / "src" / "cyclide").glob("*.py")
+    if p.stem != "__init__")
 
 
 def probe(code: str) -> list:
@@ -48,6 +57,12 @@ def test_analysis_verbs_load_no_generator():
              "    for mode in ('--exact', '--float'):\n"
              f"        assert main([verb, mode, {TORUS_JSON!r}]) == 0")
     assert loaded_after(setup, ("random", "dataclasses", "cyclide.genkit")) == []
+
+
+def test_no_package_module_loads_typing_dataclasses_or_inspect():
+    assert {"cyclide.acceptance", "cyclide.cli", "cyclide.genkit"} <= set(PACKAGE_MODULES)
+    setup = f"import {', '.join(PACKAGE_MODULES)}"
+    assert loaded_after(setup, RECORD_MACHINERY) == []
 
 
 @pytest.mark.parametrize("setup", ["from cyclide import genkit",

@@ -10,11 +10,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import CUBIC22, TORUS21, rand_fraction, random_coefficients
-from cyclide import (SIGMA12, SIGMA13, DarbouxCoefficients, apply_permutation,
-                     base_invariants, cubic_forms, quadric_forms,
+from cyclide import (DarbouxCoefficients, base_invariants, cubic_forms, quadric_forms,
                      quartic_generators, reduced_generators_e0, weighted_rescale)
 from cyclide.errors import NotNormalized, PreconditionError, ZeroCubicPart
 from cyclide.invariants import RESIDUAL_WEIGHTS
+from sigma_orbit import SIGMA12, SIGMA13, apply_permutation
 
 
 def normalized_random(rng, with_e=True):

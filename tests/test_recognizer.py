@@ -198,7 +198,7 @@ class TestIntegerGauge:
         kinds = set()
         for cn in self._fractional_quartics(rng):
             # cn taken as its own gauge, at scale 1
-            own = Prepared(cn, QUARTIC, work=cn, inv=base_invariants(cn))
+            own = Prepared(QUARTIC, work=cn, inv=base_invariants(cn))
             for got, direct in ((recognize(cn, pol), _quartic_case_verdict(own, pol)),
                                 (recognize_quartic_oracle(prepare(cn, pol), pol),
                                  recognize_quartic_oracle(own, pol))):
@@ -223,7 +223,7 @@ class TestIntegerGauge:
             # the cubic and quadric verdicts, on a copy taken as its own gauge
             for decide, branch, cc in ((recognize_cubic, CUBIC, cubic),
                                        (recognize_quadric, QUADRIC, quadric)):
-                prep = Prepared(cc, branch, work=cc, inv=base_invariants(cc))
+                prep = Prepared(branch, work=cc, inv=base_invariants(cc))
                 vals.update(decide(prep, pol).residuals)
             return vals
 
@@ -461,6 +461,16 @@ class TestFloatPolicy:
         noisy = self._noisy(c, rng, 1e-14)
         v = recognize(noisy, fpol)
         assert v.is_dupin and v.case_label == "d"
+
+    def test_float_point_quartic_keeps_its_scale(self):
+        # rho^4 = 0: every slot but a0 is zero, so the weighted sup-norm is
+        # 0 and the gauge leaves the normalized copy at scale 1
+        fpol = TolerancePolicy(FLOAT, 1e-9)
+        p = prepare(parse_coefficients({"a0": 1}, FLOAT), fpol)
+        assert p.work == DarbouxCoefficients.make(a0=1, exact=False)
+        assert p.scale == 1.0 and p.zero_point
+        v = recognize(p.work, fpol)
+        assert v.kind == DUPIN_QUARTIC and v.case_label == "d"
 
     def test_float_cubic(self, rng):
         fpol = TolerancePolicy(FLOAT, 1e-9)

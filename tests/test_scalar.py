@@ -4,7 +4,7 @@ strings gives the value and type of `Fraction(text)` in exact mode and of
 `Fraction(text)` result or error; the float fast paths of `parse_scalar`
 and `format_scalar` keep every refusal of the general path, and a decimal
 exponent beyond the int-to-str digit limit is refused before any power of
-ten is built."""
+ten is built.  An exact int prints as an int."""
 import json
 import math
 import random
@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from cyclide import DarbouxCoefficients
 from cyclide.errors import ParseError, TooManyDigits
 from cyclide.scalar import EXACT, FLOAT, format_scalar, parse_scalar
+from cyclide.serialize import coefficients_to_json
 
 CASES = ["3/4", "-3/4", " 7 ", "+3/4", "3/04", "0/5", "-0", "3/0", "3/-4",
          "1_000/3", "١/٢", "0.25", "1e3", "", "/3", "3/",
@@ -88,6 +90,22 @@ def test_format_scalar_refuses_what_cannot_be_printed(v, want):
             format_scalar(v)
     else:
         assert format_scalar(v) == want
+
+
+@pytest.mark.parametrize("v", [0, 9, -10, 10 ** 1000],
+                         ids=["zero", "nine", "minus ten", "long"])
+def test_format_scalar_prints_an_int_as_itself(v):
+    assert type(format_scalar(v)) is int and format_scalar(v) == v
+
+
+def test_an_exact_int_slot_prints_as_an_int():
+    # the int R=2, r=1 torus: its slots are exact, so none prints as a float
+    torus = DarbouxCoefficients(1, 0, 0, 0, -10, -10, 6, 0, 0, 0, 0, 0, 0, 9)
+    out = coefficients_to_json(torus)
+    assert out == {"a0": 1, "c1": -10, "c2": -10, "c3": 6, "f0": 9}
+    assert all(type(v) is int for v in out.values())
+    with pytest.raises(TooManyDigits):
+        format_scalar(10 ** 5000)
 
 
 def float_of(text):

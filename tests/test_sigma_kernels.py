@@ -4,8 +4,9 @@ K, L and M, the cubic numerator P1, the quadric forms S1 and T1 and the
 cubic shift are evaluated on the plain slot tuples of `sigma_images`, each
 unpacked once, with the symmetric scalars they read passed in; `_lattice`
 is written out slot by slot.  The versions below, which read the named
-slots of `DarbouxCoefficients` copies from `sigma_orbit` and took the whole
-invariant bundle, are kept here as references: on random Fractions and
+slots of the `DarbouxCoefficients` copies of the test-side reference
+`sigma_orbit` (tests/sigma_orbit.py) and took the whole invariant bundle,
+are kept here as references: on random Fractions and
 lattice ints the kernels give the same values exactly, and on random and
 boundary floats the same floats bit for bit, sign of zero included.
 """
@@ -16,10 +17,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_coefficients
-from cyclide import SIGMA12, SIGMA13, DarbouxCoefficients, TolerancePolicy
+from cyclide import DarbouxCoefficients, TolerancePolicy
 from cyclide.canonical import cubic_shift
-from cyclide.core import (SLOT_WEIGHTS, apply_permutation, normalize_quartic,
-                          sigma_images, sigma_orbit)
+from cyclide.core import SLOT_WEIGHTS, normalize_quartic, sigma_images
 from cyclide.genkit import generate_quartic_dupin, random_quartic_seed
 from cyclide.invariants import (InvariantBundle, _e_numerator, _n_forms, _s1, _t1,
                                 base_invariants, k_form, l_form, lm_scalars, m_form,
@@ -27,6 +27,7 @@ from cyclide.invariants import (InvariantBundle, _e_numerator, _n_forms, _s1, _t
 from cyclide.recognizer import (CUBIC, QUADRIC, QUARTIC, _axis_case_residuals,
                                 _lattice)
 from cyclide.scalar import EXACT, FLOAT
+from sigma_orbit import SIGMA12, SIGMA13, apply_permutation, sigma_orbit
 from test_float_kernels import random_float
 
 PERMS = (None, SIGMA12, SIGMA13)
