@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import NotQuartic, ShapeError, ZeroScale
@@ -61,7 +62,7 @@ class DarbouxCoefficients(namedtuple(
     e = property(itemgetter(slice(10, 13)))
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self)
+        return all(map(isinstance, self, repeat((Fraction, int))))
 
     def replace(self, **kw) -> "DarbouxCoefficients":
         return self._replace(**kw)

@@ -1,18 +1,51 @@
 """End-to-end analysis used by the CLI verbs and the batch front end; every
-stage after `recognize` reads the prepared form its verdict carries."""
+stage after `recognize` reads the prepared form its verdict carries.
+
+The later stages, `canonical`, `classify` and `moebius`, are imported and
+bound here on the first input that goes past a Dupin verdict, so a
+`recognize` run never loads them.  Before that their names resolve through
+the module `__getattr__` (PEP 562), so bench/tracing.py can wrap
+`cyclide.pipeline.spectral_data` and the like at start-up; a name set on
+the module before the stages are bound is kept, and is what `analyze`
+calls."""
 from __future__ import annotations
 
-from . import moebius
-from .canonical import (canonical_cubic_params, canonical_quartic_params,
-                        spectral_data)
-from .classify import (classify_cubic, classify_quartic_report, j0_cubic,
-                       j0_quartic, willmore_energy)
 from .core import DarbouxCoefficients, normalize_quartic  # noqa: F401  (traced by bench/)
 from .errors import CyclideError
 from .recognizer import (DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC,
                          TolerancePolicy, recognize)
 from .scalar import format_scalar
 from .serialize import error_text, verdict_to_json
+
+# the names analyze calls from the later stages; the moebius functions are
+# called through the module, where bench/tracing.py wraps them
+_CANONICAL = ("canonical_cubic_params", "canonical_quartic_params", "spectral_data")
+_CLASSIFY = ("classify_cubic", "classify_quartic_report", "j0_cubic", "j0_quartic",
+             "willmore_energy")
+_LATER_NAMES = frozenset((*_CANONICAL, *_CLASSIFY, "moebius"))
+_stages_bound = False
+
+
+def _bind_stages():
+    """Import canonical, classify and moebius and bind _LATER_NAMES here,
+    once.  A name already set on the module, such as a tracer's wrapper, is
+    kept."""
+    global _stages_bound
+    from . import canonical, classify, moebius
+    names = globals()
+    names.setdefault("moebius", moebius)
+    for module, attrs in ((canonical, _CANONICAL), (classify, _CLASSIFY)):
+        for attr in attrs:
+            names.setdefault(attr, getattr(module, attr))
+    _stages_bound = True
+
+
+def __getattr__(name):
+    """A later stage's name, looked up before an input has bound it."""
+    if name not in _LATER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_stages()
+    return globals()[name]
 
 
 def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
@@ -24,6 +57,8 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
     report = verdict_to_json(verdict)
     if want == "recognize" or not verdict.is_dupin:
         return report
+    if not _stages_bound:
+        _bind_stages()
 
     prep = verdict.prepared
     if verdict.kind == DUPIN_QUARTIC:

@@ -343,3 +343,23 @@ class TestRecords:
             moved = apply_motion(c, EuclideanMotion.translation_by(shift))
             assert all(type(v) is float for v in moved)
             assert all(type(v) is float for v in normalize_quartic(c))
+
+
+class TestIsExact:
+    """Exact means every slot is a Fraction or an int, subclasses (bool)
+    included."""
+
+    class Half(Fraction):
+        pass
+
+    @pytest.mark.parametrize("slots, exact", [
+        ((1,) * 14, True),
+        ((Fraction(1, 3),) * 14, True),
+        ((True, False) * 7, True),
+        ((Half(1, 2),) + (0,) * 13, True),
+        ((1,) * 13 + (1.0,), False),
+        ((0.5,) + (Fraction(1, 2),) * 13, False),
+        ((1,) * 13 + (1j,), False),
+    ])
+    def test_every_slot_counts(self, slots, exact):
+        assert DarbouxCoefficients(*slots).is_exact() is exact

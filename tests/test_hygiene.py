@@ -3,7 +3,8 @@ tests uses each name it imports, every module-level function or class of
 the package is read somewhere in src/, tests/ or bench/, and so is every
 field of a package `namedtuple` record, as an attribute.  An import line marked
 `# noqa: F401` is kept on purpose (a module attribute that bench/tracing.py
-wraps) and is exempt from the first check."""
+wraps) and is exempt from the first check.  A module-level `__getattr__`
+(PEP 562), which only the interpreter calls, is exempt from the second."""
 import ast
 from pathlib import Path
 
@@ -14,6 +15,8 @@ PACKAGE = ROOT / "src" / "cyclide"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+# the module-level function the interpreter calls on attribute lookup (PEP 562)
+MODULE_HOOK = "__getattr__"
 
 
 def unused_imports(source: str):
@@ -52,12 +55,14 @@ def test_an_unused_import_is_caught():
 def unread_definitions(package_sources, reader_sources):
     """Names of the module-level functions and classes defined in
     package_sources that no source in reader_sources reads: as a name
-    loaded, an attribute, or a name imported from a module."""
+    loaded, an attribute, or a name imported from a module.  MODULE_HOOK
+    is not counted."""
     defined = set()
     for source in package_sources:
         defined.update(node.name for node in ast.parse(source).body
                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                            ast.ClassDef)))
+                                            ast.ClassDef))
+                       and node.name != MODULE_HOOK)
     read = set()
     for source in reader_sources:
         for node in ast.walk(ast.parse(source)):
@@ -117,6 +122,14 @@ def test_an_unread_helper_is_caught():
               "import pkg\n"
               "pkg.used(1)\n")
     assert unread_definitions([package], [package, reader]) == ["Lost", "orphan"]
+
+
+def test_an_unread_helper_beside_a_module_hook_is_caught():
+    package = ("def _load(name):\n    return name\n"
+               "def _unread(name):\n    return name\n"
+               "def __getattr__(name):\n    return _load(name)\n"
+               "def __dir__():\n    return []\n")
+    assert unread_definitions([package], [package]) == ["__dir__", "_unread"]
 
 
 def test_an_unread_field_is_caught():

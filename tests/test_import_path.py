@@ -3,9 +3,14 @@
 `import cyclide` (with `cyclide.pipeline` and `cyclide.serialize`) and the
 CLI's analysis verbs load no module that analysis never runs: no `typing`,
 `dataclasses` or `random`, and not the generator kit, which is imported on
-first use.  No module of the package, the generator kit, the acceptance
-suite and the CLI included, loads `typing`, `dataclasses` or `inspect`.
-Each probe runs in a fresh `python -S`, as a cold start does."""
+first use.  A `recognize` analysis loads none of the later stages
+(`canonical`, `classify`, `moebius`, with `cmath`): `cyclide` resolves their
+names on first access and `cyclide.pipeline` binds them on its first input
+past a Dupin verdict, and a wrapper that bench/tracing.py sets on
+`cyclide.pipeline` before then is what `analyze` calls.  No module of the
+package, the generator kit, the acceptance suite and the CLI included,
+loads `typing`, `dataclasses` or `inspect`.  Each probe runs in a fresh
+`python -S`, as a cold start does."""
 import copy
 import json
 import pickle
@@ -22,6 +27,12 @@ from test_cli import CHILD_ENV, TORUS_JSON
 
 # modules the analysis path never runs
 OFF_PATH = ("typing", "dataclasses", "inspect", "random", "csv", "cyclide.genkit")
+# modules a recognize analysis never runs: the stages after recognition
+LATER_STAGES = ("cyclide.canonical", "cyclide.classify", "cyclide.moebius", "cmath")
+# one Dupin input per degree branch: the torus R = 2, r = 1, the (p, q) =
+# (-2, 2) ring cyclide and a rotational cone
+BY_DEGREE = (TORUS_JSON, '{"b1":1,"c2":"-2","c3":"2","e1":"-1"}', '{"c1":1,"c2":1,"c3":2}')
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 # modules no module of the package runs
 RECORD_MACHINERY = ("typing", "dataclasses", "inspect")
 PACKAGE_MODULES = sorted(
@@ -57,6 +68,57 @@ def test_analysis_verbs_load_no_generator():
              "    for mode in ('--exact', '--float'):\n"
              f"        assert main([verb, mode, {TORUS_JSON!r}]) == 0")
     assert loaded_after(setup, ("random", "dataclasses", "cyclide.genkit")) == []
+
+
+def test_recognize_loads_no_later_stage():
+    setup = ("import json\n"
+             "import cyclide, cyclide.pipeline, cyclide.serialize\n"
+             "from cyclide.cli import main\n"
+             f"for line in {BY_DEGREE!r}:\n"
+             "    for mode in ('exact', 'float'):\n"
+             "        pol = cyclide.TolerancePolicy(mode)\n"
+             "        c = cyclide.serialize.parse_coefficients(json.loads(line), mode)\n"
+             "        assert cyclide.pipeline.analyze(c, pol, 'recognize')['kind'] != 'NotDupin'\n"
+             "        assert main(['recognize', '--' + mode, line]) == 0")
+    assert loaded_after(setup, LATER_STAGES) == []
+    # every exported name but the submodule genkit resolves without an
+    # import, `from cyclide import *` binds them all (genkit included), and
+    # a stage's name is the stage's own object
+    names = probe("import cyclide\n"
+                  "unresolved = [n for n in cyclide.__all__ if not hasattr(cyclide, n)]\n"
+                  "star = {}\n"
+                  "exec('from cyclide import *', star)\n"
+                  "unbound = [n for n in cyclide.__all__ if star.get(n) is not getattr(cyclide, n)]\n"
+                  "import cyclide.canonical\n"
+                  "print(*unresolved, '|', *unbound, '|',\n"
+                  "      cyclide.spectral_data is cyclide.canonical.spectral_data)")
+    assert names == ["genkit", "|", "|", "True"]
+
+
+def test_bench_tracer_wraps_the_later_stages_before_they_load():
+    code = ("import json, sys\n"
+            "import cyclide.pipeline as pipeline\n"
+            "from cyclide.recognizer import TolerancePolicy\n"
+            "from cyclide.serialize import parse_coefficients\n"
+            f"sys.path.insert(0, {str(BENCH)!r})\n"
+            "from tracing import TARGETS, Tracer\n"
+            "assert 'cyclide.canonical' not in sys.modules\n"
+            "calls = []\n"
+            "stage = lambda: sys.modules['cyclide.canonical']\n"
+            "pipeline.spectral_data = lambda *a: calls.append(a) or stage().spectral_data(*a)\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "assert all(hasattr(sys.modules[m], a) for m, a, _ in TARGETS)\n"
+            "pol = TolerancePolicy('exact')\n"
+            f"c = parse_coefficients(json.loads({TORUS_JSON!r}), 'exact')\n"
+            "report = pipeline.analyze(c, pol, 'to-torus')\n"
+            "assert 'torus' in report and 'error' not in report['torus']\n"
+            "print(len(calls), *sorted(tracer.totals()))")
+    calls, *spans = probe(code)
+    assert calls == "1"
+    assert {"canonical.spectral_data", "canonical.canonical_quartic_params",
+            "classify.classify_quartic_report", "classify.j0_quartic",
+            "moebius.torus_radii", "moebius.build_map"} <= set(spans)
 
 
 def test_no_package_module_loads_typing_dataclasses_or_inspect():
