@@ -183,7 +183,7 @@ def criterion_6_classification_grid() -> tuple[bool, str]:
     for r2 in GRID:
         for R2 in GRID:
             want = _figure_torus_label(Fraction(r2), Fraction(R2))
-            c = TorusSpec(Fraction(r2), Fraction(R2)).coefficients(exact=True)
+            c = TorusSpec(r2, R2).coefficients()
             sd = spectral_data(prepare(c, EXACT_POL), EXACT_POL)
             got = classify_quartic(sd, EXACT_POL)
             if got != want:
@@ -253,7 +253,7 @@ def criterion_8_moebius_calibration() -> tuple[bool, str]:
     delta=sqrt(2) cyclide calibrate to residual <= 1e-9; axis point and J0
     anchors hold."""
     rng = random.Random(1008)
-    dual = TorusSpec(3, 4).coefficients(exact=True)
+    dual = TorusSpec(3, 4).coefficients()
     pts = [tuple(map(float, p)) for p in sample_surface_points(dual, 50, rng)]
     q_torus = CanonicalQuartic(4.0, 0.0, 1.0, 0.0)
     m, report = calibrate_convention(q_torus, MOBT2, pts)
@@ -269,7 +269,7 @@ def criterion_8_moebius_calibration() -> tuple[bool, str]:
     ratio_j0 = torus_radii(CanonicalQuartic(
         Fraction(4), Fraction(1), Fraction(2), Fraction(0))).j0()
     fpol = TolerancePolicy(FLOAT, 1e-9)
-    cyc = prepare(q_cyc.coefficients(exact=False), fpol)
+    cyc = prepare(q_cyc.coefficients(), fpol)
     j = j0_quartic(cyc, spectral_data(cyc, fpol), fpol)
     j0_ok = (ratio_j0 == Fraction(2, 9)
              and abs(float(j.value) - 2.0 / 9.0) <= 1e-9)

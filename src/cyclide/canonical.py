@@ -8,9 +8,11 @@ recentering shift and the parameter pair (p, q).
 Every stage takes the `Prepared` form of its input (`recognizer.prepare`),
 works at its gauge and takes each value it reports, messages included, back
 by `Prepared.scale_back` of its weight, so float tolerance checks are
-scale-free and exact arithmetic starts on the integer lattice.  Exact mode stays
-closed over the rationals and demands perfect-square discriminants
-(generator-produced inputs always satisfy this).
+scale-free and exact arithmetic starts on the integer lattice.  The one
+exception is a float `Inconsistent` message: its named residuals print at
+the gauge, as float verdict residuals do (`recognizer.residuals_back`).
+Exact mode stays closed over the rationals and demands perfect-square
+discriminants (generator-produced inputs always satisfy this).
 """
 from __future__ import annotations
 
@@ -45,15 +47,17 @@ class CanonicalQuartic(namedtuple("CanonicalQuartic", "alpha_sq gamma_sq delta_s
 
     __slots__ = ()
 
-    def coefficients(self, exact: bool = True) -> DarbouxCoefficients:
+    def coefficients(self) -> DarbouxCoefficients:
         """The canonical equation, translation-normalized: with (s, t, u) =
         (alpha^2, gamma^2, delta^2), c = (-2(s+t+u), 2(t-s-u), 2(s-t-u)),
         e1 = 4 agd and f0 = (s-t-u)^2 - 4tu.  Worked in the types of the
-        stored values, then made exact or float."""
+        stored values; exact when all four are ints or Fractions (the rule
+        of `DarbouxCoefficients.is_exact`), else float."""
         s, t, u = self.alpha_sq, self.gamma_sq, self.delta_sq
         return DarbouxCoefficients.make(
             a0=1, c=(-2 * (s + t + u), 2 * (t - s - u), 2 * (s - t - u)),
-            e=(4 * self.agd, 0, 0), f0=(s - t - u) ** 2 - 4 * t * u, exact=exact)
+            e=(4 * self.agd, 0, 0), f0=(s - t - u) ** 2 - 4 * t * u,
+            exact=all(isinstance(v, (Fraction, int)) for v in self))
 
 
 class CanonicalCubic(namedtuple("CanonicalCubic", "p q shift")):
@@ -85,9 +89,10 @@ def _sqrt(v: Scalar, exact: bool, name: str, prep: Prepared | None = None,
 def _check(names: tuple[str, ...], values: tuple[Scalar, ...], prep: Prepared,
            pol: TolerancePolicy, what: str) -> None:
     """Inconsistent naming `what` and every value that is nonzero at prep's
-    gauge, by its name in names, printed at the caller's scale by
-    `residuals_back`; the names are read only then.  At unit gauge a loose
-    constant absorbs the division noise of the A_i."""
+    gauge, by its name in names, printed by `residuals_back`: at the
+    caller's scale in exact mode, at the gauge in float mode; the names are
+    read only then.  At unit gauge a loose constant absorbs the division
+    noise of the A_i."""
     for value in values:
         if pol.nonzero(value, 100):
             bad = {k: v for k, v in zip(names, values) if pol.nonzero(v, 100)}

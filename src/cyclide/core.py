@@ -9,10 +9,11 @@ name the implicit surface
 
 `DarbouxCoefficients` is that 14-tuple with named slots, and each action on
 the slots is written once, here.  `SLOT_WEIGHTS` is the weighted degree of
-each slot under (x,y,z) -> lam*(x,y,z) (0 for a0, 1 b, 2 c and d, 3 e, 4 f0):
-`weighted_rescale` and the float gauge read it, and every residual is
-weighted-homogeneous in it.  An index swap sigma_ij exchanges subscripts i
-and j in b, c, d and e at once, by a table of slot indices.
+each slot under (x,y,z) -> lam*(x,y,z) (0 for a0, 1 b, 2 c and d, 3 e, 4 f0),
+and every residual is weighted-homogeneous in it; `weighted_rescale` and the
+float gauge write these weights out slot by slot, and only the tests read
+the table.  An index swap sigma_ij exchanges subscripts i and j in b, c, d
+and e at once, by a table of slot indices.
 `sigma_images(c) = (c, sigma12 c, sigma13 c)`, the images as plain 14-tuples,
 is the one place the index 2 and 3 images of a formula are taken (K2, K3
 of K1, likewise L, M, the cubic targets, the quadric forms and the cubic
@@ -110,30 +111,22 @@ class EuclideanMotion(namedtuple("EuclideanMotion", "rotation translation")):
 
     def after(self, other: "EuclideanMotion") -> "EuclideanMotion":
         """Motion x -> self(other(x))."""
-        R1, t1 = self.rotation, self.translation
-        R2, t2 = other.rotation, other.translation
-        R = tuple(tuple(sum(R1[i][k] * R2[k][j] for k in range(3)) for j in range(3))
-                  for i in range(3))
-        t = tuple(sum(R1[i][k] * t2[k] for k in range(3)) + t1[i] for i in range(3))
-        return EuclideanMotion(R, t)
+        cols = tuple(zip(*other.rotation))
+        return EuclideanMotion(
+            tuple(tuple(_dot(row, col) for col in cols) for row in self.rotation),
+            tuple(_dot(row, other.translation) + t
+                  for row, t in zip(self.rotation, self.translation)))
 
     def inverse(self) -> "EuclideanMotion":
         """Inverse assuming orthogonal rotation part (R^T, -R^T t)."""
-        R, t = self.rotation, self.translation
-        Rt = tuple(tuple(R[j][i] for j in range(3)) for i in range(3))
-        ti = tuple(-sum(Rt[i][k] * t[k] for k in range(3)) for i in range(3))
-        return EuclideanMotion(Rt, ti)
+        Rt = tuple(zip(*self.rotation))
+        return EuclideanMotion(Rt, tuple(-_dot(row, self.translation) for row in Rt))
 
     def orthogonality_defect(self) -> Scalar:
         """max |(R^T R - I)_ij|; exactly 0 for exact rotations."""
-        R = self.rotation
-        worst = 0
-        for i in range(3):
-            for j in range(3):
-                s = sum(R[k][i] * R[k][j] for k in range(3))
-                target = 1 if i == j else 0
-                worst = max(worst, abs(s - target))
-        return worst
+        cols = tuple(zip(*self.rotation))
+        return max(abs(_dot(ci, cj) - (1 if i == j else 0))
+                   for i, ci in enumerate(cols) for j, cj in enumerate(cols))
 
 
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))

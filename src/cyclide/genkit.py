@@ -247,7 +247,7 @@ def _canonical_points(sq, dsq, label, n, rng, exact):
         return pts
     # point classes: complete the square on Amin, the c-diagonal of the
     # canonical equation
-    a1, a2, a3 = CanonicalQuartic(s, t, u, 0).coefficients(exact).c
+    a1, a2, a3 = CanonicalQuartic(s, t, u, 0).coefficients().c
     if a1 == 0 and a2 == 0 and a3 == 0:
         return [(0 * s, 0 * s, 0 * s)]
     amin = min(a1, a2, a3)

@@ -99,49 +99,41 @@ def _require_normalized(c: DarbouxCoefficients):
         raise NotNormalized("requires a0 = 1 and b = 0 (run normalize_quartic)")
 
 
-def quartic_generators(c: DarbouxCoefficients) -> dict[str, Scalar]:
-    """The 12 generators K1..N3 at a normalized quartic c, by name: K, L and
-    M on the sigma-images of c, every L and M with the symmetric scalars of
-    the one bundle of c (it is sigma-invariant), and the symmetric N1, N2,
-    N3.  All twelve vanish exactly when the surface is a Dupin cyclide."""
+# the 12 generators in the order `_generators` yields them; sorted, they
+# are in the order `quartic_generators` reports them, K1..K3, ..., N1..N3
+_GENERATOR_NAMES = ("N1", "N2", "N3", *(f"{g}{i}" for i in "123" for g in "KLM"))
+
+
+def _generators(c: DarbouxCoefficients, inv: InvariantBundle):
+    """The 12 generators at a normalized quartic c, lazily, in the order of
+    `_GENERATOR_NAMES`: the symmetric N1, N2, N3 from inv = base_invariants(c)
+    first, then K, L and M on each sigma-image of c, every L and M with the
+    symmetric scalars of inv (it is sigma-invariant).  N leads because K, L
+    and M are linear in e, so at e = 0 only N can be nonzero."""
     _require_normalized(c)
-    inv = base_invariants(c)
     C0, w14, h = lm_scalars(c, inv)
-    s1, s2, s3 = sigma_images(c)
-    n1, n2, n3 = _n_forms(c, inv)
-    return {"K1": k_form(s1), "K2": k_form(s2), "K3": k_form(s3),
-            "L1": l_form(s1, C0, w14), "L2": l_form(s2, C0, w14),
-            "L3": l_form(s3, C0, w14), "M1": m_form(s1, w14, h),
-            "M2": m_form(s2, w14, h), "M3": m_form(s3, w14, h),
-            "N1": n1, "N2": n2, "N3": n3}
+    W1, W2, E0, f0 = inv.W1, inv.W2, inv.E0, c.f0
+    yield (4 * W1 + 12 * f0 - 3 * C0 ** 2) * w14 - 2 * C0 * (W2 - C0 * W1 - 6 * E0) - 4 * inv.W4
+    big = W2 + C0 * W1 + 8 * C0 * f0 - 4 * E0
+    yield 4 * (W2 - C0 * W1 - 2 * E0) * w14 + (C0 ** 2 - 4 * f0) * big
+    yield big * big - 4 * w14 ** 3
+    for s in sigma_images(c):
+        yield k_form(s)
+        yield l_form(s, C0, w14)
+        yield m_form(s, w14, h)
+
+
+def quartic_generators(c: DarbouxCoefficients) -> dict[str, Scalar]:
+    """The 12 generators K1..N3 at a normalized quartic c, by name, in that
+    order.  All twelve vanish exactly when the surface is a Dupin cyclide."""
+    return dict(sorted(zip(_GENERATOR_NAMES, _generators(c, base_invariants(c)))))
 
 
 def quartic_generators_vanish(c: DarbouxCoefficients, inv: InvariantBundle) -> bool:
     """True iff all 12 generators of `quartic_generators` are exactly zero
-    at the normalized exact quartic c, decided lazily: the symmetric N1, N2,
-    N3 first, from inv = base_invariants(c) alone, then K, L and M on the
-    sigma-images only when every N vanishes; it stops at the first nonzero
-    generator.  N leads because K, L and M are linear in e, so at e = 0 only
-    N can be nonzero."""
-    _require_normalized(c)
-    if any(_n_forms(c, inv)):
-        return False
-    C0, w14, h = lm_scalars(c, inv)
-    for s in sigma_images(c):
-        if k_form(s) or l_form(s, C0, w14) or m_form(s, w14, h):
-            return False
-    return True
-
-
-def _n_forms(c: DarbouxCoefficients, inv: InvariantBundle):
-    """(N1, N2, N3), lazily: a generator that yields each in turn, so a
-    caller that stops at a nonzero N1 computes neither N2 nor N3."""
-    w14 = inv.W1 + 4 * c.f0
-    yield ((4 * inv.W1 + 12 * c.f0 - 3 * inv.C0 ** 2) * w14
-           - 2 * inv.C0 * (inv.W2 - inv.C0 * inv.W1 - 6 * inv.E0) - 4 * inv.W4)
-    big = inv.W2 + inv.C0 * inv.W1 + 8 * inv.C0 * c.f0 - 4 * inv.E0
-    yield 4 * (inv.W2 - inv.C0 * inv.W1 - 2 * inv.E0) * w14 + (inv.C0 ** 2 - 4 * c.f0) * big
-    yield big * big - 4 * w14 ** 3
+    at the normalized exact quartic c, inv = base_invariants(c); it stops
+    at the first nonzero generator, so a nonzero N1 computes no other."""
+    return not any(_generators(c, inv))
 
 
 def reduced_generators_e0(c: DarbouxCoefficients, inv: InvariantBundle

@@ -40,10 +40,11 @@ class TorusSpec(namedtuple("TorusSpec", "r_sq R_sq")):
         rho = self.ratio()
         return rho * (1 - rho)
 
-    def coefficients(self, exact: bool = False) -> DarbouxCoefficients:
+    def coefficients(self) -> DarbouxCoefficients:
         """Implicit torus equation (x^2+y^2+z^2+R^2-r^2)^2 = 4R^2(x^2+y^2):
-        the canonical equation at (alpha^2, gamma^2, delta^2) = (R^2, 0, r^2)."""
-        return CanonicalQuartic(self.R_sq, 0, self.r_sq, 0).coefficients(exact)
+        the canonical equation at (alpha^2, gamma^2, delta^2) = (R^2, 0, r^2),
+        exact when both radii are."""
+        return CanonicalQuartic(self.R_sq, 0, self.r_sq, 0).coefficients()
 
 
 def torus_radii(q: CanonicalQuartic) -> TorusSpec:
@@ -210,7 +211,7 @@ def calibrate_convention(q: CanonicalQuartic, variant: str,
     """
     if len(samples) < 10:
         raise PreconditionError("calibration needs at least 10 sample points")
-    sides = (("cyclide", point_residual(q.coefficients(exact=False))),
+    sides = (("cyclide", point_residual(q.coefficients().to_float())),
              ("torus", point_residual(_torus_side_coefficients(q, variant))))
 
     # canonical order: printed signs, printed swap, forward first; the first

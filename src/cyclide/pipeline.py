@@ -2,18 +2,19 @@
 stage after `recognize` reads the prepared form its verdict carries.
 
 The later stages, `canonical`, `classify` and `moebius`, are imported and
-bound here on the first input that goes past a Dupin verdict, so a
-`recognize` run never loads them.  Before that their names resolve through
-the module `__getattr__` (PEP 562), so bench/tracing.py can wrap
+bound here on the first Dupin quartic or cubic that goes past its verdict,
+so a `recognize` run, a Dupin quadric and a NotDupin input never load
+them.  Before that their names resolve through the module `__getattr__`
+(PEP 562), so bench/tracing.py can wrap
 `cyclide.pipeline.spectral_data` and the like at start-up; a name set on
 the module before the stages are bound is kept, and is what `analyze`
 calls."""
 from __future__ import annotations
 
-from .core import DarbouxCoefficients, normalize_quartic  # noqa: F401  (traced by bench/)
+from .core import DarbouxCoefficients
+from .core import normalize_quartic  # noqa: F401  (traced by bench/)
 from .errors import CyclideError
-from .recognizer import (DUPIN_CUBIC, DUPIN_QUADRIC, DUPIN_QUARTIC,
-                         TolerancePolicy, recognize)
+from .recognizer import DUPIN_QUADRIC, DUPIN_QUARTIC, TolerancePolicy, recognize
 from .scalar import format_scalar
 from .serialize import error_text, verdict_to_json
 
@@ -57,6 +58,11 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
     report = verdict_to_json(verdict)
     if want == "recognize" or not verdict.is_dupin:
         return report
+    if verdict.kind == DUPIN_QUADRIC:
+        report["class"] = None
+        report.setdefault("notes", []).append(
+            "rotational singular quadric; outside the quartic/cubic taxonomy")
+        return report
     if not _stages_bound:
         _bind_stages()
 
@@ -71,42 +77,38 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
         if ambiguous:
             report["class_ambiguous"] = True
         j0 = j0_quartic(prep, sd, pol)
-        report["J0"] = format_scalar(j0.value) if j0.kind == "finite" else j0.kind
-        report["willmore"] = willmore_energy(j0, pol)
-        if want in ("canonicalize", "to-torus"):
-            params = canonical_quartic_params(sd)
-            report["canonical"] = {
-                "alpha_sq": format_scalar(params.alpha_sq),
-                "gamma_sq": format_scalar(params.gamma_sq),
-                "delta_sq": format_scalar(params.delta_sq),
-                "agd": format_scalar(params.agd)}
-            if want == "to-torus":
-                try:
-                    spec = moebius.torus_radii(params)
-                    report["torus"] = {"r_sq": format_scalar(spec.r_sq),
-                                       "R_sq": format_scalar(spec.R_sq)}
-                except CyclideError as exc:
-                    report["torus"] = {"error": error_text(exc)}
-                try:
-                    variant = moebius.MOBT if float(params.gamma_sq) > 0 else moebius.MOBT2
-                    report["map"] = moebius.build_map(params, variant).to_json()
-                except CyclideError as exc:
-                    report["map"] = {"error": error_text(exc)}
-        return report
-
-    if verdict.kind == DUPIN_CUBIC:
+    else:  # a Dupin cubic
         params = canonical_cubic_params(prep, pol)
         label = classify_cubic(params.p, params.q, pol)
         report["class"] = label.code
         report["canonical"] = {"p": format_scalar(params.p), "q": format_scalar(params.q),
                                "shift": [format_scalar(v) for v in params.shift]}
         j0 = j0_cubic(prep, pol)
-        report["J0"] = format_scalar(j0.value) if j0.kind == "finite" else j0.kind
-        report["willmore"] = willmore_energy(j0, pol)
-        return report
-
-    if verdict.kind == DUPIN_QUADRIC:
-        report["class"] = None
-        report.setdefault("notes", []).append(
-            "rotational singular quadric; outside the quartic/cubic taxonomy")
+    report["J0"] = format_scalar(j0.value) if j0.kind == "finite" else j0.kind
+    report["willmore"] = willmore_energy(j0, pol)
+    if verdict.kind == DUPIN_QUARTIC and want in ("canonicalize", "to-torus"):
+        params = canonical_quartic_params(sd)
+        report["canonical"] = {
+            "alpha_sq": format_scalar(params.alpha_sq),
+            "gamma_sq": format_scalar(params.gamma_sq),
+            "delta_sq": format_scalar(params.delta_sq),
+            "agd": format_scalar(params.agd)}
+        if want == "to-torus":
+            for key, build in (("torus", _torus_json), ("map", _map_json)):
+                try:
+                    report[key] = build(params)
+                except CyclideError as exc:
+                    report[key] = {"error": error_text(exc)}
     return report
+
+
+def _torus_json(params) -> dict:
+    """The "torus" object of a to-torus report: the radii of params."""
+    spec = moebius.torus_radii(params)
+    return {"r_sq": format_scalar(spec.r_sq), "R_sq": format_scalar(spec.R_sq)}
+
+
+def _map_json(params) -> dict:
+    """The "map" object of a to-torus report: the Moebius map of params."""
+    variant = moebius.MOBT if float(params.gamma_sq) > 0 else moebius.MOBT2
+    return moebius.build_map(params, variant).to_json()

@@ -158,7 +158,7 @@ class TestCanonicalEquation:
     def test_float_equals_the_calibration_formula(self, rng):
         for _ in range(200):
             q = CanonicalQuartic(*(rng.uniform(-10, 10) for _ in range(4)))
-            c = q.coefficients(exact=False)
+            c = q.coefficients()
             assert c == float_formula(q)
             assert all(type(v) is float for v in c)
 
@@ -171,8 +171,8 @@ class TestCanonicalEquation:
                 inner = rho2 + TriPoly.constant(R2 - r2)
                 ring = TriPoly({(2, 0, 0): -4 * R2, (0, 2, 0): -4 * R2})
                 want = coefficients_from_polynomial(inner * inner + ring)
-                assert TorusSpec(r2, R2).coefficients(exact=True) == want
-                assert TorusSpec(r2, R2).coefficients() == want.to_float()
+                assert TorusSpec(r2, R2).coefficients() == want
+                assert TorusSpec(r2, R2).coefficients().to_float() == want.to_float()
 
     def test_spectral_data_inverts_the_equation(self, pol, rng):
         # e1 = 4m != 0 pins A1 = c1, and gamma^2 <= alpha^2 orders c2 <= c3

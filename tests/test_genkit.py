@@ -203,10 +203,10 @@ class TestSampling:
         # exact input sampled in floats (irrational radii, a rotated frame)
         # is measured on its float copy: the same residual, bit for bit, as
         # on the exact coefficients, so the same points
-        cases = [(TorusSpec(3, 4).coefficients(exact=True), 50, 1008)]
-        cases += [(TorusSpec(3, 4).coefficients(exact=True), n, SEED) for n in (50, 30)]
-        cases += [(TorusSpec(1, 16).coefficients(exact=True), 20, SEED)]
-        cases += [(TorusSpec(R2 - r2, R2).coefficients(exact=True), 25, SEED)
+        cases = [(TorusSpec(3, 4).coefficients(), 50, 1008)]
+        cases += [(TorusSpec(3, 4).coefficients(), n, SEED) for n in (50, 30)]
+        cases += [(TorusSpec(1, 16).coefficients(), 20, SEED)]
+        cases += [(TorusSpec(R2 - r2, R2).coefficients(), 25, SEED)
                   for r2, R2 in ((1, 4), (4, 9), (1, 9))]
         cases += [(CanonicalQuartic(4, -9, -1, 6).coefficients(), 5, SEED)]
         rng = random.Random(SEED)

@@ -3,8 +3,10 @@ tests uses each name it imports, every module-level function or class of
 the package is read somewhere in src/, tests/ or bench/, and so is every
 field of a package `namedtuple` record, as an attribute.  An import line marked
 `# noqa: F401` is kept on purpose (a module attribute that bench/tracing.py
-wraps) and is exempt from the first check.  A module-level `__getattr__`
-(PEP 562), which only the interpreter calls, is exempt from the second."""
+wraps) and is exempt from the first check; every name on such a line of the
+package is the attribute of a `TARGETS` entry of bench/tracing.py for its
+module.  A module-level `__getattr__` (PEP 562), which only the interpreter
+calls, is exempt from the second."""
 import ast
 from pathlib import Path
 
@@ -17,25 +19,30 @@ TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 # the module-level function the interpreter calls on attribute lookup (PEP 562)
 MODULE_HOOK = "__getattr__"
+# the mark of an import kept for the tracer though the module never reads it
+KEPT = "# noqa: F401"
+TRACING = ROOT / "bench" / "tracing.py"
 
 
-def unused_imports(source: str):
-    """(line, name) of every imported name that the module never reads."""
+def _imports(source: str, kept: bool):
+    """(line, name) of every name imported by source, on the lines marked
+    KEPT if kept, else on the others; `__future__` imports are skipped."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    imported = {}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa: F401" in line
-               for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
-        for alias in node.names:
-            name = alias.asname or alias.name.split(".")[0]
-            imported[name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if kept == any(KEPT in line for line in lines[node.lineno - 1:node.end_lineno]):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def unused_imports(source: str):
+    """(line, name) of every imported name that the module never reads."""
+    imported = {name: line for line, name in _imports(source, kept=False)}
+    used = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -50,6 +57,31 @@ def test_an_unused_import_is_caught():
            "def f(x):\n"
            "    return hypot(x, x)\n")
     assert unused_imports(src) == [(1, "sqrt")]
+
+
+def untraced_kept_imports(source: str, module: str, tracing_source: str):
+    """(line, name) of every name on a KEPT import line of source that no
+    `TARGETS` entry of tracing_source names as an attribute of module."""
+    for node in ast.parse(tracing_source).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS":
+            traced = {(m, attr) for m, attr, _ in ast.literal_eval(node.value)}
+    return [(line, name) for line, name in _imports(source, kept=True)
+            if (module, name) not in traced]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_kept_import_is_traced(path):
+    tracing = TRACING.read_text(encoding="utf-8")
+    assert untraced_kept_imports(path.read_text(encoding="utf-8"),
+                                 f"cyclide.{path.stem}", tracing) == []
+
+
+def test_an_untraced_kept_import_is_caught():
+    tracing = 'TARGETS = (("pkg.mod", "sep", "os.sep"), ("pkg.other", "sqrt", "math.sqrt"))\n'
+    src = ("from os import sep, path  # noqa: F401\n"
+           "from math import sqrt  # noqa: F401\n"
+           "from math import hypot\n")
+    assert untraced_kept_imports(src, "pkg.mod", tracing) == [(1, "path"), (2, "sqrt")]
 
 
 def unread_definitions(package_sources, reader_sources):

@@ -3,10 +3,11 @@
 `import cyclide` (with `cyclide.pipeline` and `cyclide.serialize`) and the
 CLI's analysis verbs load no module that analysis never runs: no `typing`,
 `dataclasses` or `random`, and not the generator kit, which is imported on
-first use.  A `recognize` analysis loads none of the later stages
-(`canonical`, `classify`, `moebius`, with `cmath`): `cyclide` resolves their
-names on first access and `cyclide.pipeline` binds them on its first input
-past a Dupin verdict, and a wrapper that bench/tracing.py sets on
+first use.  A `recognize` analysis, and any verb on a Dupin quadric or a
+NotDupin input, loads none of the later stages (`canonical`, `classify`,
+`moebius`, with `cmath`): `cyclide` resolves their names on first access
+and `cyclide.pipeline` binds them on its first Dupin quartic or cubic past
+the verdict, and a wrapper that bench/tracing.py sets on
 `cyclide.pipeline` before then is what `analyze` calls.  No module of the
 package, the generator kit, the acceptance suite and the CLI included,
 loads `typing`, `dataclasses` or `inspect`.  Each probe runs in a fresh
@@ -93,6 +94,18 @@ def test_recognize_loads_no_later_stage():
                   "print(*unresolved, '|', *unbound, '|',\n"
                   "      cyclide.spectral_data is cyclide.canonical.spectral_data)")
     assert names == ["genkit", "|", "|", "True"]
+
+
+def test_quadric_and_not_dupin_load_no_later_stage():
+    # a Dupin quadric (reported with "class": null) and a NotDupin quartic
+    # stop at the verdict under every verb, so the stages stay unloaded
+    inputs = ('{"c1":1,"c2":1,"c3":1}', '{"a0":1,"c1":1,"c2":2,"c3":3,"e1":1,"f0":-1}')
+    setup = ("from cyclide.cli import main\n"
+             f"for line in {inputs!r}:\n"
+             "    for verb in ('classify', 'to-torus'):\n"
+             "        for mode in ('--exact', '--float'):\n"
+             "            assert main([verb, mode, line]) == 0")
+    assert loaded_after(setup, LATER_STAGES) == []
 
 
 def test_bench_tracer_wraps_the_later_stages_before_they_load():

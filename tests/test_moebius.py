@@ -88,7 +88,7 @@ class TestApplyMap:
 class TestCalibration:
     def test_torus_pair(self, rng):
         # source: the minor-sqrt(3) torus; target: the (r,R) = (1,2) torus
-        src = TorusSpec(3, 4).coefficients(exact=True)
+        src = TorusSpec(3, 4).coefficients()
         pts = sample_surface_points(src, 50, rng)
         m, report = calibrate_convention(cq(4.0, 0.0, 1.0), MOBT2,
                                          [tuple(map(float, p)) for p in pts])
@@ -109,7 +109,7 @@ class TestCalibration:
 
     def test_cyclide_mobt2a(self, rng):
         q = cq(4.0, 1.0, 2.0, math.sqrt(8.0))
-        pts = sample_surface_points(q.coefficients(exact=False), 40, rng)
+        pts = sample_surface_points(q.coefficients(), 40, rng)
         m, report = calibrate_convention(q, MOBT2A, pts)
         assert report.residual <= 1e-9
         assert report.target_side == "torus"
@@ -120,7 +120,7 @@ class TestCalibration:
 
     def test_fails_on_wrong_surface(self, rng):
         # points of a completely different torus cannot calibrate
-        src = TorusSpec(1, 16).coefficients(exact=True)
+        src = TorusSpec(1, 16).coefficients()
         pts = [tuple(map(float, p)) for p in sample_surface_points(src, 20, rng)]
         with pytest.raises(CalibrationFailed):
             calibrate_convention(cq(4.0, 0.0, 1.0), MOBT2, pts)
@@ -128,7 +128,7 @@ class TestCalibration:
 
 class TestDualityProperties:
     def test_involution_on_samples(self, rng):
-        src = TorusSpec(3, 4).coefficients(exact=True)
+        src = TorusSpec(3, 4).coefficients()
         pts = [tuple(map(float, p)) for p in sample_surface_points(src, 30, rng)]
         m, _ = calibrate_convention(cq(4.0, 0.0, 1.0), MOBT2, pts)
         inv = m.inverse()
@@ -145,7 +145,7 @@ class TestDualityProperties:
         # spectral route on the exact cyclide with agd^2 = 8 is irrational;
         # use the float pipeline for the surface itself
         fpol = TolerancePolicy("float", 1e-9)
-        prep = prepare(cq(4.0, 1.0, 2.0, math.sqrt(8.0)).coefficients(exact=False), fpol)
+        prep = prepare(cq(4.0, 1.0, 2.0, math.sqrt(8.0)).coefficients(), fpol)
         j = j0_quartic(prep, spectral_data(prep, fpol), fpol)
         assert float(j.value) == pytest.approx(2.0 / 9.0, rel=1e-9)
 
@@ -153,7 +153,7 @@ class TestDualityProperties:
         # mobt2 relates minor radii r and sqrt(R^2 - r^2) for r < R
         for (r2, R2) in ((1, 4), (4, 9), (1, 9)):
             q = cq(float(R2), 0.0, float(r2))
-            dual = TorusSpec(R2 - r2, R2).coefficients(exact=True)
+            dual = TorusSpec(R2 - r2, R2).coefficients()
             pts = [tuple(map(float, p))
                    for p in sample_surface_points(dual, 25, rng)]
             m, report = calibrate_convention(q, MOBT2, pts)
@@ -177,5 +177,5 @@ class TestTorusSpecLabels:
         (-1, 0, SurfaceClass.NO_REAL_POINTS),
     ])
     def test_labels(self, r2, R2, label, pol):
-        c = TorusSpec(Fraction(r2), Fraction(R2)).coefficients(exact=True)
+        c = TorusSpec(Fraction(r2), Fraction(R2)).coefficients()
         assert classify_quartic(spectral_data(prepare(c, pol), pol), pol) == label
