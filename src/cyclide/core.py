@@ -196,7 +196,7 @@ def point_residual(c: DarbouxCoefficients):
 
     def residual(point) -> Scalar:
         value = apply_motion(c, EuclideanMotion.translation_by(point)).f0
-        return abs(value) / (scale * (1 + sum(x * x for x in point)) ** 2)
+        return abs(value) / (scale * (1 + _dot(point, point)) ** 2)
 
     return residual
 

@@ -389,7 +389,8 @@ def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):
     out = []
     for X in canon_pts:
         # cn(x) = canonical(R x)  =>  x = R^T X; then undo the b shift
-        x = tuple(sum(frame[r][i] * X[r] for r in range(3)) for i in range(3))
+        # 0 + : a zero coordinate is +0.0 even when its three terms are -0.0
+        x = tuple(0 + _dot(col, X) for col in zip(*frame))
         pt = tuple(x[i] + shift[i] for i in range(3))
         if not exact:
             pt = tuple(float(v) for v in pt)

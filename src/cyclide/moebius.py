@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .canonical import CanonicalQuartic
-from .core import DarbouxCoefficients, point_residual
+from .core import DarbouxCoefficients, _dot, point_residual
 from .errors import CalibrationFailed, DegenerateRatio, NotRealOverR, PoleInput, PreconditionError
 from .scalar import Scalar
 
@@ -102,7 +102,7 @@ class MoebiusMap(namedtuple("MoebiusMap",
         if self.direction == INVERSE:
             src, dst = dst, src
         v = tuple(float(p) - float(s) for p, s in zip(point, src))
-        n2 = sum(w * w for w in v)
+        n2 = _dot(v, v)
         if n2 == 0:
             raise PoleInput(f"point {point} is the inversion center")
         w = tuple(self.factor * comp / n2 for comp in v)

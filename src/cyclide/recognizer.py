@@ -21,19 +21,21 @@ exact one as Fraction(v, lam**w)).
 it, and `Prepared.scale_back` the one way back: every stage after it, here
 and in `canonical` and `classify`, runs on the one gauged copy and takes a
 value of weighted degree w back to the caller's scale with scale_back(w).
-Every zero test is a `TolerancePolicy.is_zero` call with the size its value
-is measured against.  The branch is the highest degree with a nonzero slot,
-measured in float mode against the largest coefficient, so it does not
-depend on the scale of the equation.  Exact mode refuses float coefficients
-and never converts one to float; `_lattice` puts every degree onto the
-integer lattice in int arithmetic from the parsed numerators and
-denominators: every quantity is weighted-homogeneous, so a weighted rescale
-by lam multiplies it by a nonzero power of lam and leaves each zero test
-unchanged.  A quartic is divided by a0, lam is the lcm of the
-reduced denominators (doubled when a lattice b_i is odd) and the quartic
-copy is centred by `normalize_quartic`.  `_float_gauge` takes float inputs
-to unit weighted sup-norm, so one tolerance is scale-free; a quartic is
-normalized first, a cubic or quadric divided by max |b| or max |c, d|.
+Past the exact read of `prepare`, every zero test is a
+`TolerancePolicy.is_zero` call with the size its value is measured against.
+The branch is the highest degree with a nonzero slot, measured in float
+mode against the largest coefficient, so it does not depend on the scale of
+the equation.  Exact mode reads each slot once, as its int numerator and
+denominator: that pass refuses a slot that is not an int or a Fraction,
+after `ZeroInput`, and the zero test, the branch and `_lattice` read its
+ints.  `_lattice` gauges in int arithmetic: every quantity is
+weighted-homogeneous, so a weighted rescale by lam multiplies it by a
+nonzero power of lam and leaves each zero test unchanged.  A quartic is
+divided by a0, lam is the lcm of the reduced denominators (doubled when a
+lattice b_i is odd) and a quartic copy with b != 0 is centred by
+`normalize_quartic`.  `_float_gauge` takes float inputs to unit weighted
+sup-norm, so one tolerance is scale-free; a quartic is normalized first, a
+cubic or quadric divided by max |b| or max |c, d|.
 """
 from __future__ import annotations
 
@@ -59,6 +61,8 @@ DEGENERATE = "DegenerateInput"
 
 # degree branches of a prepared input
 QUARTIC, CUBIC, QUADRIC, LINEAR = "quartic", "cubic", "quadric", "linear"
+# the slot types of an exact input
+_RATIONAL = (Fraction, int)
 
 class TolerancePolicy(namedtuple("TolerancePolicy", "mode tau_rel exact")):
     """Zero-test authority: the only place tau_rel is compared.
@@ -173,17 +177,15 @@ def _float_gauge(c: DarbouxCoefficients, branch: str, pol: TolerancePolicy):
     return work, s, zero_point
 
 
-def _lattice(c: DarbouxCoefficients, branch: str):
-    """(work, 1/lam) of exact c, in ints; see the module docstring.
-    Each slot is read once, as n/d.  c times D = lcm(d) is the same surface
-    in ints N; its slots are N_i/Q with Q = N_0 for a quartic (divided by
-    a0) and Q = D otherwise, so the lcm of their reduced denominators is
+def _lattice(c: DarbouxCoefficients, den: int, ints: list[int], branch: str):
+    """(work, 1/lam) of exact c, in ints, from ints N = c times den, den
+    the lcm of the slots' denominators; see the module docstring.  The
+    slots of the surface N are N_i/Q with Q = N_0 for a quartic (divided by
+    a0) and Q = den otherwise, so the lcm of their reduced denominators is
     lam = |Q|/G with G = gcd(Q, N), and a slot of weight w >= 1 is
     sign(Q) * N_i/G * lam^(w-1) on the lattice.  A doubled lam makes the
-    centring shift -b/2 of a quartic integral too."""
-    ratios = [v.as_integer_ratio() for v in c]
-    den = math.lcm(*[d for _, d in ratios])
-    ints = [n * (den // d) for n, d in ratios]
+    centring shift -b/2 of a quartic integral too; a lattice quartic with
+    b = 0 is centred already."""
     quartic = branch == QUARTIC
     q = ints[0] if quartic else den
     g = math.gcd(q, *ints)
@@ -198,27 +200,39 @@ def _lattice(c: DarbouxCoefficients, branch: str):
     p4 = p3 * lam
     work = c._make((int(quartic), b1 * k, b2 * k, b3 * k, c1 * p2, c2 * p2, c3 * p2,
                     d1 * p2, d2 * p2, d3 * p2, e1 * p3, e2 * p3, e3 * p3, f0 * p4))
-    return (normalize_quartic(work) if quartic else work), Fraction(1, lam)
+    if quartic and (b1 or b2 or b3):
+        work = normalize_quartic(work)
+    return work, Fraction(1, lam)
 
 
 def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
     """Degree branch, normalization, gauge and invariant bundle of one input;
     see the module docstring."""
-    if not any(c):
-        raise ZeroInput("all fourteen coefficients vanish")
-    if pol.exact and not c.is_exact():
-        raise PreconditionError("exact mode requires int or Fraction coefficients")
-    sup = 1 if pol.exact else max(map(abs, map(float, c)))
-    zero = lambda v: pol.is_zero(v, sup)
-    if not zero(c.a0):
-        branch = QUARTIC
-    elif not all(map(zero, c.b)):
-        branch = CUBIC
-    elif not all(map(zero, (*c.c, *c.d))):
-        branch = QUADRIC
+    if pol.exact:
+        # the one read of each slot, as its int (numerator, denominator); a
+        # slot of another type drops out here and is refused after ZeroInput
+        ratios = [v.as_integer_ratio() for v in c if isinstance(v, _RATIONAL)]
+        # c times den = lcm(d): the same surface in ints; a zero slot, d = 1,
+        # is left out of the lcm and the products
+        den = math.lcm(*[d for n, d in ratios if n])
+        ints = [n * (den // d) if n else 0 for n, d in ratios]
+        refused = len(ints) < len(c)
+        if not any(c if refused else ints):
+            raise ZeroInput("all fourteen coefficients vanish")
+        if refused:
+            raise PreconditionError("exact mode requires int or Fraction coefficients")
+        branch = (QUARTIC if ints[0] else CUBIC if any(ints[1:4])
+                  else QUADRIC if any(ints[4:10]) else LINEAR)
     else:
+        if not any(c):
+            raise ZeroInput("all fourteen coefficients vanish")
+        sup = max(map(abs, map(float, c)))
+        zero = lambda v: pol.is_zero(v, sup)
+        branch = (QUARTIC if not zero(c.a0) else CUBIC if not all(map(zero, c.b))
+                  else QUADRIC if not all(map(zero, (*c.c, *c.d))) else LINEAR)
+    if branch == LINEAR:
         return Prepared(LINEAR)
-    work, scale, zero_point = ((*_lattice(c, branch), False) if pol.exact
+    work, scale, zero_point = ((*_lattice(c, den, ints, branch), False) if pol.exact
                                else _float_gauge(c, branch, pol))
     inv = None if branch == QUADRIC else base_invariants(work)
     return Prepared(branch, work, scale, inv, zero_point)

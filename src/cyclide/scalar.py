@@ -116,6 +116,8 @@ def format_scalar(v: Scalar):
     (an int would otherwise fail only later, in json.dumps)."""
     if type(v) is float:
         return v
+    if v is EXACT_ZERO:    # a vanishing exact residual
+        return 0
     if isinstance(v, Fraction) or type(v) is int:
         num, den = v.numerator, v.denominator
         if num.bit_length() > _SHORT_BITS or den.bit_length() > _SHORT_BITS:

@@ -2,11 +2,11 @@
 
 K, L and M, the cubic numerator P1, the quadric forms S1 and T1 and the
 cubic shift are evaluated on the plain slot tuples of `sigma_images`, each
-unpacked once, with the symmetric scalars they read passed in; `_lattice`
-is written out slot by slot.  The versions below, which read the named
-slots of the `DarbouxCoefficients` copies of the test-side reference
-`sigma_orbit` (tests/sigma_orbit.py) and took the whole invariant bundle,
-are kept here as references: on random Fractions and
+unpacked once, with the symmetric scalars they read passed in; the exact
+lattice of `prepare` is written out slot by slot.  The versions below,
+which read the named slots of the `DarbouxCoefficients` copies of the
+test-side reference `sigma_orbit` (tests/sigma_orbit.py) and took the whole
+invariant bundle, are kept here as references: on random Fractions and
 lattice ints the kernels give the same values exactly, and on random and
 boundary floats the same floats bit for bit, sign of zero included.
 """
@@ -26,7 +26,7 @@ from cyclide.invariants import (InvariantBundle, _e_numerator, _generators, _s1,
                                 base_invariants, k_form, l_form, lm_scalars, m_form,
                                 quartic_generators)
 from cyclide.recognizer import (CUBIC, QUADRIC, QUARTIC, _axis_case_residuals,
-                                _lattice)
+                                prepare)
 from cyclide.scalar import EXACT, FLOAT
 from sigma_orbit import SIGMA12, SIGMA13, apply_permutation, sigma_orbit
 from test_float_kernels import random_float
@@ -291,7 +291,9 @@ def test_lattice_matches_the_reference(branch):
         c = c._make((*[0] * lo, *c[lo:]))
         if not any(c[lo:hi]):
             continue
-        work, scale = _lattice(c, branch)
+        p = prepare(c, TolerancePolicy(EXACT))
+        work, scale = p.work, p.scale
         want, want_scale = reference_lattice(c, branch)
+        assert p.branch == branch
         assert [key(v) for v in work] == [key(v) for v in want], c
         assert type(work) is DarbouxCoefficients and key(scale) == key(want_scale)
