@@ -78,13 +78,13 @@ def criterion_2_dispatch_vs_oracle() -> tuple[bool, str]:
     for i in range(n):
         c = generate_quartic_dupin(random_quartic_seed(rng))
         prep = prepare(c, EXACT_POL)
-        a = recognize_quartic_cases(prep, EXACT_POL)
-        b = recognize_quartic_oracle(prep, EXACT_POL)
+        a = recognize_quartic_cases(prep)
+        b = recognize_quartic_oracle(prep)
         agree += a.is_dupin == b.is_dupin
         pos_ok += a.is_dupin and b.is_dupin
         bad = prepare(perturb_off_variety(c, rng), EXACT_POL)
-        a2 = recognize_quartic_cases(bad, EXACT_POL)
-        b2 = recognize_quartic_oracle(bad, EXACT_POL)
+        a2 = recognize_quartic_cases(bad)
+        b2 = recognize_quartic_oracle(bad)
         agree += a2.is_dupin == b2.is_dupin
         neg_ok += (not a2.is_dupin) and (not b2.is_dupin)
     ok = agree == 2 * n and pos_ok == n and neg_ok == n
@@ -103,7 +103,7 @@ def criterion_3_cubic_round_trip() -> tuple[bool, str]:
         verdict = recognize(c, EXACT_POL)
         if not verdict.is_dupin:
             continue
-        out = canonical_cubic_params(verdict.prepared, EXACT_POL)
+        out = canonical_cubic_params(verdict.prepared)
         good += (out.p, out.q) == tuple(sorted((p, q)))
     return good == n, f"{good}/{n} exact pair recoveries"
 
@@ -117,7 +117,7 @@ def criterion_4_canonical_recovery() -> tuple[bool, str]:
     for _ in range(n):
         seed = random_quartic_seed(rng, rescale=False)
         c = generate_quartic_dupin(seed)
-        qp = canonical_quartic_params(spectral_data(prepare(c, EXACT_POL), EXACT_POL))
+        qp = canonical_quartic_params(spectral_data(prepare(c, EXACT_POL)))
         ok = (sorted((qp.alpha_sq, qp.gamma_sq)) == sorted((seed.s, seed.t))
               and qp.delta_sq == seed.u
               and qp.agd * qp.agd == seed.s * seed.t * seed.u
@@ -134,17 +134,16 @@ def criterion_5_j0_agreement_and_anchors() -> tuple[bool, str]:
     for _ in range(n):
         prep = prepare(generate_quartic_dupin(
             random_quartic_seed(rng, smooth=True)), EXACT_POL)
-        sd = spectral_data(prep, EXACT_POL)
-        j = j0_quartic(prep, sd, EXACT_POL)  # raises FormulaDisagreement on split
+        sd = spectral_data(prep)
+        j = j0_quartic(prep, sd)  # raises FormulaDisagreement on split
         agree += j.kind == "finite"
     torus = prepare(TORUS21, EXACT_POL)
-    sd = spectral_data(torus, EXACT_POL)
-    torus_ok = j0_quartic(torus, sd, EXACT_POL).value == Fraction(3, 16)
-    cubic_ok = j0_cubic(prepare(CUBIC22, EXACT_POL), EXACT_POL).value == Fraction(1, 4)
+    sd = spectral_data(torus)
+    torus_ok = j0_quartic(torus, sd).value == Fraction(3, 16)
+    cubic_ok = j0_cubic(prepare(CUBIC22, EXACT_POL)).value == Fraction(1, 4)
     dbl = prepare(DarbouxCoefficients.make(a0=1, c=(-2, -2, -2), f0=1), EXACT_POL)
-    dbl_ok = j0_quartic(dbl, spectral_data(dbl, EXACT_POL), EXACT_POL).kind \
-        == "minus_infinity"
-    w = willmore_energy(j0_quartic(torus, sd, EXACT_POL), EXACT_POL)
+    dbl_ok = j0_quartic(dbl, spectral_data(dbl)).kind == "minus_infinity"
+    w = willmore_energy(j0_quartic(torus, sd), EXACT_POL)
     want = 4 * math.pi ** 2 / math.sqrt(3)
     willmore_ok = abs(w - want) <= 1e-12 * want
     ok = agree == n and torus_ok and cubic_ok and dbl_ok and willmore_ok
@@ -184,7 +183,7 @@ def criterion_6_classification_grid() -> tuple[bool, str]:
         for R2 in GRID:
             want = _figure_torus_label(Fraction(r2), Fraction(R2))
             c = TorusSpec(r2, R2).coefficients()
-            sd = spectral_data(prepare(c, EXACT_POL), EXACT_POL)
+            sd = spectral_data(prepare(c, EXACT_POL))
             got = classify_quartic(sd, EXACT_POL)
             if got != want:
                 bad.append(((r2, R2), want.code, got.code))
@@ -270,7 +269,7 @@ def criterion_8_moebius_calibration() -> tuple[bool, str]:
         Fraction(4), Fraction(1), Fraction(2), Fraction(0))).j0()
     fpol = TolerancePolicy(FLOAT, 1e-9)
     cyc = prepare(q_cyc.coefficients(), fpol)
-    j = j0_quartic(cyc, spectral_data(cyc, fpol), fpol)
+    j = j0_quartic(cyc, spectral_data(cyc))
     j0_ok = (ratio_j0 == Fraction(2, 9)
              and abs(float(j.value) - 2.0 / 9.0) <= 1e-9)
     cyc_ok = report2.residual <= 1e-9 and j0_ok

@@ -5,9 +5,10 @@ e when e != 0), the remaining pair (A2, A3), and the squared canonical
 parameters (alpha^2, gamma^2, delta^2, alpha*gamma*delta).  Cubics: the
 recentering shift and the parameter pair (p, q).
 
-Every stage takes the `Prepared` form of its input (`recognizer.prepare`),
-works at its gauge and takes each value it reports, messages included, back
-by `Prepared.scale_back` of its weight, so float tolerance checks are
+Every stage takes the `Prepared` form of its input (`recognizer.prepare`)
+and only it: it reads the policy the input was prepared under, works at its
+gauge and takes each value it reports, messages included, back by
+`Prepared.scale_back` of its weight, so float tolerance checks are
 scale-free and exact arithmetic starts on the integer lattice.  The one
 exception is a float `Inconsistent` message: its named residuals print at
 the gauge, as float verdict residuals do (`recognizer.residuals_back`).
@@ -87,16 +88,16 @@ def _sqrt(v: Scalar, exact: bool, name: str, prep: Prepared | None = None,
 
 
 def _check(names: tuple[str, ...], values: tuple[Scalar, ...], prep: Prepared,
-           pol: TolerancePolicy, what: str) -> None:
+           what: str) -> None:
     """Inconsistent naming `what` and every value that is nonzero at prep's
     gauge, by its name in names, printed by `residuals_back`: at the
     caller's scale in exact mode, at the gauge in float mode; the names are
     read only then.  At unit gauge a loose constant absorbs the division
     noise of the A_i."""
     for value in values:
-        if pol.nonzero(value, 100):
-            bad = {k: v for k, v in zip(names, values) if pol.nonzero(v, 100)}
-            shown = {k: format_scalar(v) for k, v in residuals_back(bad, prep, pol).items()}
+        if not prep.pol.is_zero(value, 100):
+            bad = {k: v for k, v in zip(names, values) if not prep.pol.is_zero(v, 100)}
+            shown = {k: format_scalar(v) for k, v in residuals_back(bad, prep).items()}
             raise Inconsistent(f"{what}: {shown}")
 
 
@@ -131,7 +132,7 @@ def _closure(c: DarbouxCoefficients, inv: InvariantBundle, a1: Scalar, a2: Scala
             a1 * a2 + a1 * a3 + a2 * a3 - inv.W1, a1 * a2 * a3 - inv.W2)
 
 
-def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
+def _a1_at_scale(prep: Prepared) -> Scalar:
     """Distinguished eigenvalue from the linear system {G1,G2,G3,H1,H2,H3}.
 
     Branch order: eigenvector equations G_i when some e_i != 0; else H1 when
@@ -140,7 +141,7 @@ def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
     characteristic polynomial, else Inconsistent (non-Dupin input or too
     tight a tolerance).
     """
-    work, inv = prep.work, prep.inv
+    work, inv, pol = prep.work, prep.inv, prep.pol
     c1, c2, c3 = work.c
     d1, d2, d3 = work.d
     e1, e2, e3 = work.e
@@ -148,35 +149,34 @@ def _a1_at_scale(prep: Prepared, pol: TolerancePolicy) -> Scalar:
     w14 = inv.W1 + 4 * f0
     h2_lead = inv.C0 ** 2 + 4 * inv.W1 + 12 * f0
 
-    if pol.nonzero(e1):
+    if not pol.is_zero(e1):
         a1 = pol.div(c1 * e1 + d3 * e2 + d2 * e3, e1)
-    elif pol.nonzero(e2):
+    elif not pol.is_zero(e2):
         a1 = pol.div(d3 * e1 + c2 * e2 + d1 * e3, e2)
-    elif pol.nonzero(e3):
+    elif not pol.is_zero(e3):
         a1 = pol.div(d2 * e1 + d1 * e2 + c3 * e3, e3)
-    elif pol.nonzero(w14):
+    elif not pol.is_zero(w14):
         a1 = pol.div(-(inv.W2 - inv.C0 * inv.W1 - 4 * inv.E0), 2 * w14)
-    elif pol.nonzero(h2_lead):
+    elif not pol.is_zero(h2_lead):
         a1 = pol.div(inv.C0 ** 3 - 4 * inv.C0 * f0 + 4 * inv.E0, h2_lead)
     else:
         # on this stratum H3 = (A1 - C0)^2: double root
         a1 = inv.C0
-    _check(_A1_NAMES, _a1_system(work, inv, a1), prep, pol,
+    _check(_A1_NAMES, _a1_system(work, inv, a1), prep,
            "A1 system has no common solution")
     return a1
 
 
-def _a23_at_scale(prep: Prepared, a1: Scalar,
-                  pol: TolerancePolicy) -> tuple[Scalar, Scalar]:
+def _a23_at_scale(prep: Prepared, a1: Scalar) -> tuple[Scalar, Scalar]:
     """The other two eigenvalues: roots of X^2 + (A1-C0) X + W1 - C0 A1 + A1^2,
     ordered A2 <= A3; float roots use the stabilized quadratic formula and a
     slightly-negative discriminant snaps to zero (boundary double roots)."""
-    inv = prep.inv
+    inv, pol = prep.inv, prep.pol
     p_lin = a1 - inv.C0
     q_const = inv.W1 - inv.C0 * a1 + a1 * a1
     disc = p_lin * p_lin - 4 * q_const
     if disc < 0:
-        if pol.nonzero(disc, 100 * max(1.0, p_lin * p_lin, abs(q_const))):
+        if not pol.is_zero(disc, 100 * max(1.0, p_lin * p_lin, abs(q_const))):
             # messages give the discriminant (weight 4) at the caller's scale
             raise ComplexRoots(
                 f"negative discriminant {disc * prep.scale_back(4)}: no real spectrum")
@@ -193,16 +193,16 @@ def _a23_at_scale(prep: Prepared, a1: Scalar,
     return (r1, r2) if r1 <= r2 else (r2, r1)
 
 
-def spectral_data(prep: Prepared, pol: TolerancePolicy) -> SpectralData:
+def spectral_data(prep: Prepared) -> SpectralData:
     """Full spectral recovery plus the closure checks: elementary symmetric
     functions equal C0, W1, W2; Dsq = 4 E0; F = f0.  prep is a prepared
     quartic."""
     work, inv = prep.work, prep.inv
-    a1 = _a1_at_scale(prep, pol)
-    a2, a3 = _a23_at_scale(prep, a1, pol)
+    a1 = _a1_at_scale(prep)
+    a2, a3 = _a23_at_scale(prep, a1)
     dsq = -(a2 + a3) * (a1 - a2) * (a1 - a3)
     f = (a2 * a2 + a3 * a3 + a2 * a3 - a1 * a2 - a1 * a3) / 4
-    _check(_CLOSURE_NAMES, _closure(work, inv, a1, a2, a3, dsq, f), prep, pol,
+    _check(_CLOSURE_NAMES, _closure(work, inv, a1, a2, a3, dsq, f), prep,
            "spectral closure failed")
     k2 = prep.scale_back(2)
     return SpectralData(A1=a1 * k2, A2=a2 * k2, A3=a3 * k2,
@@ -232,13 +232,12 @@ def cubic_shift(c: DarbouxCoefficients, inv: InvariantBundle,
                  for _, b1, b2, b3, _, c2, c3, _, d2, d3, _, _, _, _ in sigma_images(c))
 
 
-def canonical_cubic_params(prep: Prepared,
-                           pol: TolerancePolicy) -> CanonicalCubic:
+def canonical_cubic_params(prep: Prepared) -> CanonicalCubic:
     """Recenter, then read the pair from p+q = -C0_hat/(2 sqrt(B0)) and
     p q = -V/(4 B0) with V = C0_hat^2 - 4 W1_hat; ordered p <= q.  prep is a
     prepared cubic; p, q and the shift (weight 1) are worked at its gauge
     and scaled back."""
-    work = prep.work
+    work, pol = prep.work, prep.pol
     shift = cubic_shift(work, prep.inv, pol)
     inv = base_invariants(apply_motion(work, EuclideanMotion.translation_by(shift)))
     root_b0 = _sqrt(inv.B0, pol.exact, "B0 =", prep, 2)

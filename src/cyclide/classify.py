@@ -8,8 +8,9 @@ exactly one label (three boundary strata that the coefficient-level
 condition list leaves out are included here: the horn-torus edge, the
 one-point edge at s = t < 0 <= u, and sphere-with-point taking precedence
 over the touching-spheres line).  J0 takes the `Prepared` form of its
-input (`recognizer.prepare`) and is computed at its gauge (weight 0: no
-scale-back).
+input (`recognizer.prepare`) alone, with its policy, and is computed at its
+gauge (weight 0: no scale-back); the classifiers and `willmore_energy` take
+values at the caller's scale and a policy.
 """
 from __future__ import annotations
 
@@ -137,15 +138,15 @@ def classify_quartic_report(sd: SpectralData,
 
 def classify_cubic(p: Scalar, q: Scalar, pol: TolerancePolicy) -> SurfaceClass:
     pq = p * q
-    if pol.nonzero(pq):
+    if not pol.is_zero(pq):
         if pq < 0:
             return SurfaceClass.SMOOTH_RING
-        if pol.nonzero(p - q):
+        if not pol.is_zero(p - q):
             return SurfaceClass.SPINDLE
         return SurfaceClass.SPHERE_TANGENT_PLANE
-    if pol.nonzero(p - q):
+    if not pol.is_zero(p - q):
         return SurfaceClass.HORN
-    if pol.nonzero(p) or pol.nonzero(q):
+    if not pol.is_zero(p) or not pol.is_zero(q):
         return SurfaceClass.SPHERE_TANGENT_PLANE
     return SurfaceClass.PLANE_AND_POINT
 
@@ -160,8 +161,7 @@ def _fraction_vote(num: Scalar, den: Scalar, pol: TolerancePolicy) -> J0Value:
     return J0Value.finite(pol.div(num, den))
 
 
-def j0_quartic(prep: Prepared, sd: SpectralData,
-               pol: TolerancePolicy) -> J0Value:
+def j0_quartic(prep: Prepared, sd: SpectralData) -> J0Value:
     """All three printed forms; they must agree.
 
     Spectral: (A1-2A2-A3)(A2+2A3-A1)/(A2-A3)^2, invariant under A2<->A3.
@@ -175,7 +175,7 @@ def j0_quartic(prep: Prepared, sd: SpectralData,
     k2 = prep.scale_back(2)
     a1, a2, a3 = sd.A1 / k2, sd.A2 / k2, sd.A3 / k2
 
-    inv = prep.inv
+    inv, pol = prep.inv, prep.pol
     C0, W1, W2, E0, f0 = inv.C0, inv.W1, inv.W2, inv.E0, prep.work.f0
     votes = [
         _fraction_vote((a1 - 2 * a2 - a3) * (a2 + 2 * a3 - a1), (a2 - a3) ** 2, pol),
@@ -194,7 +194,7 @@ def j0_quartic(prep: Prepared, sd: SpectralData,
         ref = first.value
         # an int constant: no float conversion of an exact J0
         size = 10_000 * max(1.0, abs(ref))
-        if pol.nonzero(second.value - ref, size) or pol.nonzero(third.value - ref, size):
+        if not pol.is_zero(second.value - ref, size) or not pol.is_zero(third.value - ref, size):
             raise FormulaDisagreement(
                 f"J0 formulas disagree: {[first.value, second.value, third.value]}")
         return first
@@ -210,7 +210,7 @@ def j0_quartic(prep: Prepared, sd: SpectralData,
     return votes[0]
 
 
-def j0_cubic(prep: Prepared, pol: TolerancePolicy) -> J0Value:
+def j0_cubic(prep: Prepared) -> J0Value:
     """Weight-8 rational form in the cubic coefficients; prep is a prepared
     cubic."""
     work, inv = prep.work, prep.inv
@@ -231,7 +231,7 @@ def j0_cubic(prep: Prepared, pol: TolerancePolicy) -> J0Value:
     cc = c1 * c2 + c1 * c3 + c2 * c3
     num = 3 * (B0 * (-2 * y5 + cc) + y6)
     den = B0 * (y5 + 2 * (c1 * c1 + c2 * c2 + c3 * c3) + cc) + 2 * y6
-    return _fraction_vote(num, den, pol)
+    return _fraction_vote(num, den, prep.pol)
 
 
 def willmore_energy(j: J0Value, pol: TolerancePolicy):

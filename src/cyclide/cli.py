@@ -56,13 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance(args) -> TolerancePolicy:
-    """Policy from --tol, else CYCLIDE_TOL, else 1e-9; ParseError unless the
-    tolerance is a finite float >= 0."""
+    """Policy from --tol, else CYCLIDE_TOL, else the `TolerancePolicy`
+    default; ParseError unless the tolerance is a finite float >= 0."""
     tau = args.tol
     if tau is None:
         env = os.environ.get("CYCLIDE_TOL")
+        if not env:
+            return TolerancePolicy(args.mode)
         try:
-            tau = float(env) if env else 1e-9
+            tau = float(env)
         except ValueError:
             raise ParseError(f"CYCLIDE_TOL={env!r} is not a number") from None
     if not (math.isfinite(tau) and tau >= 0):

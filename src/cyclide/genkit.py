@@ -75,9 +75,8 @@ def random_fraction(rng: random.Random, num=6, den=4) -> Fraction:
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
 
-def random_motion(rng: random.Random, translate: bool = True,
-                  reflect: bool | None = None) -> EuclideanMotion:
-    rot = random_rotation(rng, reflect=reflect)
+def random_motion(rng: random.Random, translate: bool = True) -> EuclideanMotion:
+    rot = random_rotation(rng)
     if not translate:
         return rot
     t = tuple(random_fraction(rng) for _ in range(3))
@@ -166,13 +165,13 @@ def _float_circle(rng: random.Random) -> tuple[float, float]:
     return (math.cos(ang), math.sin(ang))
 
 
-def _newton_polish(c: DarbouxCoefficients, point, steps: int = 3):
-    """Newton steps along the gradient of the float surface c from point, to
-    squeeze out float error.  Each step takes one translation: c translated
-    by the point has the value F(point) in its f0 slot and grad F(point) / 2
-    in e."""
+def _newton_polish(c: DarbouxCoefficients, point):
+    """Three Newton steps along the gradient of the float surface c from
+    point, to squeeze out float error.  Each step takes one translation: c
+    translated by the point has the value F(point) in its f0 slot and
+    grad F(point) / 2 in e."""
     pt = tuple(map(float, point))
-    for _ in range(steps):
+    for _ in range(3):
         moved = apply_motion(c, EuclideanMotion.translation_by(pt))
         grad = [2 * v for v in moved.e]
         g2 = _dot(grad, grad)
@@ -365,7 +364,7 @@ def sample_surface_points(c: DarbouxCoefficients, n: int, rng: random.Random):
             f"sampling is implemented for quartic Dupin surfaces, got {verdict.kind}")
     fc = c.to_float()
     cn = normalize_quartic(c if exact_in else fc)
-    sd = spectral_data(verdict.prepared, pol)
+    sd = spectral_data(verdict.prepared)
     label = classify_quartic(sd, pol)
     squares = sd.squares()
 

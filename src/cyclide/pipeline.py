@@ -51,9 +51,10 @@ def __getattr__(name):
 
 def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
             want: str = "classify") -> dict:
-    """One input -> one report dict.  `want` is the CLI verb: recognize,
-    classify, canonicalize, j0 or to-torus; later stages subsume earlier
-    ones and degrade gracefully (a NotDupin input only gets a verdict)."""
+    """One input -> one report dict.  `want` is recognize, classify,
+    canonicalize or to-torus, later stages subsuming earlier ones; a NotDupin
+    input only gets a verdict.  The CLI's `j0` verb asks for classify and
+    keeps the J0, willmore, kind and error keys itself."""
     verdict = recognize(c, pol)
     report = verdict_to_json(verdict)
     if want == "recognize" or not verdict.is_dupin:
@@ -68,7 +69,7 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
 
     prep = verdict.prepared
     if verdict.kind == DUPIN_QUARTIC:
-        sd = spectral_data(prep, pol)
+        sd = spectral_data(prep)
         report["spectral"] = {"A1": format_scalar(sd.A1), "A2": format_scalar(sd.A2),
                               "A3": format_scalar(sd.A3), "Dsq": format_scalar(sd.Dsq),
                               "F": format_scalar(sd.F)}
@@ -76,14 +77,14 @@ def analyze(c: DarbouxCoefficients, pol: TolerancePolicy,
         report["class"] = label.code
         if ambiguous:
             report["class_ambiguous"] = True
-        j0 = j0_quartic(prep, sd, pol)
+        j0 = j0_quartic(prep, sd)
     else:  # a Dupin cubic
-        params = canonical_cubic_params(prep, pol)
+        params = canonical_cubic_params(prep)
         label = classify_cubic(params.p, params.q, pol)
         report["class"] = label.code
         report["canonical"] = {"p": format_scalar(params.p), "q": format_scalar(params.q),
                                "shift": [format_scalar(v) for v in params.shift]}
-        j0 = j0_cubic(prep, pol)
+        j0 = j0_cubic(prep)
     report["J0"] = format_scalar(j0.value) if j0.kind == "finite" else j0.kind
     report["willmore"] = willmore_energy(j0, pol)
     if verdict.kind == DUPIN_QUARTIC and want in ("canonicalize", "to-torus"):

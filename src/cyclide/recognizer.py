@@ -17,12 +17,14 @@ values; `residuals_back` is the one way a dict of named residuals is taken
 to the caller's scale, by the weights of `invariants.RESIDUAL_WEIGHTS` (an
 exact one as Fraction(v, lam**w)).
 
-`prepare` is the one place that decides an input's degree branch and gauges
-it, and `Prepared.scale_back` the one way back: every stage after it, here
-and in `canonical` and `classify`, runs on the one gauged copy and takes a
-value of weighted degree w back to the caller's scale with scale_back(w).
-Past the exact read of `prepare`, every zero test is a
-`TolerancePolicy.is_zero` call with the size its value is measured against.
+`prepare(c, pol)` is the one place that decides an input's degree branch,
+gauges it and fixes its policy (`Prepared.pol`), and `Prepared.scale_back`
+the one way back: every stage after it, here and in `canonical` and
+`classify`, takes the prepared form alone, reads its policy, runs on the
+gauged copy and takes a value of weighted degree w back to the caller's
+scale with scale_back(w).  Past the exact read of `prepare`, every zero test
+is a `TolerancePolicy.is_zero` call with the size its value is measured
+against.
 The branch is the highest degree with a nonzero slot, measured in float
 mode against the largest coefficient, so it does not depend on the scale of
 the equation.  Exact mode reads each slot once, as its int numerator and
@@ -97,22 +99,17 @@ class TolerancePolicy(namedtuple("TolerancePolicy", "mode tau_rel exact")):
             return value == 0
         return abs(value) <= self.tau_rel * scale
 
-    def nonzero(self, value: Scalar, scale: Scalar = 1) -> bool:
-        if self.exact:
-            return value != 0
-        return not abs(value) <= self.tau_rel * scale
-
     def div(self, num: Scalar, den: Scalar) -> Scalar:
         """num / den, as rationals in exact mode (int operands stay exact)."""
         return Fraction(num, den) if self.exact else num / den
 
 
-class Prepared(namedtuple("Prepared", "branch work scale inv zero_point",
+class Prepared(namedtuple("Prepared", "branch pol work scale inv zero_point",
                           defaults=(None, 1, None, False))):
-    """One input c, prepared once by `prepare` for every stage: `work` is
-    the gauged copy every stage runs on and `inv` its invariant bundle;
-    `zero_point` marks a float quartic that cancels to rounding noise at
-    its own scale (`_is_zero_point`).  A quantity of weighted degree w is
+    """One input c, prepared once by `prepare` for every stage under the
+    policy `pol`: `work` is the gauged copy every stage runs on and `inv`
+    its invariant bundle; `zero_point` marks a float quartic that cancels
+    to rounding noise at its own scale (`_is_zero_point`).  A quantity of weighted degree w is
     its value on work times `scale_back(w)`, the one way back: on
     normalize_quartic(c) for a quartic; on c for an exact cubic or
     quadric, and on c divided by max |b| or max |c, d| for a float one.
@@ -133,7 +130,8 @@ class Verdict(namedtuple("Verdict", "kind case_label witness residuals notes pre
     final values: the kind, the case label, the witness (name, value) of
     the first nonzero residual or None, the {name: value} residuals at the
     caller's scale, a tuple of notes, and the `Prepared` form decided on,
-    which the later stages read.  Equal by value, prepared included."""
+    which the later stages read.  Equal by value, prepared and so its
+    policy included."""
 
     __slots__ = ()
 
@@ -231,11 +229,11 @@ def prepare(c: DarbouxCoefficients, pol: TolerancePolicy) -> Prepared:
         branch = (QUARTIC if not zero(c.a0) else CUBIC if not all(map(zero, c.b))
                   else QUADRIC if not all(map(zero, (*c.c, *c.d))) else LINEAR)
     if branch == LINEAR:
-        return Prepared(LINEAR)
+        return Prepared(LINEAR, pol)
     work, scale, zero_point = ((*_lattice(c, den, ints, branch), False) if pol.exact
                                else _float_gauge(c, branch, pol))
     inv = None if branch == QUADRIC else base_invariants(work)
-    return Prepared(branch, work, scale, inv, zero_point)
+    return Prepared(branch, pol, work, scale, inv, zero_point)
 
 
 def recognize(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
@@ -249,11 +247,11 @@ def recognize(c: DarbouxCoefficients, pol: TolerancePolicy) -> Verdict:
         return Verdict(DUPIN_QUARTIC, "d", None, {"W1+4f0": 0.0, "W2-C0W1": 0.0},
                        ("zero point within tolerance",), p)
     if p.branch == QUARTIC:
-        return recognize_quartic_cases(p, pol)
+        return recognize_quartic_cases(p)
     if p.branch == CUBIC:
-        return recognize_cubic(p, pol)
+        return recognize_cubic(p)
     if p.branch == QUADRIC:
-        return recognize_quadric(p, pol)
+        return recognize_quadric(p)
     return Verdict(DEGENERATE, "none", None, {},
                    ("degree <= 1: plane, point or empty; out of scope",), p)
 
@@ -274,29 +272,28 @@ def _first_witness(res: dict[str, Scalar], pol: TolerancePolicy,
     each measured against its size in scales (1 when scales is None), or
     None when every residual vanishes."""
     for name, value in res.items():
-        if pol.nonzero(value, 1 if scales is None else scales[name]):
+        if not pol.is_zero(value, 1 if scales is None else scales[name]):
             return (name, value)
     return None
 
 
-def _verdict(p: Prepared, pol: TolerancePolicy, dupin: str, label: str,
-             res: dict[str, Scalar], witness, notes=()) -> Verdict:
+def _verdict(p: Prepared, dupin: str, label: str, res: dict[str, Scalar],
+             witness, notes=()) -> Verdict:
     """The one decision rule: kind `dupin` when witness, the first nonzero
     residual of res at p's gauge (`_first_witness`), is None, else NotDupin;
     the residuals and the witness are taken to the caller's scale by
     `residuals_back`."""
-    res = residuals_back(res, p, pol)
+    res = residuals_back(res, p)
     if witness is not None:
         witness = (witness[0], res[witness[0]])
     return Verdict(dupin if witness is None else NOT_DUPIN, label, witness, res, notes, p)
 
 
-def residuals_back(res: dict[str, Scalar], p: Prepared,
-                   pol: TolerancePolicy) -> dict[str, Scalar]:
+def residuals_back(res: dict[str, Scalar], p: Prepared) -> dict[str, Scalar]:
     """Named residuals at the caller's scale: an exact residual of weight w
     (`RESIDUAL_WEIGHTS`) times p.scale_back(w); float residuals as given,
     at the gauge."""
-    if not pol.exact:
+    if not p.pol.exact:
         return res
     # an exact scale is 1/lam, so v * scale_back(w) is v / lam**w: one int
     # power and one Fraction; a zero residual is zero at every scale
@@ -305,7 +302,7 @@ def residuals_back(res: dict[str, Scalar], p: Prepared,
             for name, v in res.items()}
 
 
-def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
+def recognize_quartic_cases(p: Prepared) -> Verdict:
     """First applicable case of the complete-intersection stratification.
 
     (a) e1 != 0: K2, K3, L1, M1.   (b) e2 != 0: K1, K3, L2, M2.
@@ -313,12 +310,12 @@ def recognize_quartic_cases(p: Prepared, pol: TolerancePolicy) -> Verdict:
     Float-mode axis guards that barely fire fall through to (d)-(f) as well,
     so there is no cliff at the e = 0 boundary.  p is a prepared quartic.
     """
-    verdict = _quartic_case_verdict(p, pol)
+    verdict = _quartic_case_verdict(p)
     # dispatch == oracle is a theorem of the exact ideal; float noise shifts
     # the two test families differently near the variety, so the automatic
     # self-check runs in exact mode only, on the lattice copy, and stops at
     # the first generator that does not vanish
-    if pol.exact and quartic_generators_vanish(p.work, p.inv) != verdict.is_dupin:
+    if p.pol.exact and quartic_generators_vanish(p.work, p.inv) != verdict.is_dupin:
         oracle = NOT_DUPIN if verdict.is_dupin else DUPIN_QUARTIC
         raise InternalCheckError(
             f"case dispatch says {verdict.kind} but 12-generator oracle says "
@@ -359,17 +356,17 @@ def _e0_case_residuals(c: DarbouxCoefficients, label: str,
             "(W2-C0W1)^2-4f0^3": (inv.W2 - inv.C0 * inv.W1) ** 2 - 4 * c.f0 ** 3}
 
 
-def _quartic_case_verdict(p: Prepared, pol: TolerancePolicy) -> Verdict:
+def _quartic_case_verdict(p: Prepared) -> Verdict:
     """The case decision on p.work, built once: each stratum tried picks its
     witness at the gauge, and only the one decided on becomes the verdict."""
-    c, inv = p.work, p.inv
+    c, inv, pol = p.work, p.inv, p.pol
     for label, guard in zip("abc", c.e):
-        if not pol.nonzero(guard):
+        if pol.is_zero(guard):
             continue
         res = _axis_case_residuals(c, label, inv)
         witness = _first_witness(res, pol)
         if witness is None or pol.exact or not _near_e_zero(c, pol):
-            return _verdict(p, pol, DUPIN_QUARTIC, label, res, witness)
+            return _verdict(p, DUPIN_QUARTIC, label, res, witness)
         break  # borderline float guard: give the e = 0 strata a chance too
 
     ce = c if pol.exact else c.replace(e1=0.0, e2=0.0, e3=0.0)
@@ -377,10 +374,10 @@ def _quartic_case_verdict(p: Prepared, pol: TolerancePolicy) -> Verdict:
     res = _e0_case_residuals(ce, label, inv)
     witness = _first_witness(res, pol)
     if witness is not None:
-        label = "e" if pol.nonzero(inv.C0) else "f"
+        label = "f" if pol.is_zero(inv.C0) else "e"
         res = _e0_case_residuals(ce, label, inv)
         witness = _first_witness(res, pol)
-    return _verdict(p, pol, DUPIN_QUARTIC, label, res, witness)
+    return _verdict(p, DUPIN_QUARTIC, label, res, witness)
 
 
 def _near_e_zero(c: DarbouxCoefficients, pol: TolerancePolicy) -> bool:
@@ -389,20 +386,20 @@ def _near_e_zero(c: DarbouxCoefficients, pol: TolerancePolicy) -> bool:
     return all(pol.is_zero(float(v), 1e3) for v in c.e)
 
 
-def recognize_quartic_oracle(p: Prepared, pol: TolerancePolicy) -> Verdict:
-    """Dupin iff all 12 ideal generators vanish under the policy; p is a
+def recognize_quartic_oracle(p: Prepared) -> Verdict:
+    """Dupin iff all 12 ideal generators vanish under p's policy; p is a
     prepared quartic."""
     res = quartic_generators(p.work)
-    return _verdict(p, pol, DUPIN_QUARTIC, "none", res, _first_witness(res, pol))
+    return _verdict(p, DUPIN_QUARTIC, "none", res, _first_witness(res, p.pol))
 
 
-def recognize_cubic(p: Prepared, pol: TolerancePolicy) -> Verdict:
+def recognize_cubic(p: Prepared) -> Verdict:
     """Dupin iff 4e_i = E_i for i = 1..3 and f0 equals its rational target;
     compared after clearing the B0 powers.  p is a prepared cubic.  Float
     mode refuses a B0^4 that underflows at the gauge (b tiny next to f0)."""
     pairs = cubic_forms(p.work, p.inv)
     b0 = p.inv.B0
-    if not pol.exact and b0 ** 4 < sys.float_info.min:
+    if not p.pol.exact and b0 ** 4 < sys.float_info.min:
         raise PreconditionError(
             f"B0^4 = {b0 ** 4} at the gauge is below the normal float range; "
             "use exact mode")
@@ -413,10 +410,10 @@ def recognize_cubic(p: Prepared, pol: TolerancePolicy) -> Verdict:
     floors = (4 * b0 ** 3,) * 3 + (4 * b0 ** 4,)
     scales = {name: max(abs(floor), abs(lhs), abs(rhs))
               for (name, (lhs, rhs)), floor in zip(pairs.items(), floors)}
-    return _verdict(p, pol, DUPIN_CUBIC, "none", res, _first_witness(res, pol, scales))
+    return _verdict(p, DUPIN_CUBIC, "none", res, _first_witness(res, p.pol, scales))
 
 
-def recognize_quadric(p: Prepared, pol: TolerancePolicy) -> Verdict:
+def recognize_quadric(p: Prepared) -> Verdict:
     """Dupin-as-quadric iff the quadratic part is rotational (seven forms
     vanish) and the extended matrix is singular (det Phat = 0).
 
@@ -425,12 +422,12 @@ def recognize_quadric(p: Prepared, pol: TolerancePolicy) -> Verdict:
     smooth rotational quadric.  p is a prepared quadric.
     """
     res = quadric_forms(p.work)
-    witness = _first_witness(res, pol)
+    witness = _first_witness(res, p.pol)
     if witness is None:
         notes = ("rotational", "singular")
     elif witness[0] == "detPhat":
         notes = ("smooth rotational quadric",)
     else:
-        singular = pol.is_zero(res["detPhat"])
+        singular = p.pol.is_zero(res["detPhat"])
         notes = ("singular" if singular else "nonsingular", "not rotational")
-    return _verdict(p, pol, DUPIN_QUADRIC, "none", res, witness, notes)
+    return _verdict(p, DUPIN_QUADRIC, "none", res, witness, notes)

@@ -16,7 +16,7 @@ from tripoly import TriPoly, coefficients_from_polynomial
 
 
 def spectral(c, pol):
-    return spectral_data(prepare(c, pol), pol)
+    return spectral_data(prepare(c, pol))
 
 
 class TestRecoverA1:
@@ -192,18 +192,18 @@ class TestCanonicalEquation:
 
 class TestCanonicalCubic:
     def test_cubic22(self, pol):
-        p = canonical_cubic_params(prepare(CUBIC22, pol), pol)
+        p = canonical_cubic_params(prepare(CUBIC22, pol))
         assert (p.p, p.q) == (-2, 2) and p.shift == (0, 0, 0)
 
     def test_plane_point(self, pol):
         c = DarbouxCoefficients.make(a0=0, b=(1, 0, 0))
-        p = canonical_cubic_params(prepare(c, pol), pol)
+        p = canonical_cubic_params(prepare(c, pol))
         assert (p.p, p.q) == (0, 0) and p.shift == (0, 0, 0)
 
     def test_translated(self, pol):
         moved = apply_motion(CUBIC22, EuclideanMotion.translation_by(
             (Fraction(1), Fraction(2), Fraction(3))))
-        p = canonical_cubic_params(prepare(moved, pol), pol)
+        p = canonical_cubic_params(prepare(moved, pol))
         assert p.shift == (-1, -2, -3)
         assert (p.p, p.q) == (-2, 2)
 
@@ -212,12 +212,12 @@ class TestCanonicalCubic:
             pv = rand_fraction(rng, -4, 4, 3)
             qv = rand_fraction(rng, -4, 4, 3)
             c = generate_cubic_dupin(pv, qv, random_motion(rng))
-            out = canonical_cubic_params(prepare(c, pol), pol)
+            out = canonical_cubic_params(prepare(c, pol))
             assert (out.p, out.q) == tuple(sorted((pv, qv)))
 
     def test_projective_scale_invariance(self, pol):
         scaled = CUBIC22.scale(Fraction(2))
-        out = canonical_cubic_params(prepare(scaled, pol), pol)
+        out = canonical_cubic_params(prepare(scaled, pol))
         assert (out.p, out.q) == (-2, 2)
 
 
@@ -244,14 +244,14 @@ class TestMessagesAtCallerScale:
     def test_irrational_message_value(self, pol, case, lam):
         stage, c, prefix, value, w = self.CASES[case]
         with pytest.raises(IrrationalSpectrum) as err:
-            stage(prepare(weighted_rescale(c, lam), pol), pol)
+            stage(prepare(weighted_rescale(c, lam), pol))
         assert str(err.value) == (f"{prefix} {value * lam ** w} is not a perfect "
                                   "square; use float mode")
 
     def test_message_value_too_long_to_print(self, pol):
         stage, c, *_ = self.CASES["discriminant"]
         with pytest.raises(TooManyDigits):
-            stage(prepare(weighted_rescale(c, Fraction(10) ** 1100), pol), pol)
+            stage(prepare(weighted_rescale(c, Fraction(10) ** 1100), pol))
 
     # not Dupin: the A1 candidate of case (a) fails H1, H2 (weight 6) and
     # H3 (weight 4), which read -12, -12 and 21 at lam = 1
@@ -262,7 +262,7 @@ class TestMessagesAtCallerScale:
                                         (Fraction(5, 2), "'-46875/16'")], ids=str)
     def test_inconsistent_message_values(self, pol, lam, h1):
         with pytest.raises(Inconsistent) as err:
-            spectral_data(prepare(weighted_rescale(self.NOT_DUPIN, lam), pol), pol)
+            spectral_data(prepare(weighted_rescale(self.NOT_DUPIN, lam), pol))
         shown = {"H1": format_scalar(-12 * lam ** 6), "H2": format_scalar(-12 * lam ** 6),
                  "H3": format_scalar(21 * lam ** 4)}
         assert str(err.value) == f"A1 system has no common solution: {shown}"
@@ -271,4 +271,4 @@ class TestMessagesAtCallerScale:
     def test_inconsistent_message_value_too_long_to_print(self, pol):
         with pytest.raises(TooManyDigits):
             spectral_data(prepare(weighted_rescale(self.NOT_DUPIN, Fraction(10) ** 1100),
-                                  pol), pol)
+                                  pol))

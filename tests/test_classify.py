@@ -21,7 +21,7 @@ from tripoly import polynomial_from_coefficients
 def j0_of(c, pol):
     """J0 of a quartic through its prepared form and spectral data."""
     prep = prepare(c, pol)
-    return j0_quartic(prep, spectral_data(prep, pol), pol)
+    return j0_quartic(prep, spectral_data(prep))
 
 
 def spectral_from_triple(a1, a2, a3):
@@ -48,7 +48,7 @@ class TestClassifyQuartic:
     def test_swap_invariance(self, pol, rng):
         for _ in range(40):
             c = generate_quartic_dupin(random_quartic_seed(rng))
-            sd = spectral_data(prepare(c, pol), pol)
+            sd = spectral_data(prepare(c, pol))
             swapped = SpectralData(sd.A1, sd.A3, sd.A2, sd.Dsq, sd.F)
             assert classify_quartic(sd, pol) == classify_quartic(swapped, pol)
 
@@ -80,7 +80,7 @@ class TestClassifyQuartic:
         # the ledgered one-point gap: c = (-4,-8,-8), e1 = -8, f0 = 32 has the
         # single real point (2,0,0)
         c = DarbouxCoefficients.make(a0=1, c=(-4, -8, -8), e=(-8, 0, 0), f0=32)
-        sd = spectral_data(prepare(c, pol), pol)
+        sd = spectral_data(prepare(c, pol))
         assert classify_quartic(sd, pol) == SurfaceClass.ONE_POINT
         # direct check that (2,0,0) and nothing near it solves the equation
         poly = polynomial_from_coefficients(c)
@@ -163,9 +163,9 @@ class TestJ0Quartic:
         for _ in range(60):
             seed = random_quartic_seed(rng)
             prep = prepare(generate_quartic_dupin(seed), pol)
-            sd = spectral_data(prep, pol)
+            sd = spectral_data(prep)
             label = classify_quartic(sd, pol)
-            j = j0_quartic(prep, sd, pol)
+            j = j0_quartic(prep, sd)
             if label == SurfaceClass.SMOOTH_RING:
                 assert j.kind == "finite" and 0 < j.value <= Fraction(1, 4)
             elif label == SurfaceClass.SPINDLE:
@@ -179,16 +179,16 @@ class TestJ0Quartic:
 
 class TestJ0Cubic:
     def test_cubic22(self, pol):
-        j = j0_cubic(prepare(CUBIC22, pol), pol)
+        j = j0_cubic(prepare(CUBIC22, pol))
         assert j.kind == "finite" and j.value == Fraction(1, 4)
 
     def test_horn_cubic(self, pol):
         c = generate_cubic_dupin(0, 3, EuclideanMotion.identity())
-        j = j0_cubic(prepare(c, pol), pol)
+        j = j0_cubic(prepare(c, pol))
         assert j.kind == "finite" and j.value == 0
 
     def test_projective_scale(self, pol):
-        j = j0_cubic(prepare(CUBIC22.scale(Fraction(5)), pol), pol)
+        j = j0_cubic(prepare(CUBIC22.scale(Fraction(5)), pol))
         assert j.value == Fraction(1, 4)
 
     def test_pq_formula_oracle(self, pol, rng):
@@ -197,7 +197,7 @@ class TestJ0Cubic:
             p = rand_fraction(rng, -4, 4, 3)
             q = rand_fraction(rng, -4, 4, 3)
             c = generate_cubic_dupin(p, q, random_motion(rng))
-            j = j0_cubic(prepare(c, pol), pol)
+            j = j0_cubic(prepare(c, pol))
             if p == q:
                 if p == 0:
                     assert j.kind == "undefined"

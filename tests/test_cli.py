@@ -6,12 +6,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from cyclide import serialize
-from cyclide.cli import main
+from cyclide import TolerancePolicy, serialize
+from cyclide.cli import _tolerance, main
 from cyclide.errors import ParseError
+from cyclide.scalar import EXACT, FLOAT
 from cyclide.serialize import parse_coefficients
 
 TORUS_JSON = '{"a0":1,"c1":"-10","c2":"-10","c3":"6","f0":"9"}'
@@ -241,6 +243,19 @@ class TestExitCodes:
         monkeypatch.setenv("CYCLIDE_TOL", "abc")
         assert main(["recognize", "--float", TORUS_JSON]) == 2
         assert capsys.readouterr().err.startswith("cyclide: input error:")
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_tolerance_default_is_the_policy_default(self, mode, monkeypatch):
+        # no --tol and no (or an empty) CYCLIDE_TOL: TolerancePolicy's own tau
+        for env in (None, ""):
+            if env is None:
+                monkeypatch.delenv("CYCLIDE_TOL", raising=False)
+            else:
+                monkeypatch.setenv("CYCLIDE_TOL", env)
+            assert _tolerance(SimpleNamespace(tol=None, mode=mode)) == TolerancePolicy(mode)
+        monkeypatch.setenv("CYCLIDE_TOL", "1e-3")
+        assert _tolerance(SimpleNamespace(tol=None, mode=mode)) == TolerancePolicy(mode, 1e-3)
+        assert _tolerance(SimpleNamespace(tol=0.5, mode=mode)) == TolerancePolicy(mode, 0.5)
 
 
 class TestBatch:

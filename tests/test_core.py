@@ -316,11 +316,11 @@ class TestRecords:
     def _records():
         pol = TolerancePolicy()
         prep = prepare(TORUS21, pol)
-        sd = spectral_data(prep, pol)
+        sd = spectral_data(prep)
         q = canonical_quartic_params(sd)
         return (EuclideanMotion.identity(), prep, sd, q,
-                canonical_cubic_params(prepare(CUBIC22, pol), pol),
-                j0_quartic(prep, sd, pol), torus_radii(q), build_map(q, MOBT2))
+                canonical_cubic_params(prepare(CUBIC22, pol)),
+                j0_quartic(prep, sd), torus_radii(q), build_map(q, MOBT2))
 
     def test_fields_cannot_be_set(self):
         for record in self._records():

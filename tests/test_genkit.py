@@ -88,7 +88,7 @@ class TestGenerate:
         for (s, t, u, m), want in targets.items():
             seed = QuarticSeed(Fraction(s), Fraction(t), Fraction(u), Fraction(m), ident)
             c = generate_quartic_dupin(seed)
-            sd = spectral_data(prepare(c, pol), pol)
+            sd = spectral_data(prepare(c, pol))
             assert classify_quartic(sd, pol) == want, (s, t, u, m)
             seen.add(want)
         quartic_labels = {
@@ -193,7 +193,7 @@ class TestSampling:
     ], ids=["double sphere", "touching at alpha = delta", "one point"])
     def test_degenerate_canonical_classes(self, squares, label, pol, rng):
         c = CanonicalQuartic(*squares).coefficients()
-        assert classify_quartic(spectral_data(prepare(c, pol), pol), pol) == label
+        assert classify_quartic(spectral_data(prepare(c, pol)), pol) == label
         residual = point_residual(c)
         pts = sample_surface_points(c, 6, rng)
         assert pts and all(type(v) is Fraction for p in pts for v in p)

@@ -146,7 +146,7 @@ class TestDualityProperties:
         # use the float pipeline for the surface itself
         fpol = TolerancePolicy("float", 1e-9)
         prep = prepare(cq(4.0, 1.0, 2.0, math.sqrt(8.0)).coefficients(), fpol)
-        j = j0_quartic(prep, spectral_data(prep, fpol), fpol)
+        j = j0_quartic(prep, spectral_data(prep))
         assert float(j.value) == pytest.approx(2.0 / 9.0, rel=1e-9)
 
     def test_composition_connects_dual_tori(self, rng):
@@ -178,4 +178,4 @@ class TestTorusSpecLabels:
     ])
     def test_labels(self, r2, R2, label, pol):
         c = TorusSpec(Fraction(r2), Fraction(R2)).coefficients()
-        assert classify_quartic(spectral_data(prepare(c, pol), pol), pol) == label
+        assert classify_quartic(spectral_data(prepare(c, pol)), pol) == label

@@ -5,7 +5,9 @@ neither on the scale of the equation nor, in exact mode, on whether the
 coefficients are ints or Fractions."""
 import fractions
 import importlib.util
+import inspect
 import json
+import math
 import os
 import random
 import sys
@@ -15,7 +17,7 @@ import pytest
 
 from cyclide import (DarbouxCoefficients, EuclideanMotion, canonical, classify, cli,
                      core, invariants, pipeline, recognizer)
-from cyclide.errors import PreconditionError
+from cyclide.errors import Inconsistent, PreconditionError
 from cyclide.genkit import (QuarticSeed, generate_cubic_dupin, generate_quartic_dupin,
                             random_motion, random_quartic_seed)
 from cyclide.recognizer import CUBIC, LINEAR, QUADRIC, QUARTIC, TolerancePolicy, prepare
@@ -246,3 +248,36 @@ def test_nested_errors_carry_their_type():
                               "to-torus")
     assert report["class"] == "R"
     assert report["torus"]["error"].startswith("DegenerateRatio: ")
+
+
+# the float torus R = 2, r = 1 nudged off the variety: f0 = 9(1 + 1e-6) and
+# e1 = 1e-6; a loose tolerance takes it for the ring, a tight one does not
+NEAR_TORUS = DarbouxCoefficients.make(a0=1.0, c=(-10.0, -10.0, 6.0), e=(1e-6, 0.0, 0.0),
+                                      f0=9 * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-9])
+def test_stages_read_the_policy_the_input_was_prepared_under(tau):
+    pol = TolerancePolicy(FLOAT, tau)
+    verdict = recognizer.recognize(NEAR_TORUS, pol)
+    assert verdict.kind == recognizer.DUPIN_QUARTIC
+    assert verdict.prepared.pol is pol
+    if tau == 1e-9:
+        with pytest.raises(Inconsistent, match="A1 system has no common solution"):
+            canonical.spectral_data(verdict.prepared)
+        return
+    sd = canonical.spectral_data(verdict.prepared)
+    assert classify.classify_quartic(sd, pol).code == "SM"
+    j0 = classify.j0_quartic(verdict.prepared, sd)
+    assert j0.kind == "finite" and math.isfinite(j0.value)
+
+
+def test_no_stage_after_prepare_takes_a_policy():
+    stages = (recognizer.recognize_quartic_cases, recognizer.recognize_quartic_oracle,
+              recognizer.recognize_cubic, recognizer.recognize_quadric,
+              recognizer.residuals_back, canonical.spectral_data,
+              canonical.canonical_cubic_params, classify.j0_quartic, classify.j0_cubic)
+    for stage in stages:
+        assert "pol" not in inspect.signature(stage).parameters, stage.__name__
+    assert "pol" not in recognizer.Prepared._field_defaults
+    assert not hasattr(TolerancePolicy, "nonzero")
